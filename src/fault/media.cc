@@ -95,8 +95,9 @@ injectFault(PoolRegistry &registry, const std::vector<MediaSite> &sites,
         // Bit flip: one random bit anywhere in the site's extent.
         const uint32_t byte = site.off +
             static_cast<uint32_t>(rng.below(site.len));
-        const uint8_t flipped = pool.durableView()[byte] ^
-            static_cast<uint8_t>(1u << rng.below(8));
+        uint8_t flipped = 0;
+        pool.readDurable(byte, &flipped, 1);
+        flipped ^= static_cast<uint8_t>(1u << rng.below(8));
         pool.corruptDurable(byte, &flipped, 1);
         return;
     }

@@ -126,11 +126,12 @@ PoolAllocator::rebuildFreeList()
     // between the merged-header fence and the poison fence leaves the
     // stale bytes behind; scrub's extent reconstruction could later
     // mistake them for a live block (see poisonHeader). Idempotent —
-    // a clean image has nothing to poison.
+    // a clean image has nothing to poison. Never-written pages hold no
+    // header and are skipped, so a fresh heap costs a page, not a scan.
     for (const auto &[free_off, free_size] : freeList_) {
         for (uint32_t p = free_off + static_cast<uint32_t>(kAlign);
              p + sizeof(BlockHeader) <= free_off + free_size;
-             p += static_cast<uint32_t>(kAlign)) {
+             p = nextHeaderSlot(pool_, p)) {
             BlockHeader stale{};
             pool_.readRaw(p, &stale, sizeof(stale));
             if (!stale.crcValid())

@@ -109,6 +109,22 @@ class PoolAllocator
      */
     uint32_t alloc(uint32_t size, bool persist_now = true);
 
+    /**
+     * The header slot a 16-byte heap scan visits after @p slot: the
+     * next kAlign step, or the start of the next page when @p slot's
+     * page is not resident in the working image. The skip is exact: an
+     * absent page reads as zero, an all-zero BlockHeader is not
+     * crc-valid, and a kAlign-aligned header never straddles a page.
+     */
+    static uint32_t
+    nextHeaderSlot(const Pool &pool, uint32_t slot)
+    {
+        static_assert(kPageSize % kAlign == 0);
+        if (pool.pageResident(slot))
+            return slot + kAlign;
+        return static_cast<uint32_t>(alignUp(slot + 1, kPageSize));
+    }
+
     /** Persist every header the last alloc/free wrote. */
     void persistTouched();
 

@@ -4,6 +4,84 @@
 
 namespace poat {
 
+PoolImage::PoolImage(const std::vector<uint8_t> &dense)
+    : PoolImage(dense.size())
+{
+    static const uint8_t zeros[kPageSize] = {};
+    for (uint64_t off = 0; off < size_; off += kPageSize) {
+        const size_t n = std::min<uint64_t>(kPageSize, size_ - off);
+        if (std::memcmp(dense.data() + off, zeros, n) != 0)
+            write(off, dense.data() + off, n);
+    }
+}
+
+PoolImage &
+PoolImage::operator=(const PoolImage &other)
+{
+    if (this == &other)
+        return *this;
+    size_ = other.size_;
+    pages_.resize(other.pages_.size());
+    for (size_t i = 0; i < pages_.size(); ++i) {
+        if (!other.pages_[i]) {
+            pages_[i].reset();
+            continue;
+        }
+        if (!pages_[i])
+            pages_[i] = std::make_unique_for_overwrite<uint8_t[]>(kPageSize);
+        std::memcpy(pages_[i].get(), other.pages_[i].get(), kPageSize);
+    }
+    return *this;
+}
+
+void
+PoolImage::read(uint64_t off, void *dst, size_t n) const
+{
+    auto *out = static_cast<uint8_t *>(dst);
+    while (n > 0) {
+        const uint64_t in_page = off % kPageSize;
+        const size_t chunk = std::min<uint64_t>(n, kPageSize - in_page);
+        if (const uint8_t *page = pages_[off / kPageSize].get())
+            std::memcpy(out, page + in_page, chunk);
+        else
+            std::memset(out, 0, chunk);
+        out += chunk;
+        off += chunk;
+        n -= chunk;
+    }
+}
+
+void
+PoolImage::write(uint64_t off, const void *src, size_t n)
+{
+    const auto *in = static_cast<const uint8_t *>(src);
+    while (n > 0) {
+        const uint64_t in_page = off % kPageSize;
+        const size_t chunk = std::min<uint64_t>(n, kPageSize - in_page);
+        std::unique_ptr<uint8_t[]> &page = pages_[off / kPageSize];
+        if (!page)
+            page = std::make_unique<uint8_t[]>(kPageSize); // zeroed
+        std::memcpy(page.get() + in_page, in, chunk);
+        in += chunk;
+        off += chunk;
+        n -= chunk;
+    }
+}
+
+std::vector<uint8_t>
+PoolImage::dense() const
+{
+    std::vector<uint8_t> out(size_);
+    for (size_t i = 0; i < pages_.size(); ++i) {
+        if (pages_[i]) {
+            const uint64_t off = i * kPageSize;
+            std::memcpy(out.data() + off, pages_[i].get(),
+                        std::min<uint64_t>(kPageSize, size_ - off));
+        }
+    }
+    return out;
+}
+
 Pool::Pool(std::string name, uint32_t pool_id, uint64_t size,
            uint32_t log_size, uint32_t log_slots)
     : name_(std::move(name)), id_(pool_id)
@@ -18,7 +96,7 @@ Pool::Pool(std::string name, uint32_t pool_id, uint64_t size,
     POAT_ASSERT(log_size + kHeaderSize + kLineSize <= size,
                 "log region does not fit in pool");
 
-    data_.assign(size, 0);
+    data_ = PoolImage(size);
 
     PoolHeader h{};
     h.magic = PoolHeader::kMagic;
@@ -40,13 +118,16 @@ Pool::Pool(std::string name, uint32_t pool_id, uint64_t size,
     durable_ = data_;
 }
 
-Pool::Pool(std::string name, uint32_t pool_id,
-           std::vector<uint8_t> durable_image)
+Pool::Pool(std::string name, uint32_t pool_id, PoolImage durable_image)
     : name_(std::move(name)), id_(pool_id), data_(std::move(durable_image))
 {
-    POAT_ASSERT(data_.size() >= kHeaderSize, "pool image too small");
+    if (data_.size() < kHeaderSize) {
+        throw MediaError(name_, 0, MediaStructure::Superblock,
+                         "image of " + std::to_string(data_.size()) +
+                             " bytes is smaller than the pool header");
+    }
     PoolHeader primary{};
-    std::memcpy(&primary, data_.data(), sizeof(primary));
+    data_.read(0, &primary, sizeof(primary));
     if (primary.valid(data_.size())) {
         cachedHeader_ = primary;
     } else {
@@ -54,14 +135,13 @@ Pool::Pool(std::string name, uint32_t pool_id,
         // with a precise diagnostic if both copies are gone. The scrub
         // pass re-checks (and re-syncs) both copies on recovery.
         PoolHeader mirror{};
-        std::memcpy(&mirror, data_.data() + PoolHeader::kMirrorOff,
-                    sizeof(mirror));
+        data_.read(PoolHeader::kMirrorOff, &mirror, sizeof(mirror));
         checksumCounters().verifies += 2;
         if (!mirror.valid(data_.size())) {
             throw MediaError(name_, 0, MediaStructure::Superblock,
                              "both superblock copies are corrupt");
         }
-        std::memcpy(data_.data(), &mirror, sizeof(mirror));
+        data_.write(0, &mirror, sizeof(mirror));
         cachedHeader_ = mirror;
     }
     durable_ = data_;
@@ -90,7 +170,15 @@ Pool::corruptDurable(uint32_t off, const void *src, size_t n)
 {
     POAT_ASSERT(static_cast<uint64_t>(off) + n <= durable_.size(),
                 "media fault out of range");
-    std::memcpy(durable_.data() + off, src, n);
+    durable_.write(off, src, n);
+}
+
+void
+Pool::readDurable(uint32_t off, void *dst, size_t n) const
+{
+    POAT_ASSERT(static_cast<uint64_t>(off) + n <= durable_.size(),
+                "durable read out of range");
+    durable_.read(off, dst, n);
 }
 
 void
@@ -98,7 +186,7 @@ Pool::writeRaw(uint32_t off, const void *src, size_t n)
 {
     POAT_ASSERT(static_cast<uint64_t>(off) + n <= data_.size(),
                 "pool write out of range");
-    std::memcpy(data_.data() + off, src, n);
+    data_.write(off, src, n);
     const uint32_t first = off / kLineSize;
     const uint32_t last = (off + static_cast<uint32_t>(n) - 1) / kLineSize;
     for (uint32_t line = first; line <= last; ++line) {
@@ -112,7 +200,7 @@ Pool::readRaw(uint32_t off, void *dst, size_t n) const
 {
     POAT_ASSERT(static_cast<uint64_t>(off) + n <= data_.size(),
                 "pool read out of range");
-    std::memcpy(dst, data_.data() + off, n);
+    data_.read(off, dst, n);
 }
 
 void
@@ -130,8 +218,10 @@ Pool::writeBackLine(uint32_t line, WriteBackCause cause)
     }
     const uint64_t base = static_cast<uint64_t>(line) * kLineSize;
     const uint64_t n = std::min<uint64_t>(kLineSize, data_.size() - base);
+    uint8_t bytes[kLineSize];
+    data_.read(base, bytes, n);
     if (mask == DurabilityHook::kFullLineMask) {
-        std::memcpy(durable_.data() + base, data_.data() + base, n);
+        durable_.write(base, bytes, n);
         return;
     }
     // Torn write-back: only the masked-in 8-byte words reach media; the
@@ -140,12 +230,11 @@ Pool::writeBackLine(uint32_t line, WriteBackCause cause)
     for (uint32_t w = 0; w < 8; ++w) {
         if ((mask & (1u << w)) == 0)
             continue;
-        const uint64_t off = base + w * sizeof(uint64_t);
-        if (off >= base + n)
+        const uint64_t off = w * sizeof(uint64_t);
+        if (off >= n)
             break;
-        const uint64_t wn = std::min<uint64_t>(sizeof(uint64_t),
-                                               base + n - off);
-        std::memcpy(durable_.data() + off, data_.data() + off, wn);
+        durable_.write(base + off, bytes + off,
+                       std::min<uint64_t>(sizeof(uint64_t), n - off));
     }
 }
 
@@ -203,6 +292,16 @@ Pool::persist(uint32_t off, size_t n)
     fence();
 }
 
+void
+Pool::persistAll()
+{
+    std::vector<uint32_t> lines(dirty_.begin(), dirty_.end());
+    std::sort(lines.begin(), lines.end());
+    for (uint32_t line : lines)
+        clwb(line * kLineSize);
+    fence();
+}
+
 uint32_t
 Pool::lineSpan(uint32_t off, size_t n)
 {
@@ -241,7 +340,7 @@ Pool::crash()
 void
 Pool::refreshHeader()
 {
-    std::memcpy(&cachedHeader_, data_.data(), sizeof(cachedHeader_));
+    data_.read(0, &cachedHeader_, sizeof(cachedHeader_));
 }
 
 } // namespace poat

@@ -16,12 +16,21 @@
  * at any moment, tests can also force random early evictions; correct
  * failure-safe code (the undo log) must tolerate both extremes, which is
  * exactly what the recovery property tests check.
+ *
+ * Host storage. Both images are page-granular (PoolImage): a 4 KB page
+ * is allocated on its first write and reads as zero while absent, so a
+ * pool costs host memory, and create / crash / reopen cost host time,
+ * in proportion to the bytes a run touches rather than to the pool's
+ * size. Nothing observable depends on residency: every read returns the
+ * same bytes a dense image would. The exported file format is the dense
+ * on-media layout, unchanged.
  */
 #ifndef POAT_PMEM_POOL_H
 #define POAT_PMEM_POOL_H
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -108,11 +117,17 @@ struct PoolHeader
     }
     bool crcValid() const { return crc == computeCrc(); }
     void seal() { crc = computeCrc(); }
-    /** Full validity: sealed, magic, and sized for @p image_size. */
+    /**
+     * Full validity: sealed, magic, sized for @p image_size, and a heap
+     * and log region that lie inside the image past both header copies.
+     */
     bool
     valid(uint64_t image_size) const
     {
-        return crcValid() && magic == kMagic && pool_size == image_size;
+        return crcValid() && magic == kMagic && pool_size == image_size &&
+            heap_off >= kMirrorOff + sizeof(PoolHeader) &&
+            uint64_t{heap_off} + heap_size <= log_off &&
+            uint64_t{log_off} + log_size <= image_size;
     }
 };
 
@@ -198,6 +213,50 @@ class DurabilityHook
 };
 
 /**
+ * A pool-sized byte image stored as kPageSize pages. A page is
+ * allocated on its first write and reads as zero while absent, so an
+ * image costs memory and copy time in proportion to the pages ever
+ * written, not to its size. Copies are deep.
+ */
+class PoolImage
+{
+  public:
+    explicit PoolImage(uint64_t size = 0)
+        : size_(size), pages_((size + kPageSize - 1) / kPageSize)
+    {}
+
+    /** From the dense on-media layout; all-zero pages stay absent. */
+    explicit PoolImage(const std::vector<uint8_t> &dense);
+
+    PoolImage(const PoolImage &other) { *this = other; }
+    PoolImage &operator=(const PoolImage &other);
+    PoolImage(PoolImage &&) = default;
+    PoolImage &operator=(PoolImage &&) = default;
+
+    uint64_t size() const { return size_; }
+
+    /** Copy [off, off+n) out; absent pages read as zero. */
+    void read(uint64_t off, void *dst, size_t n) const;
+
+    /** Copy @p n bytes in at @p off, allocating absent pages. */
+    void write(uint64_t off, const void *src, size_t n);
+
+    /** True iff the page holding @p off is allocated. */
+    bool
+    resident(uint64_t off) const
+    {
+        return pages_[off / kPageSize] != nullptr;
+    }
+
+    /** The dense on-media layout: every byte, absent pages as zeros. */
+    std::vector<uint8_t> dense() const;
+
+  private:
+    uint64_t size_ = 0;
+    std::vector<std::unique_ptr<uint8_t[]>> pages_;
+};
+
+/**
  * A persistent memory pool.
  *
  * Pool does storage and durability only; it emits no trace events and
@@ -232,10 +291,12 @@ class Pool
      * becomes both the durable and the working copy. The superblock is
      * checksum-verified: a corrupt primary repairs from the mirror
      * (and vice versa, during the scrub pass that follows).
-     * @throws MediaError if both superblock copies are corrupt.
+     * @throws MediaError if the image is smaller than the header region
+     *         or both superblock copies are invalid (bad crc or magic, a
+     *         pool_size other than the image's, or a heap or log region
+     *         outside the image).
      */
-    Pool(std::string name, uint32_t pool_id,
-         std::vector<uint8_t> durable_image);
+    Pool(std::string name, uint32_t pool_id, PoolImage durable_image);
 
     const std::string &name() const { return name_; }
     uint32_t id() const { return id_; }
@@ -301,19 +362,36 @@ class Pool
      */
     void evictRandomLines(Rng &rng, uint64_t num, uint64_t den);
 
+    /**
+     * CLWB every dirty line in ascending line order, then fence: the
+     * write-backs of persist(0, size()), without visiting clean lines.
+     */
+    void persistAll();
+
     /** Simulate power failure: the working image reverts to durable. */
     void crash();
 
-    /** Copy of the durable image (for offline recovery testing). */
-    std::vector<uint8_t> durableImage() const { return durable_; }
+    /**
+     * Copy of the durable image (what close() keeps and offline
+     * recovery tests reopen); dense() of it is the on-media file.
+     */
+    PoolImage durableImage() const { return durable_; }
+
+    /** Read @p n bytes at @p off of the durable image. */
+    void readDurable(uint32_t off, void *dst, size_t n) const;
 
     /**
-     * Zero-copy view of the durable image. Valid until the next
-     * durability-affecting call on this pool (write-back, crash,
-     * destruction); callers that need the bytes to outlive the pool
-     * must use durableImage().
+     * True iff the working image has a page allocated at @p off. An
+     * absent page reads as zero: nothing wrote it since the pool was
+     * created, and the image it was reopened or crashed from did not
+     * hold it. A scan for crc-sealed metadata can skip it.
      */
-    const std::vector<uint8_t> &durableView() const { return durable_; }
+    bool
+    pageResident(uint32_t off) const
+    {
+        POAT_ASSERT(off < data_.size(), "residency query out of range");
+        return data_.resident(off);
+    }
 
     /**
      * Install (or with nullptr, remove) the fault-injection hook on
@@ -390,8 +468,8 @@ class Pool
     std::string name_;
     uint32_t id_;
     uint64_t vbase_ = 0;
-    std::vector<uint8_t> data_;    ///< working image (memory + caches)
-    std::vector<uint8_t> durable_; ///< NVM image
+    PoolImage data_;    ///< working image (memory + caches)
+    PoolImage durable_; ///< NVM image
     std::unordered_set<uint32_t> dirty_;  ///< lines modified, not flushed
     std::unordered_set<uint32_t> staged_; ///< lines CLWB'd, fence pending
     DurabilityPolicy policy_ = DurabilityPolicy::Eager;

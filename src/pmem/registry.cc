@@ -60,14 +60,8 @@ PoolRegistry::close(uint32_t pool_id)
     POAT_ASSERT(!op.anyLogActive(), "pool_close with a live transaction");
     // Close semantics mirror closing a file: dirty cache lines are
     // written back before the mapping goes away.
-    disk_[op.pool.name()] = [&] {
-        // Flush everything still dirty, then take the durable image.
-        Pool &p = op.pool;
-        for (uint64_t off = 0; off < p.size(); off += kLineSize)
-            p.clwb(static_cast<uint32_t>(off));
-        p.fence();
-        return p.durableImage();
-    }();
+    op.pool.persistAll();
+    disk_.insert_or_assign(op.pool.name(), op.pool.durableImage());
     space_.unmap(op.pool.vbase());
     open_.erase(it);
 }
@@ -98,12 +92,12 @@ PoolRegistry::get(uint32_t pool_id)
 void
 PoolRegistry::exportPool(const std::string &name, const std::string &path)
 {
-    const std::vector<uint8_t> *image = nullptr;
+    std::vector<uint8_t> image;
     auto id_it = idByName_.find(name);
     if (id_it != idByName_.end() && open_.count(id_it->second)) {
-        image = &open_.at(id_it->second)->pool.durableView();
+        image = open_.at(id_it->second)->pool.durableImage().dense();
     } else if (auto it = disk_.find(name); it != disk_.end()) {
-        image = &it->second;
+        image = it->second.dense();
     } else {
         POAT_FATAL("exportPool: unknown pool name");
     }
@@ -111,9 +105,9 @@ PoolRegistry::exportPool(const std::string &name, const std::string &path)
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f)
         POAT_FATAL("exportPool: cannot open output file");
-    const size_t written = std::fwrite(image->data(), 1, image->size(), f);
+    const size_t written = std::fwrite(image.data(), 1, image.size(), f);
     std::fclose(f);
-    if (written != image->size())
+    if (written != image.size())
         POAT_FATAL("exportPool: short write");
 }
 
@@ -129,9 +123,14 @@ PoolRegistry::importPool(const std::string &name, const std::string &path)
     std::fseek(f, 0, SEEK_END);
     const long size = std::ftell(f);
     std::fseek(f, 0, SEEK_SET);
-    if (size < static_cast<long>(sizeof(PoolHeader))) {
+    auto invalid = [&](const std::string &why) {
+        return MediaError(name, 0, MediaStructure::Superblock,
+                          "not a valid pool image: " + why);
+    };
+    if (size < static_cast<long>(Pool::kHeaderSize)) {
         std::fclose(f);
-        POAT_FATAL("importPool: file too small to be a pool image");
+        throw invalid("file of " + std::to_string(size) +
+                      " bytes is smaller than the pool header");
     }
     std::vector<uint8_t> image(static_cast<size_t>(size));
     const size_t got = std::fread(image.data(), 1, image.size(), f);
@@ -141,8 +140,12 @@ PoolRegistry::importPool(const std::string &name, const std::string &path)
 
     PoolHeader h{};
     std::memcpy(&h, image.data(), sizeof(h));
-    if (h.magic != PoolHeader::kMagic || h.pool_size != image.size())
-        POAT_FATAL("importPool: not a valid pool image");
+    if (h.magic != PoolHeader::kMagic)
+        throw invalid("bad magic");
+    if (h.pool_size != image.size()) {
+        throw invalid("header says " + std::to_string(h.pool_size) +
+                      " bytes, file has " + std::to_string(image.size()));
+    }
 
     // Assign a fresh system-wide id on import: the image may come from
     // a different process whose ids collide with ours. ObjectIDs inside
@@ -150,7 +153,7 @@ PoolRegistry::importPool(const std::string &name, const std::string &path)
     // references must re-derive anyway (same contract as NVML pools
     // moved between systems).
     idByName_[name] = nextId_++;
-    disk_[name] = std::move(image);
+    disk_.insert_or_assign(name, PoolImage(image));
 }
 
 void

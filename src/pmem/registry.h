@@ -51,7 +51,7 @@ struct OpenPool
      * Reopen-from-image constructor: scrubs the image for media faults
      * (repairing or throwing MediaError), then runs the allocator scan.
      */
-    OpenPool(std::string name, uint32_t id, std::vector<uint8_t> image)
+    OpenPool(std::string name, uint32_t id, PoolImage image)
         : pool(std::move(name), id, std::move(image)),
           alloc(scrubbed(pool, open_scrub)), log(pool, alloc)
     {
@@ -162,8 +162,11 @@ class PoolRegistry
     /**
      * Load a pool image from @p path onto this registry's "disk" under
      * @p name; open it with open(name) afterwards (which runs
-     * recovery). Fatal if the name already exists or the image is not
-     * a valid pool.
+     * recovery). Fatal if the name already exists or the file cannot
+     * be read.
+     * @throws MediaError (Superblock) if the file is smaller than the
+     *         pool header, has a bad magic, or a size other than the
+     *         one its header records.
      */
     void importPool(const std::string &name, const std::string &path);
 
@@ -214,7 +217,7 @@ class PoolRegistry
     DurabilityPolicy policy_ = DurabilityPolicy::Eager;
     std::unordered_map<uint32_t, std::unique_ptr<OpenPool>> open_;
     std::unordered_map<std::string, uint32_t> idByName_;
-    std::unordered_map<std::string, std::vector<uint8_t>> disk_;
+    std::unordered_map<std::string, PoolImage> disk_;
 };
 
 } // namespace poat

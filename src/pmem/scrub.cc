@@ -258,14 +258,15 @@ scrubHeap(Pool &pool, const std::vector<LogRecord> &records,
             // block covering both, i.e. the corrupt header is a
             // remainder an alloc split freshly carved and the
             // successor's prev_size update has not persisted yet. No
-            // match of either kind means this was the last block.
+            // match of either kind means this was the last block. The
+            // scan skips never-written pages (they hold no header).
             const uint32_t prev_off = off - prev_size;
             uint32_t size = 0;
             bool stale_span = false;
             for (int pass = 0; pass < 2 && size == 0; ++pass) {
                 for (uint32_t cand = off + PoolAllocator::kMinBlock;
                      cand + sizeof(BlockHeader) <= heap_end;
-                     cand += PoolAllocator::kAlign) {
+                     cand = PoolAllocator::nextHeaderSlot(pool, cand)) {
                     BlockHeader next{};
                     pool.readRaw(cand, &next, sizeof(next));
                     const uint32_t want =

@@ -149,7 +149,7 @@ durableAfterSchedule(Hook &hook)
     pool.persist(8192, 128); // batch: events 3..4
     pool.setDurabilityHook(nullptr);
     pool.crash();
-    return pool.durableView();
+    return pool.durableImage().dense();
 }
 
 TEST(Reorder, FullSubsetDrainIsBitIdenticalToPrefixFreeze)

@@ -290,5 +290,64 @@ TEST(Alloc, RebuildSweepsStaleHeadersOutOfFreeExtents)
     EXPECT_TRUE(alloc.validate());
 }
 
+TEST(Alloc, AllZeroHeaderIsNotCrcValid)
+{
+    // The page skip in both 16-byte heap scans rests on this: a
+    // never-written page reads as zero, so it can hold no valid header.
+    const BlockHeader zero{};
+    EXPECT_FALSE(zero.crcValid());
+    EXPECT_NE(zero.computeCrc(), 0u);
+}
+
+TEST(Alloc, NextHeaderSlotSkipsOnlyAbsentPages)
+{
+    Pool pool("p", 1, 1 << 20);
+    PoolAllocator alloc(pool);
+    const uint32_t absent = 40 * kPageSize + 48;
+    ASSERT_FALSE(pool.pageResident(absent));
+    EXPECT_EQ(PoolAllocator::nextHeaderSlot(pool, absent), 41 * kPageSize);
+
+    const uint8_t one = 1;
+    pool.writeRaw(absent + 100, &one, 1);
+    ASSERT_TRUE(pool.pageResident(absent));
+    for (uint32_t slot = 40 * kPageSize; slot < 41 * kPageSize;
+         slot += PoolAllocator::kAlign) {
+        ASSERT_EQ(PoolAllocator::nextHeaderSlot(pool, slot),
+                  slot + PoolAllocator::kAlign);
+    }
+}
+
+TEST(Alloc, RebuildSweepsStaleHeaderInAnOtherwiseUntouchedPage)
+{
+    // The sweep skips absent pages only: a stale crc-valid header that
+    // is the sole write to a page deep inside the free extent, in the
+    // page's last slot or its first, must still be poisoned.
+    Pool pool("p", 1, 1 << 20);
+    PoolAllocator alloc(pool);
+    const uint32_t a = alloc.alloc(32);
+    BlockHeader live{};
+    pool.readRaw(a - static_cast<uint32_t>(sizeof(BlockHeader)), &live,
+                 sizeof(live));
+    ASSERT_TRUE(live.crcValid());
+
+    const std::vector<uint32_t> plants = {
+        static_cast<uint32_t>(101 * kPageSize - sizeof(BlockHeader)),
+        static_cast<uint32_t>(150 * kPageSize)};
+    for (uint32_t off : plants) {
+        ASSERT_FALSE(pool.pageResident(off));
+        pool.writeRaw(off, &live, sizeof(live));
+        pool.persist(off, sizeof(live));
+    }
+    pool.crash();
+    alloc.rescan();
+    for (uint32_t off : plants) {
+        BlockHeader swept{};
+        pool.readRaw(off, &swept, sizeof(swept));
+        EXPECT_FALSE(swept.crcValid()) << "stale header at " << off;
+    }
+    EXPECT_TRUE(alloc.isAllocated(a));
+    EXPECT_TRUE(alloc.validate());
+}
+
 } // namespace
 } // namespace poat

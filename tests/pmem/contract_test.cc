@@ -77,21 +77,6 @@ TEST(ContractDeath, PoolExhaustionIsFatal)
                 ::testing::ExitedWithCode(1), "exhausted");
 }
 
-TEST(ContractDeath, ImportOfGarbageFileIsFatal)
-{
-    const std::string path =
-        std::string(::testing::TempDir()) + "garbage.pool";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const char junk[4096] = "not a pool image";
-    std::fwrite(junk, 1, sizeof(junk), f);
-    std::fclose(f);
-    PmemRuntime rt;
-    EXPECT_EXIT(rt.registry().importPool("g", path),
-                ::testing::ExitedWithCode(1), "not a valid pool");
-    std::remove(path.c_str());
-}
-
 TEST(ContractDeath, PoolCloseWithLiveTransactionPanics)
 {
     PmemRuntime rt;

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "pmem/runtime.h"
 
@@ -13,6 +15,51 @@ std::string
 tmpPath(const char *name)
 {
     return std::string(::testing::TempDir()) + name;
+}
+
+void
+writeFile(const std::string &path, const void *bytes, size_t n)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    if (n > 0) {
+        ASSERT_EQ(std::fwrite(bytes, 1, n, f), n);
+    }
+    std::fclose(f);
+}
+
+std::vector<uint8_t>
+readFile(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    std::vector<uint8_t> out;
+    if (!f)
+        return out;
+    uint8_t buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        out.insert(out.end(), buf, buf + n);
+    std::fclose(f);
+    return out;
+}
+
+/** importPool(@p bytes) must throw a superblock MediaError. */
+void
+expectImportRejected(const std::vector<uint8_t> &bytes, const char *why)
+{
+    const std::string path = tmpPath("poat_bad.pool");
+    writeFile(path, bytes.data(), bytes.size());
+    PmemRuntime rt;
+    try {
+        rt.registry().importPool("bad", path);
+        ADD_FAILURE() << "import accepted: " << why;
+    } catch (const MediaError &e) {
+        EXPECT_EQ(e.kind(), MediaStructure::Superblock) << why;
+        EXPECT_NE(std::string(e.what()).find("not a valid pool image"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
 }
 
 TEST(ExportImport, RoundTripsPoolContents)
@@ -102,6 +149,64 @@ TEST(ExportImport, ClosedPoolCanBeExported)
     EXPECT_EQ(rt2.read<uint64_t>(rt2.deref(rt2.poolRoot(p2, 16)), 0),
               77u);
     std::remove(path.c_str());
+}
+
+TEST(ExportImport, SparsePoolRoundTripsByteIdentically)
+{
+    // An 8 MB pool that touches a few pages far apart: the file is the
+    // dense on-media layout, and importing and opening it reproduces
+    // the durable image byte for byte.
+    const std::string path = tmpPath("poat_sparse.pool");
+    PmemRuntime rt;
+    const uint32_t pool = rt.poolCreate("src", 8ull << 20);
+    const ObjectID root = rt.poolRoot(pool, 64);
+    rt.write<uint64_t>(rt.deref(root), 0, 0x5eed);
+    rt.persist(root, 8);
+    std::vector<ObjectID> objs;
+    for (uint32_t i = 0; i < 3; ++i) {
+        objs.push_back(rt.pmalloc(pool, 1u << 20));
+        rt.write<uint64_t>(rt.deref(objs.back()), (1u << 20) - 8, i + 1);
+        rt.persist(objs.back(), 1u << 20);
+    }
+    const std::vector<uint8_t> before =
+        rt.registry().get(pool).pool.durableImage().dense();
+    rt.registry().exportPool("src", path);
+    EXPECT_EQ(readFile(path), before);
+
+    PmemRuntime rt2;
+    rt2.registry().importPool("dst", path);
+    const uint32_t p2 = rt2.poolOpen("dst");
+    EXPECT_EQ(rt2.registry().get(p2).pool.durableImage().dense(), before);
+    for (uint32_t i = 0; i < 3; ++i) {
+        const ObjectID o(p2, objs[i].offset());
+        EXPECT_EQ(rt2.read<uint64_t>(rt2.deref(o), (1u << 20) - 8), i + 1);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ExportImport, ImportOfGarbageFileThrowsMediaError)
+{
+    std::vector<uint8_t> junk(4096);
+    std::memcpy(junk.data(), "not a pool image", 16);
+    expectImportRejected(junk, "bad magic");
+}
+
+TEST(ExportImport, ImportOfTruncatedImageThrowsMediaError)
+{
+    // A real pool image cut short: too small for the header region,
+    // and (longer) a size the header does not record.
+    const std::string path = tmpPath("poat_trunc_src.pool");
+    {
+        PmemRuntime rt;
+        rt.poolCreate("src", 1 << 20);
+        rt.registry().exportPool("src", path);
+    }
+    const std::vector<uint8_t> image = readFile(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(image.size(), 1u << 20);
+    expectImportRejected({image.begin(), image.begin() + 100}, "100 bytes");
+    expectImportRejected({image.begin(), image.begin() + 8192}, "8 KB");
+    expectImportRejected({}, "empty file");
 }
 
 } // namespace

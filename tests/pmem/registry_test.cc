@@ -1,10 +1,34 @@
 /** @file Unit tests for the pool registry (create/open/close cycle). */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "pmem/registry.h"
 
 namespace poat {
 namespace {
+
+/** Records every write-back and drain announcement; vetoes nothing. */
+struct WriteBackRecorder : DurabilityHook
+{
+    bool
+    onWriteBack(Pool &, uint32_t line, WriteBackCause cause) override
+    {
+        events.emplace_back(line, cause);
+        return true;
+    }
+
+    void
+    onFenceDrainBegin(Pool &, const std::vector<uint32_t> &pending) override
+    {
+        drains.push_back(pending);
+    }
+
+    std::vector<std::pair<uint32_t, WriteBackCause>> events;
+    std::vector<std::vector<uint32_t>> drains;
+};
 
 TEST(Registry, CreateAssignsSequentialIdsFromOne)
 {
@@ -123,6 +147,55 @@ TEST(Registry, ManyPoolsCoexist)
         r.create("pool" + std::to_string(i), Pool::kMinSize);
     EXPECT_EQ(r.openCount(), 200u);
     EXPECT_EQ(r.addressSpace().regionCount(), 200u);
+}
+
+TEST(Registry, CloseWritesBackExactlyWhatAWholePoolWalkWould)
+{
+    // close() visits only the dirty lines; its write-back sequence must
+    // equal the CLWB-every-line walk it replaced, under both policies.
+    for (DurabilityPolicy policy :
+         {DurabilityPolicy::Eager, DurabilityPolicy::Strict}) {
+        auto dirtyUp = [&](PoolRegistry &r) -> Pool & {
+            r.setDurabilityPolicy(policy);
+            Pool &p = r.create("a", 1 << 20).pool;
+            // Dirty lines across several pages, written out of order,
+            // one straddling two lines, one in the pool's last line; a
+            // CLWB without a fence leaves 9000's line staged (Strict).
+            for (uint32_t off : {700000u, 9000u, 64u, 12348u, 200000u})
+                p.writeAs<uint64_t>(off, off + 1);
+            p.writeAs<uint64_t>(static_cast<uint32_t>(p.size()) - 8, 7);
+            p.clwb(9000);
+            return p;
+        };
+        PoolRegistry closed, walked;
+        Pool &c = dirtyUp(closed);
+        Pool &w = dirtyUp(walked);
+        WriteBackRecorder by_close, by_walk;
+        closed.setDurabilityHook(&by_close);
+        walked.setDurabilityHook(&by_walk);
+
+        closed.close(c.id());
+        for (uint64_t off = 0; off < w.size(); off += kLineSize)
+            w.clwb(static_cast<uint32_t>(off));
+        w.fence();
+
+        EXPECT_EQ(by_close.events, by_walk.events);
+        EXPECT_EQ(by_close.drains, by_walk.drains);
+        EXPECT_GE(by_close.events.size(), 6u);
+        EXPECT_TRUE(std::is_sorted(by_close.events.begin(),
+                                   by_close.events.end()));
+        const WriteBackCause want = policy == DurabilityPolicy::Eager
+            ? WriteBackCause::Clwb
+            : WriteBackCause::Fence;
+        for (const auto &e : by_close.events)
+            EXPECT_EQ(e.second, want);
+
+        // The closed image on "disk" is the walked pool's durable image.
+        closed.setDurabilityHook(nullptr);
+        walked.setDurabilityHook(nullptr);
+        EXPECT_EQ(closed.open("a").pool.durableImage().dense(),
+                  w.durableImage().dense());
+    }
 }
 
 } // namespace

@@ -204,7 +204,7 @@ TEST(Runtime, BaseAndOptProduceIdenticalDurableImages)
         rt.write<uint64_t>(eref, 0, 777);
         rt.txAddRange(extra, 8);
         rt.txEnd();
-        return rt.registry().get(pool).pool.durableImage();
+        return rt.registry().get(pool).pool.durableImage().dense();
     };
     EXPECT_EQ(run(TranslationMode::Software),
               run(TranslationMode::Hardware));

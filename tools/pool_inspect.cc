@@ -10,6 +10,7 @@
  *
  * Usage: pool_inspect <image-file> [--blocks]
  */
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -34,8 +35,9 @@ readFile(const char *path)
     std::fseek(f, 0, SEEK_END);
     const long size = std::ftell(f);
     std::fseek(f, 0, SEEK_SET);
-    std::vector<uint8_t> data(static_cast<size_t>(size));
-    if (std::fread(data.data(), 1, data.size(), f) != data.size()) {
+    std::vector<uint8_t> data(static_cast<size_t>(std::max(size, 0L)));
+    if (!data.empty() &&
+        std::fread(data.data(), 1, data.size(), f) != data.size()) {
         std::fprintf(stderr, "short read from %s\n", path);
         std::exit(1);
     }
@@ -111,7 +113,7 @@ main(int argc, char **argv)
     // scan) over a reopened Pool: this *is* the recovery path. A
     // MediaError here is itself the answer an operator wants.
     try {
-    Pool pool("inspect", h.pool_id ? h.pool_id : 1, image);
+    Pool pool("inspect", h.pool_id ? h.pool_id : 1, PoolImage(image));
     PoolAllocator alloc(pool);
     std::printf("heap scan: %s\n",
                 alloc.validate() ? "consistent" : "CORRUPT");
