@@ -16,7 +16,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -107,6 +109,33 @@ struct BenchArgs
                     "                    reporting-only\n");
     }
 
+    /** Print @p why and the usage text, then exit 2 (strict CLI). */
+    [[noreturn]] static void
+    usageError(const std::string &why)
+    {
+        std::fprintf(stderr, "%s\n", why.c_str());
+        usage();
+        std::exit(2);
+    }
+
+    /**
+     * @p text as a decimal number no larger than @p max; anything else
+     * (empty, signed, trailing characters, out of range) is a usage
+     * error naming @p flag.
+     */
+    static uint64_t
+    number(const char *flag, const std::string &text,
+           uint64_t max = UINT64_MAX)
+    {
+        uint64_t v = 0;
+        const char *end = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+        if (text.empty() || ec != std::errc() || ptr != end || v > max)
+            usageError(std::string(flag) + " needs a number up to " +
+                       std::to_string(max) + ", got '" + text + "'");
+        return v;
+    }
+
     static BenchArgs
     parse(int argc, char **argv)
     {
@@ -120,15 +149,17 @@ struct BenchArgs
                 a.tpcc_scale_pct = 2;
                 a.tpcc_txns = 150;
             } else if (s.rfind("--scale=", 0) == 0) {
-                a.scale_pct = std::stoul(s.substr(8));
+                a.scale_pct = static_cast<uint32_t>(
+                    number("--scale", s.substr(8), UINT32_MAX));
             } else if (s.rfind("--tpcc-scale=", 0) == 0) {
-                a.tpcc_scale_pct = std::stoul(s.substr(13));
+                a.tpcc_scale_pct = static_cast<uint32_t>(
+                    number("--tpcc-scale", s.substr(13), UINT32_MAX));
             } else if (s.rfind("--txns=", 0) == 0) {
-                a.tpcc_txns = std::stoull(s.substr(7));
+                a.tpcc_txns = number("--txns", s.substr(7));
             } else if (s == "--no-tpcc") {
                 a.include_tpcc = false;
             } else if (s.rfind("--seed=", 0) == 0) {
-                a.seed = std::stoull(s.substr(7));
+                a.seed = number("--seed", s.substr(7));
             } else if (s.rfind("--seeds=", 0) == 0) {
                 a.seeds.clear();
                 std::string list = s.substr(8);
@@ -139,20 +170,19 @@ struct BenchArgs
                         pos, comma == std::string::npos ? comma
                                                         : comma - pos);
                     if (!tok.empty())
-                        a.seeds.push_back(std::stoull(tok));
+                        a.seeds.push_back(number("--seeds", tok));
                     if (comma == std::string::npos)
                         break;
                     pos = comma + 1;
                 }
-                if (a.seeds.empty()) {
-                    std::fprintf(stderr, "--seeds needs a list\n");
-                    POAT_FATAL("empty --seeds list");
-                }
+                if (a.seeds.empty())
+                    usageError("--seeds needs a list");
                 a.seed = a.seeds[0];
             } else if (s == "--cpi-stack") {
                 a.cpi_stack = true;
             } else if (s.rfind("--jobs=", 0) == 0) {
-                a.jobs = std::stoul(s.substr(7));
+                a.jobs = static_cast<uint32_t>(
+                    number("--jobs", s.substr(7), UINT32_MAX));
             } else if (s.rfind("--stats-json=", 0) == 0) {
                 a.stats_json = s.substr(13);
             } else if (s.rfind("--trace=", 0) == 0) {
@@ -160,13 +190,9 @@ struct BenchArgs
             } else if (s.rfind("--trace-cache=", 0) == 0) {
                 a.trace_cache = s.substr(14);
             } else if (s.rfind("--timeline=", 0) == 0) {
-                a.timeline = std::stoull(s.substr(11));
-                if (a.timeline == 0) {
-                    std::fprintf(stderr,
-                                 "--timeline needs a nonzero "
-                                 "cycle interval\n");
-                    POAT_FATAL("zero --timeline interval");
-                }
+                a.timeline = number("--timeline", s.substr(11));
+                if (a.timeline == 0)
+                    usageError("--timeline needs a nonzero cycle interval");
             } else if (s.rfind("--timeline-dir=", 0) == 0) {
                 a.timeline_dir = s.substr(15);
             } else if (s == "--timeline-cores") {
@@ -178,11 +204,9 @@ struct BenchArgs
                 std::exit(0);
             } else {
                 // Strict CLI contract shared with the tools: unknown
-                // flags are a usage error, exit 2 (bench_smoke checks).
-                std::fprintf(stderr, "unknown argument: %s\n",
-                             s.c_str());
-                usage();
-                std::exit(2);
+                // flags and malformed values are usage errors, exit 2
+                // (bench_smoke checks).
+                usageError("unknown argument: " + s);
             }
         }
         if (!a.trace.empty() && a.jobs != 1) {

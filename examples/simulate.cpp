@@ -6,13 +6,16 @@
  * support buys — the experiment behind every bar of Figure 9, in
  * miniature.
  */
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "driver/experiment.h"
 #include "driver/sweep.h"
 #include "pmem/runtime.h"
+#include "workloads/harness.h"
 
 using namespace poat;
 using namespace poat::driver;
@@ -48,6 +51,21 @@ report(const char *label, const ExperimentResult &r)
     }
 }
 
+/** Print @p why and the usage text, then exit 2 (strict CLI). */
+[[noreturn]] void
+usageError(const std::string &why)
+{
+    std::fprintf(stderr, "%s\n", why.c_str());
+    std::printf("usage: simulate [WORKLOAD [--compare | --stats | "
+                "--stats-json]]\n"
+                "  WORKLOAD      one of LL BST SPS RBT BT B+T (default "
+                "B+T)\n"
+                "  --compare     BASE vs OPT designs (the default)\n"
+                "  --stats       counter dump of one OPT run\n"
+                "  --stats-json  the same, as hierarchical JSON\n");
+    std::exit(2);
+}
+
 } // namespace
 
 int
@@ -55,6 +73,12 @@ main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "B+T";
     const std::string flag = argc > 2 ? argv[2] : "";
+    const auto &names = workloads::microbenchNames();
+    if (std::find(names.begin(), names.end(), workload) == names.end())
+        usageError("unknown workload: " + workload);
+    if (argc > 3 || (!flag.empty() && flag != "--compare" &&
+                     flag != "--stats" && flag != "--stats-json"))
+        usageError("unknown argument: " + std::string(argv[argc - 1]));
 
     if (flag == "--stats" || flag == "--stats-json") {
         // Full Sniper-style counter dump of one OPT run — flat text, or

@@ -8,67 +8,57 @@ namespace sim {
 Cache::Cache(std::string name, const CacheConfig &cfg)
     : name_(std::move(name)), assoc_(cfg.assoc), latency_(cfg.latency)
 {
+    static_assert(kLineBytes == 1u << kLineShift);
+    static_assert(sizeof(Line) == 16);
     const uint32_t lines = cfg.size_bytes / kLineBytes;
     POAT_ASSERT(lines % cfg.assoc == 0, "cache geometry mismatch");
-    sets_ = lines / cfg.assoc;
-    POAT_ASSERT(isPow2(sets_), "cache set count must be a power of two");
+    const uint32_t sets = lines / cfg.assoc;
+    POAT_ASSERT(isPow2(sets), "cache set count must be a power of two");
+    setMask_ = sets - 1;
+    tagShift_ = kLineShift + floorLog2(sets);
     lines_.resize(lines);
-}
-
-uint32_t
-Cache::setOf(uint64_t paddr) const
-{
-    return static_cast<uint32_t>((paddr / kLineBytes) & (sets_ - 1));
-}
-
-uint64_t
-Cache::tagOf(uint64_t paddr) const
-{
-    return paddr / kLineBytes / sets_;
 }
 
 bool
 Cache::access(uint64_t paddr, bool is_write)
 {
-    const uint32_t set = setOf(paddr);
-    const uint64_t tag = tagOf(paddr);
-    Line *base = &lines_[static_cast<size_t>(set) * assoc_];
+    Line *base = &lines_[setStart(paddr)];
+    const uint64_t want = metaOf(paddr) | kDirty;
+    const uint64_t dirty = is_write ? kDirty : 0;
     ++tick_;
 
-    Line *victim = base;
     for (uint32_t w = 0; w < assoc_; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == tag) {
+        if ((line.meta | kDirty) == want) {
+            line.meta |= dirty;
             line.lru = tick_;
-            line.dirty |= is_write;
             ++hits_;
             return true;
         }
-        if (!line.valid) {
-            victim = &line; // prefer an invalid way
-        } else if (victim->valid && line.lru < victim->lru) {
-            victim = &line;
-        }
     }
 
+    // Miss. Stamps of valid ways are distinct and nonzero, so this
+    // picks the last invalid way if there is one, else the LRU way.
+    Line *victim = base;
+    for (uint32_t w = 1; w < assoc_; ++w) {
+        if (base[w].lru <= victim->lru)
+            victim = &base[w];
+    }
     ++misses_;
-    if (victim->valid && victim->dirty)
+    if (victim->meta & kDirty)
         ++writebacks_;
-    victim->valid = true;
-    victim->tag = tag;
+    victim->meta = (want & ~kDirty) | dirty;
     victim->lru = tick_;
-    victim->dirty = is_write;
     return false;
 }
 
 bool
 Cache::contains(uint64_t paddr) const
 {
-    const uint32_t set = setOf(paddr);
-    const uint64_t tag = tagOf(paddr);
-    const Line *base = &lines_[static_cast<size_t>(set) * assoc_];
+    const Line *base = &lines_[setStart(paddr)];
+    const uint64_t want = metaOf(paddr) | kDirty;
     for (uint32_t w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if ((base[w].meta | kDirty) == want)
             return true;
     }
     return false;
@@ -77,13 +67,12 @@ Cache::contains(uint64_t paddr) const
 bool
 Cache::flushLine(uint64_t paddr)
 {
-    const uint32_t set = setOf(paddr);
-    const uint64_t tag = tagOf(paddr);
-    Line *base = &lines_[static_cast<size_t>(set) * assoc_];
+    Line *base = &lines_[setStart(paddr)];
+    const uint64_t clean = metaOf(paddr);
     for (uint32_t w = 0; w < assoc_; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == tag && line.dirty) {
-            line.dirty = false;
+        if (line.meta == (clean | kDirty)) {
+            line.meta = clean;
             ++writebacks_;
             return true;
         }
@@ -116,7 +105,8 @@ CacheHierarchy::accessClassified(uint32_t core, uint64_t paddr,
                                  bool is_write)
 {
     // Lower levels are filled (and LRU-touched) only when the upper
-    // level misses, mimicking a mostly-inclusive hierarchy.
+    // level misses, mimicking a mostly-inclusive hierarchy. They are
+    // filled clean: only the L1s ever hold dirty lines.
     if (l1s_[core].access(paddr, is_write))
         return {l1s_[core].latency(), Level::L1};
     if (l2s_[core].access(paddr, false))
@@ -132,9 +122,6 @@ CacheHierarchy::flushLine(uint64_t paddr)
 {
     for (Cache &c : l1s_)
         c.flushLine(paddr);
-    for (Cache &c : l2s_)
-        c.flushLine(paddr);
-    l3_.flushLine(paddr);
 }
 
 void

@@ -9,6 +9,12 @@
  * physical addresses; writeback traffic is tracked statistically but
  * charged no extra latency, matching the paper's fixed per-level hit
  * costs.
+ *
+ * Only the L1s ever hold dirty lines. A store dirties its line in the
+ * L1; the L2 and L3 are filled clean on an L1 miss, and an L1 dirty
+ * eviction is counted as an L1 writeback without writing the lower
+ * levels. So a CLWB (CacheHierarchy::flushLine) needs to clean the L1s
+ * alone: probing the L2s and the L3 could never find a dirty line.
  */
 #ifndef POAT_SIM_CACHE_H
 #define POAT_SIM_CACHE_H
@@ -65,22 +71,39 @@ class Cache
     }
 
   private:
+    /** One way: 16 bytes, so a 16-way set spans four host cache lines. */
     struct Line
     {
-        uint64_t tag = 0;
+        /** tag << 2 | kDirty | kValid; 0 while the way is invalid. */
+        uint64_t meta = 0;
+        /** Recency stamp; 0 exactly while invalid (stamps start at 1). */
         uint64_t lru = 0;
-        bool valid = false;
-        bool dirty = false;
     };
 
-    uint32_t setOf(uint64_t paddr) const;
-    uint64_t tagOf(uint64_t paddr) const;
+    static constexpr uint64_t kValid = 1;
+    static constexpr uint64_t kDirty = 2;
+    static constexpr unsigned kLineShift = 6; ///< log2(kLineBytes)
+
+    /** Index in lines_ of the first way of @p paddr's set. */
+    size_t
+    setStart(uint64_t paddr) const
+    {
+        return ((paddr >> kLineShift) & setMask_) * assoc_;
+    }
+
+    /** Valid, clean meta word of @p paddr's line. */
+    uint64_t
+    metaOf(uint64_t paddr) const
+    {
+        return (paddr >> tagShift_) << 2 | kValid;
+    }
 
     std::string name_;
-    uint32_t sets_;
+    uint64_t setMask_;  ///< sets - 1 (the set count is a power of two)
+    unsigned tagShift_; ///< kLineShift + log2(sets)
     uint32_t assoc_;
     uint32_t latency_;
-    std::vector<Line> lines_; ///< sets_ * assoc_, set-major
+    std::vector<Line> lines_; ///< sets * assoc_, set-major
     uint64_t tick_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
@@ -94,7 +117,8 @@ class Cache
  * core in front of the shared L3. The model is tag-only and the
  * multi-core scheduler interleaves cores one at a time, so no coherence
  * protocol is modeled: a line can be resident in several private
- * caches, and CLWB cleans it everywhere (a real CLWB is coherent).
+ * caches, and CLWB cleans it in every core's L1 (a real CLWB is
+ * coherent).
  */
 class CacheHierarchy
 {
@@ -140,7 +164,10 @@ class CacheHierarchy
         return accessClassified(core, paddr, is_write).latency;
     }
 
-    /** CLWB the line in every level of every core (clean, resident). */
+    /**
+     * CLWB: clean the line in every core's L1 and keep it resident
+     * (only L1s hold dirty lines; see the file comment).
+     */
     void flushLine(uint64_t paddr);
 
     void reset();

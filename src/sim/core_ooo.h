@@ -234,6 +234,7 @@ class OooCore : public CoreModel
                uint64_t dep2, Slot slot, CpiComponent stall_comp)
     {
         ++seq_;
+        robIdx_ = robIdx_ + 1 == robSize_ ? 0 : robIdx_ + 1;
 
         const CpiComponent issue_comp = chargeComp(CpiComponent::Base);
         CpiComponent pre_comp = issue_comp; ///< why dispatch waited
@@ -247,14 +248,14 @@ class OooCore : public CoreModel
 
         // Structural constraints: a ROB entry frees when the uop
         // robSize_ back commits; LQ/SQ likewise.
-        uint64_t earliest = commitRing_[seq_ % robSize_];
+        uint64_t earliest = commitRing_[robIdx_];
         consider(earliest, chargeComp(stall_comp));
         if (slot == Slot::Load) {
-            const uint64_t t = loadRing_[nLoads_ % lqSize_];
+            const uint64_t t = loadRing_[lqIdx_];
             earliest = std::max(earliest, t);
             consider(t, chargeComp(stall_comp));
         } else if (slot == Slot::Store) {
-            const uint64_t t = storeRing_[nStores_ % sqSize_];
+            const uint64_t t = storeRing_[sqIdx_];
             earliest = std::max(earliest, t);
             consider(t, chargeComp(stall_comp));
         }
@@ -304,11 +305,14 @@ class OooCore : public CoreModel
             cpi_[pre_comp] += remaining;
 
         lastCommit_ = std::max(lastCommit_, commit);
-        commitRing_[seq_ % robSize_] = commit;
-        if (slot == Slot::Load)
-            loadRing_[nLoads_++ % lqSize_] = commit;
-        else if (slot == Slot::Store)
-            storeRing_[nStores_++ % sqSize_] = commit;
+        commitRing_[robIdx_] = commit;
+        if (slot == Slot::Load) {
+            loadRing_[lqIdx_] = commit;
+            lqIdx_ = lqIdx_ + 1 == lqSize_ ? 0 : lqIdx_ + 1;
+        } else if (slot == Slot::Store) {
+            storeRing_[sqIdx_] = commit;
+            sqIdx_ = sqIdx_ + 1 == sqSize_ ? 0 : sqIdx_ + 1;
+        }
         completions_[seq_ % kWindow] = {seq_, complete, dominant};
         return complete;
     }
@@ -325,8 +329,11 @@ class OooCore : public CoreModel
     std::vector<Completion> completions_;
 
     uint64_t seq_ = 0;
-    uint64_t nLoads_ = 0;
-    uint64_t nStores_ = 0;
+    // Ring positions: seq_ % robSize_, and the load and store counts
+    // modulo lqSize_ and sqSize_, kept without a division per uop.
+    uint32_t robIdx_ = 0;
+    uint32_t lqIdx_ = 0;
+    uint32_t sqIdx_ = 0;
     uint64_t fetchAvail_ = 0;
     CpiComponent fetchAvailComp_ = CpiComponent::Base;
     uint64_t dispCycle_ = 0;

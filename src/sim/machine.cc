@@ -213,9 +213,7 @@ Machine::translateNv(ObjectID oid)
             const PotWalk w = pot_.walk(oid.poolId());
             if (!w.found)
                 POAT_PANIC("POT miss: nv access to an unmapped pool");
-            ++potOutstanding_;
             x.pot = ideal ? 0 : potWalkCharge(w, /*parallel=*/false);
-            --potOutstanding_;
             hPotProbes_->record(w.probes);
             hPotLat_->record(x.pot);
             POAT_TRACE(tracer_, c.model->cycles(), TraceComponent::Pot,
@@ -248,10 +246,8 @@ Machine::translateNv(ObjectID oid)
     const PotWalk w = pot_.walk(oid.poolId());
     if (!w.found)
         POAT_PANIC("POT miss: nv access to an unmapped pool");
-    ++potOutstanding_;
     if (!ideal)
         x.pot = potWalkCharge(w, /*parallel=*/true);
-    --potOutstanding_;
     hPotProbes_->record(w.probes);
     hPotLat_->record(x.pot);
     hXlatLat_->record(x.pot);
@@ -476,8 +472,6 @@ Machine::attachTimeline(telemetry::TimelineSampler *timeline,
             occ += static_cast<uint64_t>(c->polb.occupancy());
         return occ;
     });
-    timeline_->addGauge("pot.outstanding_walks",
-                        [this] { return potOutstanding_; });
     timeline_->setCores(static_cast<uint32_t>(cores_.size()));
     if (!per_core_lanes || cores_.size() <= 1)
         return;

@@ -212,19 +212,14 @@ class Machine : public TraceSink
     /**
      * Attach (or detach, with nullptr) an interval timeline sampler.
      * Binds the sampler's stats source to this machine's registry and
-     * registers the machine-side occupancy gauges ("polb.occupancy",
-     * "pot.outstanding_walks"); the caller adds any runtime-side
-     * gauges afterwards and calls finish() when the run ends. The
-     * sampler observes only — attaching one changes no simulated
-     * state, so metrics and stats stay bit-identical.
-     */
-    /**
-     * Attach (or detach, with nullptr) an interval timeline sampler.
-     * With @p per_core_lanes set (and more than one core), also
-     * registers per-core blocked-reason gauges
+     * registers the machine-side occupancy gauge ("polb.occupancy");
+     * the caller adds any runtime-side gauges afterwards and calls
+     * finish() when the run ends. With @p per_core_lanes set (and more
+     * than one core), also registers per-core blocked-reason gauges
      * ("sched.core.<i>.blocked.<reason>.total", cumulative cycles) so
-     * multi-core timelines carry one lane per core. Reporting-only:
-     * simulated state and aggregate stats stay bit-identical.
+     * multi-core timelines carry one lane per core. The sampler
+     * observes only — attaching one changes no simulated state, so
+     * metrics and stats stay bit-identical.
      */
     void attachTimeline(telemetry::TimelineSampler *timeline,
                         bool per_core_lanes = false);
@@ -349,14 +344,6 @@ class Machine : public TraceSink
 
     uint64_t txRetries_ = 0; ///< concurrent-tx retry loops (see engine)
     uint64_t polbShootdowns_ = 0; ///< remote invalidations broadcast
-
-    /**
-     * POT walks in flight, exposed as the "pot.outstanding_walks"
-     * timeline gauge. Today's walk model is atomic within a single
-     * event, so samples always read 0; the gauge is the hook for
-     * future overlapped/MSHR-style walk models.
-     */
-    uint64_t potOutstanding_ = 0;
 
   public:
     /**

@@ -30,6 +30,7 @@
 
 #include "common/logging.h"
 #include "sim/config.h"
+#include "sim/slot_hint.h"
 
 namespace poat {
 namespace sim {
@@ -44,7 +45,7 @@ class Polb
      */
     explicit Polb(uint32_t entries, uint32_t assoc = 0,
                   PolbReplacement repl = PolbReplacement::Lru)
-        : entries_(entries), repl_(repl)
+        : entries_(entries), repl_(repl), hint_(entries)
     {
         if (entries_ == 0) {
             sets_ = 0;
@@ -67,14 +68,11 @@ class Polb
     {
         ++tick_;
         if (entries_ != 0) {
-            Slot *set = setOf(key);
-            for (uint32_t w = 0; w < assoc_; ++w) {
-                if (set[w].valid && set[w].key == key) {
-                    if (repl_ == PolbReplacement::Lru)
-                        set[w].stamp = tick_;
-                    ++hits_;
-                    return set[w].value;
-                }
+            if (Slot *s = find(key)) {
+                if (repl_ == PolbReplacement::Lru)
+                    s->stamp = tick_;
+                ++hits_;
+                return s->value;
             }
         }
         ++misses_;
@@ -122,6 +120,7 @@ class Polb
             victim = &set[xorshift() % assoc_];
         if (victim->valid)
             ++evictions_;
+        hint_[key] = static_cast<uint32_t>(victim - slots_.data());
         victim->valid = true;
         victim->key = key;
         victim->value = value;
@@ -183,6 +182,29 @@ class Polb
         bool valid = false;
     };
 
+    /**
+     * The first way of @p key's set that holds it (what a scan of the
+     * set finds), or null. The hint is right whenever its slot still
+     * holds @p key: it is set only to the slot a scan found or an
+     * insert() filled, and only insert() adds a copy of a key, always
+     * ahead of any other copy in its set.
+     */
+    Slot *
+    find(uint64_t key)
+    {
+        uint32_t &hint = hint_[key];
+        if (slots_[hint].valid && slots_[hint].key == key)
+            return &slots_[hint];
+        Slot *set = setOf(key);
+        for (uint32_t w = 0; w < assoc_; ++w) {
+            if (set[w].valid && set[w].key == key) {
+                hint = static_cast<uint32_t>(&set[w] - slots_.data());
+                return &set[w];
+            }
+        }
+        return nullptr;
+    }
+
     Slot *
     setOf(uint64_t key)
     {
@@ -212,6 +234,7 @@ class Polb
     uint32_t sets_ = 0;
     PolbReplacement repl_;
     std::vector<Slot> slots_;
+    SlotHint hint_;
     uint64_t tick_ = 0;
     uint64_t rngState_ = 0x2545f4914f6cdd1dull;
     uint64_t hits_ = 0;

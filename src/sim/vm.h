@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "pmem/addrspace.h"
+#include "sim/slot_hint.h"
 
 namespace poat {
 namespace sim {
@@ -30,10 +31,14 @@ class PageTable
     translate(uint64_t vaddr)
     {
         const uint64_t vpn = vaddr / kPageSize;
-        auto [it, inserted] = map_.try_emplace(vpn, nextFrame_);
-        if (inserted)
-            ++nextFrame_;
-        return it->second * kPageSize + vaddr % kPageSize;
+        if (vpn != lastVpn_) {
+            auto [it, inserted] = map_.try_emplace(vpn, nextFrame_);
+            if (inserted)
+                ++nextFrame_;
+            lastVpn_ = vpn;
+            lastFrame_ = it->second;
+        }
+        return lastFrame_ * kPageSize + vaddr % kPageSize;
     }
 
     /** Frame number of @p vaddr's page (allocating on first touch). */
@@ -48,13 +53,22 @@ class PageTable
   private:
     std::unordered_map<uint64_t, uint64_t> map_;
     uint64_t nextFrame_ = 1; // frame 0 unused so paddr 0 never appears
+    /**
+     * Memo of the last translation (mappings never change once made).
+     * All ones is no page's vpn, so the first lookup always misses.
+     */
+    uint64_t lastVpn_ = ~0ull;
+    uint64_t lastFrame_ = 0;
 };
 
-/** Fully associative, true-LRU data TLB. */
+/**
+ * Fully associative, true-LRU data TLB. A SlotHint finds the slot of a
+ * hit without the scan; each vpn occupies at most one slot.
+ */
 class Tlb
 {
   public:
-    explicit Tlb(uint32_t entries) : entries_(entries) {}
+    explicit Tlb(uint32_t entries) : entries_(entries), hint_(entries) {}
 
     /**
      * Look up @p vaddr's page, installing it on miss.
@@ -65,24 +79,28 @@ class Tlb
     {
         const uint64_t vpn = vaddr / kPageSize;
         ++tick_;
-        for (auto &e : slots_) {
-            if (e.vpn == vpn) {
-                e.lru = tick_;
-                ++hits_;
-                return true;
-            }
+        uint32_t &hint = hint_[vpn];
+        if (hint >= slots_.size() || slots_[hint].vpn != vpn) {
+            hint = 0;
+            while (hint < slots_.size() && slots_[hint].vpn != vpn)
+                ++hint;
+        }
+        if (hint < slots_.size()) {
+            slots_[hint].lru = tick_;
+            ++hits_;
+            return true;
         }
         ++misses_;
         if (slots_.size() < entries_) {
-            slots_.push_back({vpn, tick_});
+            slots_.push_back({vpn, tick_}); // lands at index hint
             return false;
         }
-        auto victim = slots_.begin();
-        for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-            if (it->lru < victim->lru)
-                victim = it;
+        hint = 0;
+        for (uint32_t i = 1; i < slots_.size(); ++i) {
+            if (slots_[i].lru < slots_[hint].lru)
+                hint = i;
         }
-        *victim = {vpn, tick_};
+        slots_[hint] = {vpn, tick_};
         return false;
     }
 
@@ -112,6 +130,7 @@ class Tlb
 
     uint32_t entries_;
     std::vector<Slot> slots_;
+    SlotHint hint_;
     uint64_t tick_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/stats.h"
+#include "common/varint.h"
 
 namespace poat {
 namespace telemetry {
@@ -44,16 +45,6 @@ getLe64(const uint8_t *in)
     return v;
 }
 
-void
-appendVarint(std::vector<uint8_t> &buf, uint64_t v)
-{
-    while (v >= 0x80) {
-        buf.push_back(static_cast<uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    buf.push_back(static_cast<uint8_t>(v));
-}
-
 /** Zigzag: small magnitudes of either sign encode small. */
 uint64_t
 zigzag(int64_t v)
@@ -74,18 +65,19 @@ badFile(const std::string &path, const std::string &why)
     throw std::runtime_error("poat-timeline: " + path + ": " + why);
 }
 
+/** Next varint of @p d at @p *pos; a defect fails the file. */
 uint64_t
-readVarint(const std::string &path, const std::vector<uint8_t> &d,
+nextVarint(const std::string &path, const std::vector<uint8_t> &d,
            size_t *pos)
 {
     uint64_t v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        if (*pos >= d.size())
-            badFile(path, "truncated varint");
-        const uint8_t byte = d[(*pos)++];
-        v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0)
-            return v;
+    switch (readVarint(d.data(), d.size(), pos, &v)) {
+      case VarintStatus::Ok:
+        return v;
+      case VarintStatus::Truncated:
+        badFile(path, "truncated varint");
+      case VarintStatus::TooLong:
+        break;
     }
     badFile(path, "varint exceeds 64 bits");
 }
@@ -306,7 +298,7 @@ TimelineReader::TimelineReader(const std::string &path)
 
     size_t pos = kTimelineHeaderSize;
     auto read_name = [&]() {
-        const uint64_t len = readVarint(path, file, &pos);
+        const uint64_t len = nextVarint(path, file, &pos);
         if (len > file.size() - pos)
             badFile(path, "truncated series name");
         std::string name(
@@ -323,14 +315,14 @@ TimelineReader::TimelineReader(const std::string &path)
     samples_.reserve(static_cast<size_t>(sample_count));
     for (uint64_t s = 0; s < sample_count; ++s) {
         TimelineSample row;
-        row.end_cycle = readVarint(path, file, &pos);
+        row.end_cycle = nextVarint(path, file, &pos);
         row.deltas.reserve(n_counters);
         for (uint32_t i = 0; i < n_counters; ++i)
             row.deltas.push_back(
-                unzigzag(readVarint(path, file, &pos)));
+                unzigzag(nextVarint(path, file, &pos)));
         row.gauges.reserve(n_gauges);
         for (uint32_t i = 0; i < n_gauges; ++i)
-            row.gauges.push_back(readVarint(path, file, &pos));
+            row.gauges.push_back(nextVarint(path, file, &pos));
         samples_.push_back(std::move(row));
     }
     if (pos != file.size())

@@ -1,8 +1,11 @@
 #include "trace_io/itrace.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -18,16 +21,6 @@ constexpr size_t kFlushThreshold = 1u << 20;
 
 constexpr uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t
-fnv1a(uint64_t hash, const uint8_t *data, size_t size)
-{
-    for (size_t i = 0; i < size; ++i) {
-        hash ^= data[i];
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
 
 void
 putLe32(uint8_t *out, uint32_t v)
@@ -61,10 +54,54 @@ getLe64(const uint8_t *in)
     return v;
 }
 
+/**
+ * Continue the v6 record hash over @p size bytes: FNV-1a steps over the
+ * little-endian 64-bit words, then over the trailing size % 8 bytes one
+ * at a time. Hashing a region in chunks gives the whole-region hash as
+ * long as every chunk but the last is a multiple of 8 bytes long.
+ */
+uint64_t
+hashRecords(uint64_t hash, const uint8_t *data, size_t size)
+{
+    const size_t words = size / 8;
+    for (size_t i = 0; i < words; ++i) {
+        hash ^= getLe64(data + 8 * i);
+        hash *= kFnvPrime;
+    }
+    for (size_t i = 8 * words; i < size; ++i) {
+        hash ^= data[i];
+        hash *= kFnvPrime;
+    }
+    return hash;
+}
+
 [[noreturn]] void
 badFile(const std::string &path, const std::string &why)
 {
     throw std::runtime_error("poat-itrace: " + path + ": " + why);
+}
+
+/** Most varint operands of any record kind (LockWait). */
+constexpr size_t kMaxOperands = 4;
+
+/**
+ * Varint operands of each record kind, indexed by kind byte (see the
+ * EventKind comments); OpName's name bytes follow its two operands.
+ */
+constexpr uint8_t kOperandCount[kMaxEventKind + 1] = {
+    0,                      // (no kind 0)
+    2, 3, 3, 2, 3, 2, 1, 1, // Alu .. NvClwb
+    0, 3, 1, 0, 0,          // Fence .. SwTranslateEnd
+    2, 1, 1, 2, 1,          // TxBegin .. CoreSwitch
+    4, 3, 2, 2, 1, 1, 1, 2, // LockWait .. CommitBatch
+};
+
+[[noreturn]] void
+badVarint(const std::string &path, VarintStatus st)
+{
+    badFile(path, st == VarintStatus::Truncated
+                      ? "truncated varint in record region"
+                      : "varint exceeds 64 bits");
 }
 
 } // namespace
@@ -129,32 +166,6 @@ eventKindName(uint8_t kind)
     return "?";
 }
 
-void
-appendVarint(std::vector<uint8_t> &buf, uint64_t v)
-{
-    while (v >= 0x80) {
-        buf.push_back(static_cast<uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    buf.push_back(static_cast<uint8_t>(v));
-}
-
-uint64_t
-readVarint(const uint8_t *data, size_t size, size_t *pos)
-{
-    uint64_t v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        if (*pos >= size)
-            throw std::runtime_error(
-                "poat-itrace: truncated varint in record region");
-        const uint8_t byte = data[(*pos)++];
-        v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0)
-            return v;
-    }
-    throw std::runtime_error("poat-itrace: varint exceeds 64 bits");
-}
-
 // --------------------------------------------------------------------
 // TraceRecorder
 
@@ -196,24 +207,29 @@ TraceRecorder::~TraceRecorder()
 }
 
 void
-TraceRecorder::flushBuf()
+TraceRecorder::flushBuf(bool last)
 {
-    if (buf_.empty() || !f_)
+    if (!f_)
         return;
-    hash_ = fnv1a(hash_, buf_.data(), buf_.size());
-    recordBytes_ += buf_.size();
-    if (std::fwrite(buf_.data(), 1, buf_.size(), f_) != buf_.size()) {
+    // The record hash steps over 8-byte words: until the last flush,
+    // write whole words only and carry the 0-7 bytes after them over.
+    const size_t n = last ? buf_.size() : buf_.size() / 8 * 8;
+    if (n == 0)
+        return;
+    hash_ = hashRecords(hash_, buf_.data(), n);
+    recordBytes_ += n;
+    if (std::fwrite(buf_.data(), 1, n, f_) != n) {
         abandon();
         badFile(tmpPath_, "short write while recording");
     }
-    buf_.clear();
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(n));
 }
 
 void
 TraceRecorder::begin(EventKind kind)
 {
     if (buf_.size() >= kFlushThreshold)
-        flushBuf();
+        flushBuf(/*last=*/false);
     buf_.push_back(static_cast<uint8_t>(kind));
     ++events_;
 }
@@ -225,7 +241,7 @@ TraceRecorder::finish()
         return;
     if (!f_)
         badFile(tmpPath_, "recorder already abandoned");
-    flushBuf();
+    flushBuf(/*last=*/true);
 
     uint8_t len[4];
     putLe32(len, static_cast<uint32_t>(profile_.size()));
@@ -535,65 +551,70 @@ TraceRecorder::opName(uint32_t op, const char *name)
 
 TraceReplayer::TraceReplayer(const std::string &path) : path_(path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
+    // One read into an uninitialized buffer; everything below validates
+    // and later decodes the file in place.
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         badFile(path, "cannot open trace file");
-    std::fseek(f, 0, SEEK_END);
-    const long end = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    std::vector<uint8_t> file(end > 0 ? static_cast<size_t>(end) : 0);
-    const size_t got = file.empty()
-        ? 0
-        : std::fread(file.data(), 1, file.size(), f);
-    std::fclose(f);
-    if (got != file.size())
+    struct stat st;
+    bool ok = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    const size_t size = ok ? static_cast<size_t>(st.st_size) : 0;
+    if (ok) {
+        file_ = std::make_unique_for_overwrite<uint8_t[]>(size);
+        for (size_t got = 0; ok && got < size;) {
+            const ssize_t r = ::read(fd, file_.get() + got, size - got);
+            if (r < 0 && errno == EINTR)
+                continue;
+            ok = r > 0;
+            got += ok ? static_cast<size_t>(r) : 0;
+        }
+    }
+    ::close(fd);
+    if (!ok)
         badFile(path, "cannot read trace file");
+    const uint8_t *file = file_.get();
 
-    if (file.size() < kHeaderSize)
+    if (size < kHeaderSize)
         badFile(path, "truncated header");
-    if (std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0)
+    if (std::memcmp(file, kMagic, sizeof(kMagic)) != 0)
         badFile(path, "not a poat-itrace file (bad magic)");
-    const uint32_t version = getLe32(file.data() + 8);
+    const uint32_t version = getLe32(file + 8);
     if (version != kFormatVersion)
         badFile(path,
                 "unsupported format version " + std::to_string(version) +
                     " (this build reads version " +
                     std::to_string(kFormatVersion) + ")");
-    const uint32_t fpr_len = getLe32(file.data() + 12);
-    eventCount_ = getLe64(file.data() + 16);
-    const uint64_t record_bytes = getLe64(file.data() + 24);
-    const uint64_t record_hash = getLe64(file.data() + 32);
+    const uint32_t fpr_len = getLe32(file + 12);
+    eventCount_ = getLe64(file + 16);
+    const uint64_t record_bytes = getLe64(file + 24);
+    const uint64_t record_hash = getLe64(file + 32);
 
     const size_t records_at = kHeaderSize + fpr_len;
-    if (records_at > file.size() ||
-        record_bytes > file.size() - records_at)
+    if (records_at > size || record_bytes > size - records_at)
         badFile(path, "truncated record region");
-    fingerprint_.assign(
-        reinterpret_cast<const char *>(file.data() + kHeaderSize),
-        fpr_len);
+    fingerprint_.assign(reinterpret_cast<const char *>(file + kHeaderSize),
+                        fpr_len);
 
     const size_t trailer_at = records_at + static_cast<size_t>(record_bytes);
-    if (file.size() - trailer_at < 4)
+    if (size - trailer_at < 4)
         badFile(path, "missing profile trailer");
-    const uint32_t prof_len = getLe32(file.data() + trailer_at);
-    if (file.size() - trailer_at - 4 != prof_len)
+    const uint32_t prof_len = getLe32(file + trailer_at);
+    if (size - trailer_at - 4 != prof_len)
         badFile(path, "trailing garbage after profile");
-    profile_.assign(
-        reinterpret_cast<const char *>(file.data() + trailer_at + 4),
-        prof_len);
+    profile_.assign(reinterpret_cast<const char *>(file + trailer_at + 4),
+                    prof_len);
 
-    records_.assign(file.begin() + records_at,
-                    file.begin() + trailer_at);
-    if (fnv1a(kFnvOffset, records_.data(), records_.size()) !=
-        record_hash)
+    records_ = file + records_at;
+    recordBytes_ = static_cast<size_t>(record_bytes);
+    if (hashRecords(kFnvOffset, records_, recordBytes_) != record_hash)
         badFile(path, "record region corrupt (hash mismatch)");
 }
 
 void
 TraceReplayer::replayInto(TraceSink &sink) const
 {
-    const uint8_t *d = records_.data();
-    const size_t n = records_.size();
+    const uint8_t *d = records_;
+    const size_t n = recordBytes_;
     size_t pos = 0;
     uint64_t events = 0;
 
@@ -605,69 +626,55 @@ TraceReplayer::replayInto(TraceSink &sink) const
             badFile(path_, "dep references a load that never happened");
         return tags[seq];
     };
+    auto u32 = [](uint64_t v) { return static_cast<uint32_t>(v); };
 
     while (pos < n) {
         const uint8_t kind = d[pos++];
+        if (kind < kMinEventKind || kind > kMaxEventKind)
+            badFile(path_, "unknown record kind " + std::to_string(kind) +
+                               " at offset " + std::to_string(pos - 1));
+        // Decode the record's operands in one place, so the varint
+        // decoder is inlined once into this loop.
+        uint64_t op[kMaxOperands] = {};
+        for (uint8_t i = 0; i < kOperandCount[kind]; ++i) {
+            const VarintStatus st = readVarint(d, n, &pos, &op[i]);
+            if (st != VarintStatus::Ok) [[unlikely]]
+                badVarint(path_, st);
+        }
         switch (static_cast<EventKind>(kind)) {
-          case EventKind::Alu: {
-            const uint64_t count = readVarint(d, n, &pos);
-            const uint64_t dp = readVarint(d, n, &pos);
-            sink.alu(static_cast<uint32_t>(count), dep(dp));
+          case EventKind::Alu:
+            sink.alu(u32(op[0]), dep(op[1]));
             break;
-          }
-          case EventKind::Branch: {
-            const uint64_t taken = readVarint(d, n, &pos);
-            const uint64_t pc = readVarint(d, n, &pos);
-            const uint64_t dp = readVarint(d, n, &pos);
-            sink.branch(taken != 0, pc, dep(dp));
+          case EventKind::Branch:
+            sink.branch(op[0] != 0, op[1], dep(op[2]));
             break;
-          }
-          case EventKind::Load: {
-            const uint64_t vaddr = readVarint(d, n, &pos);
-            const uint64_t d1 = readVarint(d, n, &pos);
-            const uint64_t d2 = readVarint(d, n, &pos);
-            tags.push_back(sink.load(vaddr, dep(d1), dep(d2)));
+          case EventKind::Load:
+            tags.push_back(sink.load(op[0], dep(op[1]), dep(op[2])));
             break;
-          }
-          case EventKind::Store: {
-            const uint64_t vaddr = readVarint(d, n, &pos);
-            const uint64_t dp = readVarint(d, n, &pos);
-            sink.store(vaddr, dep(dp));
+          case EventKind::Store:
+            sink.store(op[0], dep(op[1]));
             break;
-          }
-          case EventKind::NvLoad: {
-            const uint64_t oid = readVarint(d, n, &pos);
-            const uint64_t d1 = readVarint(d, n, &pos);
-            const uint64_t d2 = readVarint(d, n, &pos);
+          case EventKind::NvLoad:
             tags.push_back(
-                sink.nvLoad(ObjectID(oid), dep(d1), dep(d2)));
+                sink.nvLoad(ObjectID(op[0]), dep(op[1]), dep(op[2])));
             break;
-          }
-          case EventKind::NvStore: {
-            const uint64_t oid = readVarint(d, n, &pos);
-            const uint64_t dp = readVarint(d, n, &pos);
-            sink.nvStore(ObjectID(oid), dep(dp));
+          case EventKind::NvStore:
+            sink.nvStore(ObjectID(op[0]), dep(op[1]));
             break;
-          }
           case EventKind::Clwb:
-            sink.clwb(readVarint(d, n, &pos));
+            sink.clwb(op[0]);
             break;
           case EventKind::NvClwb:
-            sink.nvClwb(ObjectID(readVarint(d, n, &pos)));
+            sink.nvClwb(ObjectID(op[0]));
             break;
           case EventKind::Fence:
             sink.fence();
             break;
-          case EventKind::PoolMapped: {
-            const uint64_t pool = readVarint(d, n, &pos);
-            const uint64_t vbase = readVarint(d, n, &pos);
-            const uint64_t size = readVarint(d, n, &pos);
-            sink.poolMapped(static_cast<uint32_t>(pool), vbase, size);
+          case EventKind::PoolMapped:
+            sink.poolMapped(u32(op[0]), op[1], op[2]);
             break;
-          }
           case EventKind::PoolUnmapped:
-            sink.poolUnmapped(
-                static_cast<uint32_t>(readVarint(d, n, &pos)));
+            sink.poolUnmapped(u32(op[0]));
             break;
           case EventKind::SwTranslateBegin:
             sink.swTranslateBegin();
@@ -675,86 +682,54 @@ TraceReplayer::replayInto(TraceSink &sink) const
           case EventKind::SwTranslateEnd:
             sink.swTranslateEnd();
             break;
-          case EventKind::TxBegin: {
-            const uint64_t pool = readVarint(d, n, &pos);
-            const uint64_t op = readVarint(d, n, &pos);
-            sink.txBegin(static_cast<uint32_t>(pool),
-                         static_cast<uint32_t>(op));
+          case EventKind::TxBegin:
+            sink.txBegin(u32(op[0]), u32(op[1]));
             break;
-          }
           case EventKind::TxCommit:
-            sink.txCommit(static_cast<uint32_t>(readVarint(d, n, &pos)));
+            sink.txCommit(u32(op[0]));
             break;
           case EventKind::TxAbort:
-            sink.txAbort(static_cast<uint32_t>(readVarint(d, n, &pos)));
+            sink.txAbort(u32(op[0]));
             break;
           case EventKind::CoreSwitch:
-            sink.coreSwitch(
-                static_cast<uint32_t>(readVarint(d, n, &pos)));
+            sink.coreSwitch(u32(op[0]));
             break;
           case EventKind::OpSet:
-            sink.opSet(static_cast<uint32_t>(readVarint(d, n, &pos)));
+            sink.opSet(u32(op[0]));
             break;
-          case EventKind::LockWait: {
-            const uint64_t worker = readVarint(d, n, &pos);
-            const uint64_t key = readVarint(d, n, &pos);
-            const uint64_t mode = readVarint(d, n, &pos);
-            const uint64_t edges = readVarint(d, n, &pos);
-            sink.lockWait(static_cast<uint32_t>(worker), key,
-                          static_cast<uint8_t>(mode),
-                          static_cast<uint32_t>(edges));
+          case EventKind::LockWait:
+            sink.lockWait(u32(op[0]), op[1], static_cast<uint8_t>(op[2]),
+                          u32(op[3]));
             break;
-          }
-          case EventKind::LockAcquired: {
-            const uint64_t worker = readVarint(d, n, &pos);
-            const uint64_t key = readVarint(d, n, &pos);
-            const uint64_t mode = readVarint(d, n, &pos);
-            sink.lockAcquired(static_cast<uint32_t>(worker), key,
-                              static_cast<uint8_t>(mode));
+          case EventKind::LockAcquired:
+            sink.lockAcquired(u32(op[0]), op[1],
+                              static_cast<uint8_t>(op[2]));
             break;
-          }
-          case EventKind::LockReleased: {
-            const uint64_t worker = readVarint(d, n, &pos);
-            const uint64_t key = readVarint(d, n, &pos);
-            sink.lockReleased(static_cast<uint32_t>(worker), key);
+          case EventKind::LockReleased:
+            sink.lockReleased(u32(op[0]), op[1]);
             break;
-          }
-          case EventKind::LockDeadlock: {
-            const uint64_t worker = readVarint(d, n, &pos);
-            const uint64_t key = readVarint(d, n, &pos);
-            sink.lockDeadlock(static_cast<uint32_t>(worker), key);
+          case EventKind::LockDeadlock:
+            sink.lockDeadlock(u32(op[0]), op[1]);
             break;
-          }
           case EventKind::WorkerDone:
-            sink.workerDone(
-                static_cast<uint32_t>(readVarint(d, n, &pos)));
+            sink.workerDone(u32(op[0]));
             break;
           case EventKind::CommitJoin:
-            sink.commitJoin(
-                static_cast<uint32_t>(readVarint(d, n, &pos)));
+            sink.commitJoin(u32(op[0]));
             break;
-          case EventKind::CommitBatch: {
-            const uint64_t members = readVarint(d, n, &pos);
-            const uint64_t elided = readVarint(d, n, &pos);
-            sink.commitBatch(static_cast<uint32_t>(members),
-                             static_cast<uint32_t>(elided));
+          case EventKind::CommitBatch:
+            sink.commitBatch(u32(op[0]), u32(op[1]));
             break;
-          }
           case EventKind::OpName: {
-            const uint64_t op = readVarint(d, n, &pos);
-            const uint64_t len = readVarint(d, n, &pos);
+            const uint64_t len = op[1];
             if (len > n - pos)
                 badFile(path_, "truncated opName record");
             std::string name(reinterpret_cast<const char *>(d + pos),
                              static_cast<size_t>(len));
             pos += static_cast<size_t>(len);
-            sink.opName(static_cast<uint32_t>(op), name.c_str());
+            sink.opName(u32(op[0]), name.c_str());
             break;
           }
-          default:
-            badFile(path_,
-                    "unknown record kind " + std::to_string(kind) +
-                        " at offset " + std::to_string(pos - 1));
         }
         ++events;
     }

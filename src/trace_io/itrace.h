@@ -1,6 +1,6 @@
 /**
  * @file
- * Instruction-trace capture & replay: the "poat-itrace" format (v5).
+ * Instruction-trace capture & replay: the "poat-itrace" format (v6).
  *
  * The simulator is execution-driven: workloads run natively and report
  * every dynamic instruction to a TraceSink (pmem/trace.h). A machine-
@@ -16,15 +16,25 @@
  * File layout (all integers little-endian):
  *
  *   offset 0   magic "poatitrc" (8 bytes)
- *          8   u32 format version (5)
+ *          8   u32 format version (6)
  *         12   u32 fingerprint length
  *         16   u64 event count      (patched by finish())
  *         24   u64 record bytes     (patched by finish())
- *         32   u64 record hash      (FNV-1a over the record region)
+ *         32   u64 record hash      (see below)
  *         40   fingerprint bytes    (canonical functional-config string)
  *          .   records: one kind byte + varint operands per event
  *          .   u32 profile length + profile bytes (opaque sidecar blob
  *              the driver uses for the run's functional profile)
+ *
+ * The record hash is 64-bit FNV-1a (offset basis 14695981039346656037,
+ * prime 1099511628211) run over the record region as little-endian
+ * 64-bit words, each step `hash ^= word; hash *= prime`, followed by
+ * the same step over each of the region's trailing size % 8 bytes.
+ * Every step is a bijection of the running hash, so any single
+ * corrupted byte changes the result. The recorder hashes exactly those
+ * words wherever its buffer flushes fall; the replayer validates the
+ * hash once, over the file it read in a single pass, and decodes the
+ * records in place.
  *
  * Value tags are canonicalized: the workload-visible tag of the n-th
  * load-like event (load/nvLoad) is its 1-based sequence number, and dep
@@ -43,9 +53,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/varint.h"
 #include "pmem/trace.h"
 
 namespace poat {
@@ -62,10 +74,11 @@ inline constexpr char kMagic[8] = {'p', 'o', 'a', 't', 'i', 't', 'r', 'c'};
  * v4 added the CoreSwitch scheduling record (deterministic multi-core
  * interleaving); v5 added the concurrency-observability records
  * (lock waits/grants/releases/deadlocks, worker lifecycle, commit
- * windows, op switches) feeding the lock.* / sched.* / cp.* stats.
- * Older files fail matches() and are silently recaptured.
+ * windows, op switches) feeding the lock.* / sched.* / cp.* stats;
+ * v6 changed the record hash from byte-wise to word-wise FNV-1a (same
+ * records). Older files fail matches() and are silently recaptured.
  */
-inline constexpr uint32_t kFormatVersion = 5;
+inline constexpr uint32_t kFormatVersion = 6;
 
 /** Bytes before the fingerprint (magic + version + 3 patched fields). */
 inline constexpr size_t kHeaderSize = 40;
@@ -106,15 +119,6 @@ inline constexpr uint8_t kMaxEventKind = 26;
 
 /** Human-readable name of a record kind ("?" if out of range). */
 const char *eventKindName(uint8_t kind);
-
-/** Append @p v LEB128-encoded to @p buf. */
-void appendVarint(std::vector<uint8_t> &buf, uint64_t v);
-
-/**
- * Decode one LEB128 varint from @p data at @p *pos, advancing @p *pos.
- * @throws std::runtime_error on truncation or a >64-bit encoding.
- */
-uint64_t readVarint(const uint8_t *data, size_t size, size_t *pos);
 
 /**
  * TraceSink that forwards every event to an inner sink while appending
@@ -205,7 +209,8 @@ class TraceRecorder : public TraceSink
 
     void begin(EventKind kind);
     void put(uint64_t v) { appendVarint(buf_, v); }
-    void flushBuf();
+    /** Write out (and hash) the buffer; see itrace.cc. */
+    void flushBuf(bool last);
 
     TraceSink *inner_;
     std::string path_;
@@ -263,7 +268,9 @@ class TraceReplayer
     std::string path_;
     std::string fingerprint_;
     std::string profile_;
-    std::vector<uint8_t> records_;
+    std::unique_ptr<uint8_t[]> file_; ///< the whole file, as read
+    const uint8_t *records_ = nullptr; ///< record region within file_
+    size_t recordBytes_ = 0;
     uint64_t eventCount_ = 0;
 };
 

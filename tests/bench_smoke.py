@@ -42,9 +42,15 @@ sequential bench accepts --contention with a "no multi-core runs"
 note, and a --timeline-cores run leaves the stats report
 byte-identical.
 
+When fig12_pot_walk and simulate binaries are also given, checks that
+malformed numbers (--jobs=abc, --scale=x, a 20-digit --jobs, a signed
+--seed, an empty --txns), an empty --seeds list, --timeline=0, and an
+unknown simulate workload or flag each print a diagnostic plus the
+usage text and exit 2 instead of aborting.
+
 Usage: bench_smoke.py <fig9a_speedup_inorder> [<fig11_polb_size>
        [<crash_explore> [<timeline_dump> [<fig_cores>
-       [<contention_report>]]]]]
+       [<contention_report> [<fig12_pot_walk> [<simulate>]]]]]]]
 """
 
 import json
@@ -424,11 +430,45 @@ def check_crash_explore(tool):
     print("OK: crash_explore smoke + strict CLI")
 
 
+def check_usage_errors(fig9a, fig12, simulate):
+    """Malformed input is a usage error (exit 2), never an abort."""
+    cases = [
+        [fig12, "--jobs=abc"],
+        [fig9a, "--scale=x"],
+        [fig9a, "--jobs=" + "9" * 20],
+        [fig9a, "--seed=-1"],
+        [fig9a, "--txns="],
+        [fig9a, "--jobs=4x"],
+        [fig9a, "--seeds=,"],
+        [fig9a, "--timeline=0"],
+    ]
+    for cmd in cases:
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              timeout=120)
+        if proc.returncode != 2:
+            fail("%s: exit %d, want 2\nstderr:\n%s"
+                 % (" ".join(cmd), proc.returncode, proc.stderr))
+        if "options:" not in proc.stdout or not proc.stderr.strip():
+            fail("%s: no diagnostic plus usage text" % " ".join(cmd))
+    for args, why in [(["NOPE"], "unknown workload"),
+                      (["LL", "--bogus"], "unknown argument")]:
+        proc = subprocess.run([simulate] + args, capture_output=True,
+                              text=True, timeout=120)
+        if proc.returncode != 2 or why not in proc.stderr:
+            fail("simulate %s: exit %d, want 2 with %r\nstderr:\n%s"
+                 % (" ".join(args), proc.returncode, why, proc.stderr))
+        if "usage:" not in proc.stdout:
+            fail("simulate %s: no usage text" % " ".join(args))
+    print("OK: %d malformed inputs exit 2 with a diagnostic"
+          % (len(cases) + 2))
+
+
 def main():
-    if len(sys.argv) not in (2, 3, 4, 5, 6, 7):
+    if len(sys.argv) not in range(2, 10):
         fail("usage: bench_smoke.py <fig9a-binary> [<fig11-binary>"
              " [<crash_explore-binary> [<timeline_dump-binary>"
-             " [<fig_cores-binary> [<contention_report-binary>]]]]]")
+             " [<fig_cores-binary> [<contention_report-binary>"
+             " [<fig12-binary> [<simulate-binary>]]]]]]]")
     bench = sys.argv[1]
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -508,6 +548,8 @@ def main():
         check_timeline(bench, sys.argv[4])
     if len(sys.argv) >= 7:
         check_contention(sys.argv[5], bench, sys.argv[6])
+    if len(sys.argv) >= 9:
+        check_usage_errors(bench, sys.argv[7], sys.argv[8])
 
 
 if __name__ == "__main__":

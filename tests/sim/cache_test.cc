@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "sim/cache.h"
@@ -117,14 +118,52 @@ TEST(Hierarchy, L2CatchesL1Evictions)
     EXPECT_EQ(h.access(0x0, false), cfg.l2.latency);
 }
 
-TEST(Hierarchy, FlushLineReachesAllLevels)
+TEST(Hierarchy, LowerLevelsStayCleanUnderWrites)
+{
+    // CacheHierarchy::flushLine cleans only the L1s; that is exact
+    // because nothing ever dirties an L2 or the L3. Drive a write-heavy
+    // stream through a small hierarchy until all three levels evict.
+    MachineConfig cfg;
+    cfg.l1d = {1024, 2, 3};   // 8 sets
+    cfg.l2 = {4096, 4, 8};    // 16 sets
+    cfg.l3 = {16384, 8, 27};  // 32 sets
+    CacheHierarchy h(cfg);
+    Rng rng(11);
+    std::vector<uint64_t> touched;
+    for (int i = 0; i < 20000; ++i) {
+        const uint64_t pa = rng.below(2048) * 64;
+        touched.push_back(pa);
+        h.access(pa, rng.below(4) != 0); // 3 in 4 are writes
+        if (rng.below(16) == 0)
+            h.flushLine(touched[rng.below(touched.size())]);
+    }
+    EXPECT_GT(h.l1().writebacks(), 0u);
+    EXPECT_GT(h.l2().misses(), cfg.l2.size_bytes / 64); // L2 evicted
+    EXPECT_GT(h.l3().misses(), cfg.l3.size_bytes / 64); // L3 evicted
+    EXPECT_EQ(h.l2().writebacks(), 0u);
+    EXPECT_EQ(h.l3().writebacks(), 0u);
+    // No resident L2/L3 line is dirty: a CLWB there has nothing to do.
+    for (const uint64_t pa : touched) {
+        EXPECT_FALSE(h.l2().flushLine(pa));
+        EXPECT_FALSE(h.l3().flushLine(pa));
+    }
+}
+
+TEST(Hierarchy, FlushLineCleansEveryCoreL1)
 {
     MachineConfig cfg;
+    cfg.cores = 4;
     CacheHierarchy h(cfg);
-    h.access(0x40, true);
-    h.flushLine(0x40);
-    // The line is still resident: next access is an L1 hit.
-    EXPECT_EQ(h.access(0x40, false), cfg.l1d.latency);
+    const uint64_t pa = 0x40;
+    for (uint32_t c = 0; c < 4; ++c)
+        h.access(c, pa, true); // dirty in all four private L1s
+    h.flushLine(pa);
+    for (uint32_t c = 0; c < 4; ++c) {
+        EXPECT_EQ(h.l1(c).writebacks(), 1u) << c;
+        EXPECT_FALSE(h.l1(c).flushLine(pa)) << c; // already clean
+        // Still resident: the next access is an L1 hit.
+        EXPECT_EQ(h.access(c, pa, false), cfg.l1d.latency) << c;
+    }
 }
 
 /** Property: hit/miss sequence matches a reference fully-mapped model
@@ -143,6 +182,127 @@ TEST(Cache, DirectMappedMatchesReferenceModel)
         EXPECT_EQ(c.access(addr, false), expect_hit) << "access " << i;
         ref[set] = line;
     }
+}
+
+/**
+ * Plain set-associative true-LRU cache: each set is a list of lines,
+ * most recently used first. The hit/miss/writeback behavior the model
+ * must reproduce exactly.
+ */
+class RefCache
+{
+  public:
+    RefCache(uint32_t sets, uint32_t assoc) : sets_(sets), assoc_(assoc),
+                                              lru_(sets) {}
+
+    bool
+    access(uint64_t paddr, bool is_write)
+    {
+        auto &set = lru_[setOf(paddr)];
+        const uint64_t line = paddr / 64;
+        for (size_t i = 0; i < set.size(); ++i) {
+            if (set[i].line == line) {
+                Line hit = set[i];
+                hit.dirty |= is_write;
+                set.erase(set.begin() + static_cast<long>(i));
+                set.insert(set.begin(), hit);
+                return true;
+            }
+        }
+        if (set.size() == assoc_) {
+            writebacks += set.back().dirty;
+            set.pop_back();
+        }
+        set.insert(set.begin(), Line{line, is_write});
+        return false;
+    }
+
+    bool
+    flushLine(uint64_t paddr)
+    {
+        for (Line &l : lru_[setOf(paddr)]) {
+            if (l.line == paddr / 64 && l.dirty) {
+                l.dirty = false;
+                ++writebacks;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    bool
+    contains(uint64_t paddr) const
+    {
+        for (const Line &l : lru_[setOf(paddr)])
+            if (l.line == paddr / 64)
+                return true;
+        return false;
+    }
+
+    void
+    reset()
+    {
+        for (auto &set : lru_)
+            set.clear();
+    }
+
+    uint64_t writebacks = 0;
+
+  private:
+    struct Line
+    {
+        uint64_t line;
+        bool dirty;
+    };
+
+    uint32_t setOf(uint64_t paddr) const { return paddr / 64 % sets_; }
+
+    uint32_t sets_;
+    uint32_t assoc_;
+    std::vector<std::vector<Line>> lru_;
+};
+
+/** Reads, writes, flushes and a reset against the reference model. */
+void
+checkAgainstReference(uint32_t sets, uint32_t assoc, uint64_t seed)
+{
+    const CacheConfig cfg{sets * assoc * 64, assoc, 3};
+    Cache c("sa", cfg);
+    RefCache ref(sets, assoc);
+    Rng rng(seed);
+    // Twice the cache's lines, with a hot quarter: hits, LRU
+    // reordering and dirty evictions all happen often.
+    const uint64_t lines = 2ull * sets * assoc;
+    for (int i = 0; i < 40000; ++i) {
+        const uint64_t line = rng.below(4) == 0 ? rng.below(lines / 4)
+                                                : rng.below(lines);
+        const uint64_t pa = line * 64 + rng.below(64);
+        const uint64_t op = rng.below(8);
+        if (op == 0) {
+            ASSERT_EQ(c.flushLine(pa), ref.flushLine(pa)) << "step " << i;
+        } else {
+            const bool write = op <= 3;
+            ASSERT_EQ(c.access(pa, write), ref.access(pa, write))
+                << "step " << i;
+        }
+        ASSERT_EQ(c.writebacks(), ref.writebacks) << "step " << i;
+        const uint64_t probe = rng.below(lines) * 64;
+        ASSERT_EQ(c.contains(probe), ref.contains(probe)) << "step " << i;
+        if (i == 20000) {
+            c.reset();
+            ref.reset();
+        }
+    }
+}
+
+TEST(Cache, EightWayLruMatchesReferenceModel)
+{
+    checkAgainstReference(16, 8, 21);
+}
+
+TEST(Cache, SixteenWayLruMatchesReferenceModel)
+{
+    checkAgainstReference(8, 16, 22);
 }
 
 } // namespace

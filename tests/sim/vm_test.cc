@@ -1,6 +1,11 @@
 /** @file Unit tests for the page table and TLB. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
+#include "common/rng.h"
 #include "sim/vm.h"
 
 namespace poat {
@@ -73,6 +78,113 @@ TEST(Tlb, ResetClears)
     tlb.access(0x1000);
     tlb.reset();
     EXPECT_FALSE(tlb.access(0x1000));
+}
+
+/** Plain true-LRU TLB: resident vpns, most recently used first. */
+class RefTlb
+{
+  public:
+    explicit RefTlb(size_t entries) : entries_(entries) {}
+
+    bool
+    access(uint64_t vaddr)
+    {
+        const uint64_t vpn = vaddr / kPageSize;
+        const auto it = std::find(lru_.begin(), lru_.end(), vpn);
+        const bool hit = it != lru_.end();
+        if (hit)
+            lru_.erase(it);
+        else if (lru_.size() == entries_)
+            lru_.pop_back();
+        lru_.insert(lru_.begin(), vpn);
+        return hit;
+    }
+
+    void reset() { lru_.clear(); }
+
+  private:
+    size_t entries_;
+    std::vector<uint64_t> lru_;
+};
+
+/**
+ * Run @p next_page's stream through a 64-entry Tlb and the reference,
+ * comparing every access, with one reset halfway. @return the hits.
+ */
+template <typename NextPage>
+uint64_t
+checkTlbStream(NextPage &&next_page, uint64_t seed)
+{
+    Tlb tlb(64);
+    RefTlb ref(64);
+    Rng rng(seed);
+    for (int i = 0; i < 40000; ++i) {
+        const uint64_t va = next_page(rng) * kPageSize + rng.below(kPageSize);
+        EXPECT_EQ(tlb.access(va), ref.access(va)) << "access " << i;
+        if (i == 20000) {
+            tlb.reset();
+            ref.reset();
+        }
+    }
+    EXPECT_GT(tlb.misses(), 64u);
+    return tlb.hits();
+}
+
+TEST(Tlb, PageLocalityStreamMatchesReferenceModel)
+{
+    // A random walk over nearby pages, mostly within the TLB's reach,
+    // with an occasional jump to a far region.
+    uint64_t page = 1000;
+    const uint64_t hits = checkTlbStream(
+        [&](Rng &rng) {
+            if (rng.below(64) == 0)
+                page = 1000 + rng.below(1u << 20);
+            else
+                page = page + rng.below(9) - 4;
+            return page;
+        },
+        31);
+    EXPECT_GT(hits, 20000u); // most accesses hit
+}
+
+TEST(Tlb, WideStreamMatchesReferenceModel)
+{
+    // 100 pages drawn at random, and a cyclic sweep over 65: both
+    // touch more pages than the TLB holds. LRU never hits the sweep.
+    EXPECT_GT(checkTlbStream(
+                  [](Rng &rng) { return 0x7000'0000ull + rng.below(100); },
+                  32),
+              0u);
+    uint64_t n = 0;
+    EXPECT_EQ(checkTlbStream([&](Rng &) { return 0x10'0000ull + n++ % 65; },
+                             33),
+              0u);
+}
+
+TEST(PageTable, FramesFollowFirstTouchOrder)
+{
+    // Reference: frames are handed out 1, 2, 3, ... in first-touch
+    // order, and a page keeps its frame. Runs of the same page exercise
+    // the last-translation memo; jumps exercise the map.
+    PageTable pt;
+    std::map<uint64_t, uint64_t> ref;
+    Rng rng(41);
+    uint64_t page = 0;
+    for (int i = 0; i < 20000; ++i) {
+        if (rng.below(4) == 0)
+            page = rng.below(3000);
+        const uint64_t off = rng.below(kPageSize);
+        const uint64_t va = page * kPageSize + off;
+        const uint64_t frame =
+            ref.try_emplace(page, ref.size() + 1).first->second;
+        if (rng.below(2) == 0) {
+            ASSERT_EQ(pt.translate(va), frame * kPageSize + off)
+                << "step " << i;
+        } else {
+            ASSERT_EQ(pt.frameOf(va), frame) << "step " << i;
+        }
+        ASSERT_EQ(pt.mappedPages(), ref.size());
+    }
 }
 
 } // namespace

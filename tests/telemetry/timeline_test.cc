@@ -196,6 +196,32 @@ TEST(TimelineReader, RejectsGarbage)
                  std::runtime_error);
 }
 
+TEST(TimelineReader, CutRowNamesTheFileAndTheVarintDefect)
+{
+    // Drop the last byte of a valid stream: its final row now ends
+    // inside a varint, a defect the shared codec reports and the
+    // timeline format names in its own words.
+    FakeSource src;
+    const std::string p = tmpFile("cut");
+    {
+        TimelineSampler s(10, p);
+        s.setStatsSource(src.fn());
+        src.reg.counter("a.ops") = 300; // a 2-byte delta varint
+        s.tick(10);
+        s.finish(10);
+    }
+    std::filesystem::resize_file(p, std::filesystem::file_size(p) - 1);
+    try {
+        const TimelineReader r(p);
+        ADD_FAILURE() << "cut stream was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("poat-timeline: " + p +
+                                             ": truncated varint"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 // ---- driver-level properties ------------------------------------------
 
 driver::ExperimentConfig
@@ -261,11 +287,11 @@ TEST(TimelineObserver, CapturedAndReplayedRunsMatchWithTimelineOn)
     EXPECT_EQ(statsJson(live), statsJson(rep));
 
     // Both timelines decode; the replayed one carries the machine
-    // gauges only (no live runtime to read undo-log/allocator depth).
+    // gauge only (no live runtime to read undo-log/allocator depth).
     const TimelineReader ct(tmpFile("cap.poattl"));
     const TimelineReader rt(tmpFile("rep.poattl"));
-    EXPECT_EQ(ct.gaugeNames().size(), 4u);
-    EXPECT_EQ(rt.gaugeNames().size(), 2u);
+    EXPECT_EQ(ct.gaugeNames().size(), 3u);
+    EXPECT_EQ(rt.gaugeNames().size(), 1u);
     EXPECT_EQ(ct.samples().size(), rt.samples().size());
     for (size_t i = 0; i < ct.samples().size(); ++i)
         EXPECT_EQ(ct.samples()[i].deltas, rt.samples()[i].deltas) << i;

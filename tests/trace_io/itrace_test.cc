@@ -1,20 +1,22 @@
 /**
  * @file
- * Unit tests for the poat-itrace v1 format: varint coding, recorder /
- * replayer roundtrips, dep-tag canonicalization, and the required
- * failure modes (every malformed file must raise std::runtime_error
- * with a descriptive message, never UB).
+ * Unit tests for the poat-itrace format (v6): recorder / replayer
+ * roundtrips, dep-tag canonicalization, the word-wise record hash, and
+ * the required failure modes (every malformed file must raise
+ * std::runtime_error with a descriptive message, never UB).
  */
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "driver/experiment.h"
 #include "trace_io/itrace.h"
 
 namespace poat {
@@ -171,46 +173,6 @@ runScenario(TraceSink &sink)
 }
 
 constexpr uint64_t kScenarioEvents = 17;
-
-TEST(Varint, RoundtripsEdgeValues)
-{
-    const uint64_t values[] = {0,
-                               1,
-                               0x7f,
-                               0x80,
-                               0x3fff,
-                               0x4000,
-                               1ull << 32,
-                               (1ull << 63) - 1,
-                               ~0ull};
-    std::vector<uint8_t> buf;
-    for (const uint64_t v : values)
-        appendVarint(buf, v);
-    size_t pos = 0;
-    for (const uint64_t v : values)
-        EXPECT_EQ(readVarint(buf.data(), buf.size(), &pos), v);
-    EXPECT_EQ(pos, buf.size());
-}
-
-TEST(Varint, TruncationThrows)
-{
-    std::vector<uint8_t> buf;
-    appendVarint(buf, ~0ull);
-    for (size_t cut = 0; cut < buf.size(); ++cut) {
-        size_t pos = 0;
-        EXPECT_THROW(readVarint(buf.data(), cut, &pos),
-                     std::runtime_error);
-    }
-}
-
-TEST(Varint, OverlongEncodingThrows)
-{
-    // 11 continuation bytes encode more than 64 bits.
-    const std::vector<uint8_t> buf(11, 0x80);
-    size_t pos = 0;
-    EXPECT_THROW(readVarint(buf.data(), buf.size(), &pos),
-                 std::runtime_error);
-}
 
 TEST(Recorder, RoundtripPreservesEventsAndDeps)
 {
@@ -435,6 +397,251 @@ TEST_F(Corruption, EventCountMismatch)
     std::string bad = good_;
     bad[16] = static_cast<char>(kScenarioEvents + 3);
     expectThrows(bad, "event count mismatch");
+}
+
+TEST_F(Corruption, V5HeaderIsRejected)
+{
+    std::string old = good_;
+    old[8] = 5;
+    spit(path_, old);
+    EXPECT_FALSE(TraceReplayer::matches(path_, "fpr-corruption-test"));
+    expectThrows(old, "unsupported format version 5");
+}
+
+// --------------------------------------------------------------------
+// v6 record hash and malformed varints
+
+uint64_t
+le64(const std::string &bytes, size_t at)
+{
+    uint64_t v = 0;
+    for (size_t i = 8; i-- > 0;)
+        v = v << 8 | static_cast<uint8_t>(bytes[at + i]);
+    return v;
+}
+
+void
+putLe(std::string &out, uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        out.push_back(static_cast<char>(v >> (8 * i)));
+}
+
+constexpr uint64_t kFnvBasis = 14695981039346656037ull;
+constexpr uint64_t kFnvPrime = 1099511628211ull;
+
+/** The v6 record hash, written out from its definition in itrace.h. */
+uint64_t
+wordHash(const std::string &records)
+{
+    uint64_t h = kFnvBasis;
+    size_t i = 0;
+    for (; i + 8 <= records.size(); i += 8)
+        h = (h ^ le64(records, i)) * kFnvPrime;
+    for (; i < records.size(); ++i)
+        h = (h ^ static_cast<uint8_t>(records[i])) * kFnvPrime;
+    return h;
+}
+
+/** The v5 record hash: byte-wise FNV-1a. */
+uint64_t
+byteHash(const std::string &records)
+{
+    uint64_t h = kFnvBasis;
+    for (const char c : records)
+        h = (h ^ static_cast<uint8_t>(c)) * kFnvPrime;
+    return h;
+}
+
+/** Record region of a trace file, located through its header. */
+std::string
+recordsOf(const std::string &file)
+{
+    const size_t fpr_len = static_cast<uint32_t>(le64(file, 12));
+    return file.substr(kHeaderSize + fpr_len,
+                       static_cast<size_t>(le64(file, 24)));
+}
+
+/** A complete, correctly hashed v6 file around @p records. */
+std::string
+rawTrace(const std::string &records, uint64_t events)
+{
+    const std::string fpr = "raw";
+    std::string f(kMagic, sizeof(kMagic));
+    putLe(f, kFormatVersion, 4);
+    putLe(f, fpr.size(), 4);
+    putLe(f, events, 8);
+    putLe(f, records.size(), 8);
+    putLe(f, wordHash(records), 8);
+    f += fpr + records;
+    putLe(f, 0, 4); // empty profile
+    return f;
+}
+
+/** Replay @p bytes (a whole file) and require an error naming @p why. */
+void
+expectReplayError(const std::string &bytes, const std::string &why)
+{
+    const std::string path = tmpPath("raw");
+    spit(path, bytes);
+    try {
+        const TraceReplayer trace(path);
+        NullTraceSink sink;
+        trace.replayInto(sink);
+        ADD_FAILURE() << "expected std::runtime_error (" << why << ")";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(path + ": " + why),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Varint, TruncationThrows)
+{
+    // A clwb record whose vaddr varint the record region cuts short,
+    // at every cut, in a file whose header and hash are valid.
+    std::vector<uint8_t> v;
+    appendVarint(v, ~0ull);
+    for (size_t cut = 0; cut < v.size(); ++cut) {
+        std::string records(1, static_cast<char>(EventKind::Clwb));
+        records.append(v.begin(), v.begin() + static_cast<long>(cut));
+        expectReplayError(rawTrace(records, 1),
+                          "truncated varint in record region");
+    }
+}
+
+TEST(Varint, OverlongEncodingThrows)
+{
+    // Ten continuation bytes encode more than 64 bits, whether the
+    // record region ends right after them or more bytes follow.
+    for (const size_t run : {kMaxVarintBytes, kMaxVarintBytes + 5}) {
+        std::string records(1, static_cast<char>(EventKind::Clwb));
+        records.append(run, '\x80');
+        expectReplayError(rawTrace(records, 1), "varint exceeds 64 bits");
+    }
+}
+
+TEST(ItraceV6, RecordHashIsWordwiseFnv1a)
+{
+    const std::string path = tmpPath("hashdef");
+    {
+        TraceRecorder rec(nullptr, path, "fpr");
+        runScenario(rec);
+        rec.finish();
+    }
+    const std::string file = slurp(path);
+    const std::string records = recordsOf(file);
+    EXPECT_EQ(le64(file, 32), wordHash(records));
+    EXPECT_NE(wordHash(records), byteHash(records));
+    std::remove(path.c_str());
+}
+
+TEST(ItraceV6, RecordingPastTheFlushThresholdReplays)
+{
+    // 3-byte alu records: the recorder's buffer first passes its 1 MB
+    // flush threshold at byte 1048578, which is not a multiple of 8, so
+    // the flushes split hash words. The region ends in a 1-byte tail.
+    constexpr uint32_t kEvents = 1'000'003;
+    const std::string path = tmpPath("large");
+    uint64_t insns = 0;
+    {
+        TraceRecorder rec(nullptr, path, "fpr");
+        for (uint32_t i = 0; i < kEvents; ++i) {
+            const uint32_t count = 1 + i % 100;
+            rec.alu(count, kNoDep);
+            insns += count;
+        }
+        rec.finish();
+    }
+    const std::string file = slurp(path);
+    const std::string records = recordsOf(file);
+    ASSERT_EQ(records.size(), 3ull * kEvents);
+    EXPECT_EQ(records.size() % 8, 1u);
+    EXPECT_EQ(le64(file, 32), wordHash(records));
+
+    const TraceReplayer trace(path);
+    EXPECT_EQ(trace.eventCount(), kEvents);
+    CountingTraceSink sink;
+    trace.replayInto(sink);
+    EXPECT_EQ(sink.instructions, insns);
+    std::remove(path.c_str());
+}
+
+TEST(ItraceV6, OneFlippedByteFailsTheHashAnywhere)
+{
+    // Seven 3-byte alu records: 21 record bytes, two hash words and a
+    // 5-byte tail.
+    const std::string path = tmpPath("flip");
+    {
+        TraceRecorder rec(nullptr, path, "fpr");
+        for (int i = 0; i < 7; ++i)
+            rec.alu(1, kNoDep);
+        rec.finish();
+    }
+    const std::string good = slurp(path);
+    const size_t at = kHeaderSize + 3;
+    ASSERT_EQ(recordsOf(good).size(), 21u);
+    {
+        const TraceReplayer ok(path); // the untouched file validates
+    }
+    // The first record byte, a byte inside the second word, and a tail
+    // byte; every bit of each.
+    for (const size_t off : {size_t{0}, size_t{11}, size_t{19}}) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string bad = good;
+            bad[at + off] ^= static_cast<char>(1 << bit);
+            spit(path, bad);
+            try {
+                const TraceReplayer trace(path);
+                ADD_FAILURE() << "flip at " << off << " bit " << bit
+                              << " went unnoticed";
+            } catch (const std::runtime_error &e) {
+                EXPECT_NE(std::string(e.what()).find("hash mismatch"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ItraceV6, V5CacheFileIsRecapturedByRunExperiment)
+{
+    driver::ExperimentConfig cfg;
+    cfg.workload = "LL";
+    cfg.pattern = workloads::PoolPattern::Random;
+    cfg.scale_pct = 5;
+    cfg.mode = TranslationMode::Hardware;
+    const driver::ExperimentResult live = driver::runExperiment(cfg);
+
+    cfg.trace_cache = testing::TempDir() + "itrace_test.v5cache." +
+        std::to_string(::getpid());
+    std::filesystem::create_directories(cfg.trace_cache);
+    const std::string path = driver::traceCachePath(cfg);
+    const std::string fpr = driver::traceFingerprint(cfg);
+    driver::runExperiment(cfg); // captures a v6 file
+
+    // Turn the cached file into what v5 wrote: same records, version 5,
+    // byte-wise hash.
+    std::string file = slurp(path);
+    file[8] = 5;
+    const uint64_t v5_hash = byteHash(recordsOf(file));
+    for (int i = 0; i < 8; ++i)
+        file[32 + i] = static_cast<char>(v5_hash >> (8 * i));
+    spit(path, file);
+    ASSERT_FALSE(TraceReplayer::matches(path, fpr));
+
+    const driver::ExperimentResult again = driver::runExperiment(cfg);
+    EXPECT_TRUE(TraceReplayer::matches(path, fpr)); // recaptured as v6
+    EXPECT_EQ(static_cast<uint8_t>(slurp(path)[8]), kFormatVersion);
+    EXPECT_EQ(again.metrics.cycles, live.metrics.cycles);
+    EXPECT_EQ(again.metrics.instructions, live.metrics.instructions);
+    std::ostringstream a, b;
+    live.stats.dumpJson(a);
+    again.stats.dumpJson(b);
+    EXPECT_EQ(a.str(), b.str());
+    std::filesystem::remove_all(cfg.trace_cache);
 }
 
 } // namespace
