@@ -203,11 +203,12 @@ runSweep(const std::vector<ExperimentConfig> &configs,
                 return detail::runExperimentReplayed(cfg, plan.path);
             } catch (const std::runtime_error &e) {
                 // Pre-existing file failed full validation: recapture,
-                // exactly as the serial path would.
+                // exactly as the serial path would, once out of the
+                // handler.
                 std::fprintf(stderr, "trace-cache: %s; recapturing\n",
                              e.what());
-                return detail::runExperimentCaptured(cfg, plan.path);
             }
+            return detail::runExperimentCaptured(cfg, plan.path);
         case TracePlan::kReplayAfter: {
             CaptureState state;
             {

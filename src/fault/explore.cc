@@ -502,7 +502,10 @@ replayRepro(const std::string &repro, const ExploreOptions &base)
             const std::string nt = tok[pos].substr(1);
             if (nt.empty())
                 throw bad();
-            opts.threads = static_cast<uint32_t>(std::stoul(nt));
+            const uint64_t n = std::stoull(nt);
+            if (n > UINT32_MAX)
+                throw bad();
+            opts.threads = static_cast<uint32_t>(n);
             ++pos;
         }
         if (pos < tok.size() && !tok[pos].empty() && tok[pos][0] == 'm') {

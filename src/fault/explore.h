@@ -135,7 +135,8 @@ struct ExploreOptions
      * Engine workers for the concurrent workloads (LHT, MTPCC), whose
      * steps are rounds of one transaction per worker; 0 = the drivers'
      * default (2). Sequential workloads ignore it. Distinct from
-     * `jobs`, which parallelizes trials on the host.
+     * `jobs`, which parallelizes trials on the host. More than
+     * PoolHeader::kMaxLogSlots is a std::invalid_argument.
      */
     uint32_t threads = 0;
 
@@ -256,7 +257,8 @@ ExploreReport explore(const ExploreOptions &opts);
  * taken from @p base. Media reproducers (":mFAULT" token) replay
  * through the media explorer's trial path.
  * @return the failure if it still reproduces, or an empty vector.
- * @throws std::invalid_argument on a malformed reproducer string.
+ * @throws std::invalid_argument on a malformed reproducer string or
+ *         an out-of-range worker count.
  */
 std::vector<Failure> replayRepro(const std::string &repro,
                                  const ExploreOptions &base = {});

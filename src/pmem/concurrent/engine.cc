@@ -5,7 +5,7 @@
 namespace poat {
 namespace concurrent {
 
-ConcurrentEngine::ConcurrentEngine(PmemRuntime &rt, CoopScheduler &sched,
+ConcurrentEngine::ConcurrentEngine(PmemRuntime &rt, DetScheduler &sched,
                                    const EngineOptions &opts)
     : rt_(rt), sched_(sched), opts_(opts),
       table_(opts.threads == 0 ? 1 : opts.threads),
@@ -69,10 +69,11 @@ ConcurrentEngine::txRun(const std::function<void()> &fn)
                         "transaction retry budget exhausted (livelock?)");
             if (retryHook_)
                 retryHook_(w);
-            // Back off one yield point so a conflicting transaction
-            // can finish before the retry re-collides.
-            sched_.yield();
         }
+        // Back off one yield point so a conflicting transaction can
+        // finish before the retry re-collides. Outside the handler:
+        // workers share their host thread's caught-exception stack.
+        sched_.yield();
     }
 }
 

@@ -59,7 +59,7 @@ struct EngineStats
 class ConcurrentEngine
 {
   public:
-    ConcurrentEngine(PmemRuntime &rt, CoopScheduler &sched,
+    ConcurrentEngine(PmemRuntime &rt, DetScheduler &sched,
                      const EngineOptions &opts);
 
     /**
@@ -110,7 +110,7 @@ class ConcurrentEngine
     }
 
     PmemRuntime &runtime() { return rt_; }
-    CoopScheduler &scheduler() { return sched_; }
+    DetScheduler &scheduler() { return sched_; }
     LockManager &locks() { return locks_; }
     TxTable &table() { return table_; }
     GroupCommit &groupCommit() { return gc_; }
@@ -121,7 +121,7 @@ class ConcurrentEngine
 
   private:
     PmemRuntime &rt_;
-    CoopScheduler &sched_;
+    DetScheduler &sched_;
     EngineOptions opts_;
     LockManager locks_;
     TxTable table_;

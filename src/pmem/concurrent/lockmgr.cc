@@ -105,7 +105,7 @@ LockManager::removeWaiter(uint64_t key, uint32_t w)
 
 void
 LockManager::acquire(uint32_t w, uint64_t key, LockMode mode,
-                     CoopScheduler &sched)
+                     DetScheduler &sched)
 {
     if (holds(w, key)) {
         LockState &ls = locks_[key];

@@ -76,7 +76,7 @@ class LockManager
      * @throws DeadlockAbort if waiting would close a cycle.
      */
     void acquire(uint32_t w, uint64_t key, LockMode mode,
-                 CoopScheduler &sched);
+                 DetScheduler &sched);
 
     /** Acquire without waiting: true if granted immediately. */
     bool tryAcquire(uint32_t w, uint64_t key, LockMode mode);

@@ -13,6 +13,7 @@
 #include <stdexcept>
 
 #include "pmem/concurrent/engine.h"
+#include "pmem/pool.h"
 #include "workloads/tpcc/tpcc.h"
 
 namespace poat {
@@ -242,6 +243,13 @@ std::unique_ptr<CrashDriver>
 makeCrashDriver(const std::string &abbr, uint64_t steps, uint64_t seed,
                 uint32_t threads, uint64_t sched_seed)
 {
+    // Every engine worker owns an undo-log slot of the trial pools.
+    if (threads > PoolHeader::kMaxLogSlots)
+        throw std::invalid_argument(
+            "worker count " + std::to_string(threads) +
+            " out of range (at most " +
+            std::to_string(PoolHeader::kMaxLogSlots) +
+            ", one undo-log slot each)");
     if (abbr == "LL")
         return makeListCrashDriver(steps, seed);
     if (abbr == "BST")

@@ -131,11 +131,14 @@ struct ConcurrentDiag
 bool oidPlausible(PmemRuntime &rt, ObjectID oid, uint32_t size);
 
 /**
- * Instantiate a crash driver by abbreviation; throws on unknown.
+ * Instantiate a crash driver by abbreviation.
  * @param threads worker threads for the concurrent drivers (LHT,
  *        MTPCC); 0 picks their default. Sequential drivers ignore it.
+ *        At most PoolHeader::kMaxLogSlots, for every driver.
  * @param sched_seed deterministic-scheduler interleaving seed (the
  *        `tSEED` reproducer token); sequential drivers ignore it.
+ * @throws std::invalid_argument on an unknown abbreviation or a worker
+ *         count out of range.
  */
 std::unique_ptr<CrashDriver> makeCrashDriver(const std::string &abbr,
                                              uint64_t steps, uint64_t seed,

@@ -430,7 +430,7 @@ def check_crash_explore(tool):
     print("OK: crash_explore smoke + strict CLI")
 
 
-def check_usage_errors(fig9a, fig12, simulate):
+def check_usage_errors(fig9a, fig12, simulate, crash):
     """Malformed input is a usage error (exit 2), never an abort."""
     cases = [
         [fig12, "--jobs=abc"],
@@ -459,8 +459,26 @@ def check_usage_errors(fig9a, fig12, simulate):
                  % (" ".join(args), proc.returncode, why, proc.stderr))
         if "usage:" not in proc.stdout:
             fail("simulate %s: no usage text" % " ".join(args))
+    # Worker counts past the pools' 256 undo-log slots, or past 32
+    # bits, are rejected before any pool exists (not truncated to a
+    # small count, not a panic while carving log slots).
+    crash_cases = [
+        ["--workload=LHT", "--threads=300"],
+        ["--workload=LHT", "--threads=4294967298"],
+        ["--repro=LHT:4:1:0:t1:n300"],
+        ["--repro=LHT:4:1:0:t1:n4294967298"],
+    ]
+    for args in crash_cases:
+        proc = subprocess.run([crash] + args, capture_output=True,
+                              text=True, timeout=120)
+        if proc.returncode != 2 or not proc.stderr.strip():
+            fail("crash_explore %s: exit %d, want 2 with a diagnostic"
+                 "\nstderr:\n%s"
+                 % (" ".join(args), proc.returncode, proc.stderr))
+        if "usage:" not in proc.stdout:
+            fail("crash_explore %s: no usage text" % " ".join(args))
     print("OK: %d malformed inputs exit 2 with a diagnostic"
-          % (len(cases) + 2))
+          % (len(cases) + 2 + len(crash_cases)))
 
 
 def main():
@@ -549,7 +567,7 @@ def main():
     if len(sys.argv) >= 7:
         check_contention(sys.argv[5], bench, sys.argv[6])
     if len(sys.argv) >= 9:
-        check_usage_errors(bench, sys.argv[7], sys.argv[8])
+        check_usage_errors(bench, sys.argv[7], sys.argv[8], sys.argv[3])
 
 
 if __name__ == "__main__":

@@ -12,13 +12,16 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/cpi.h"
 #include "driver/experiment.h"
 #include "driver/sweep.h"
+#include "trace_io/itrace.h"
 
 namespace poat {
 namespace driver {
@@ -267,6 +270,49 @@ TEST(ConcurrentExperiment, TraceReplayKeepsContentionStats)
     auto nocache = lhtConfig(TranslationMode::Hardware, 4);
     const auto fresh = runExperiment(nocache);
     EXPECT_EQ(statsJson(fresh), statsJson(replay));
+}
+
+TEST(ConcurrentExperiment, ParallelSweepRecapturesACorruptCachedTrace)
+{
+    // A cached file that passes matches() but fails full validation is
+    // recaptured: in a parallel sweep, on a sweep thread that has just
+    // handled the validation error.
+    const std::string cache = scratchDir() + "/corrupt_cache";
+    std::filesystem::create_directories(cache);
+    std::vector<ExperimentConfig> cfgs = {
+        lhtConfig(TranslationMode::Hardware, 2),
+        lhtConfig(TranslationMode::Software, 2),
+    };
+    std::vector<ExperimentResult> fresh;
+    for (ExperimentConfig &cfg : cfgs) {
+        fresh.push_back(runExperiment(cfg)); // uncached reference
+        cfg.trace_cache = cache;
+    }
+    runExperiment(cfgs[0]); // captures
+    const std::string path = traceCachePath(cfgs[0]);
+    const std::string fpr = traceFingerprint(cfgs[0]);
+    {
+        // Flip the first record byte: the header still matches.
+        const std::streamoff at =
+            static_cast<std::streamoff>(trace_io::kHeaderSize + fpr.size());
+        std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+        f.seekg(at);
+        const int first = f.get();
+        f.seekp(at);
+        f.put(static_cast<char>(first ^ 0x5a));
+    }
+    ASSERT_TRUE(trace_io::TraceReplayer::matches(path, fpr));
+    EXPECT_THROW(trace_io::TraceReplayer{path}, std::runtime_error);
+
+    SweepOptions opt;
+    opt.jobs = 2;
+    const auto rs = runSweep(cfgs, opt);
+    ASSERT_EQ(rs.size(), 2u);
+    for (size_t i = 0; i < rs.size(); ++i) {
+        EXPECT_EQ(rs[i].workload_checksum, fresh[i].workload_checksum) << i;
+        EXPECT_EQ(statsJson(rs[i]), statsJson(fresh[i])) << i;
+    }
+    EXPECT_NO_THROW(trace_io::TraceReplayer{path}); // recaptured
 }
 
 TEST(ConcurrentExperiment, SweepExportsContentionPerRun)

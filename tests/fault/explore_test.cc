@@ -224,6 +224,10 @@ TEST(Explore, UnknownWorkloadThrows)
                  std::invalid_argument);
     ExploreOptions o = smallRun("XX");
     EXPECT_THROW(fault::explore(o), std::invalid_argument);
+    // So is a worker count the trial pools have no log slots for.
+    o = smallRun("LHT");
+    o.threads = PoolHeader::kMaxLogSlots + 1;
+    EXPECT_THROW(fault::explore(o), std::invalid_argument);
     EXPECT_EQ(workloads::crashWorkloadNames().size(), 9u);
 }
 
@@ -268,6 +272,12 @@ TEST(Explore, ConcurrentReproReplaysThroughTheParser)
                  std::invalid_argument);
     EXPECT_THROW(fault::replayRepro("LHT:3:1:2:n2:t5"),
                  std::invalid_argument); // tokens are ordered: t then n
+    // Worker counts past the 256 undo-log slots, or past 32 bits (not
+    // truncated to 2), are rejected before any pool exists.
+    EXPECT_THROW(fault::replayRepro("LHT:3:1:2:t5:n300"),
+                 std::invalid_argument);
+    EXPECT_THROW(fault::replayRepro("LHT:3:1:2:t5:n4294967298"),
+                 std::invalid_argument);
 }
 
 TEST(Explore, ConcurrentWorkloadsPassSmallExploration)

@@ -6,7 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <optional>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "pmem/concurrent/engine.h"
@@ -42,6 +47,176 @@ TEST(DetScheduler, SameSeedSameSchedule)
 TEST(DetScheduler, DifferentSeedsDifferentSchedules)
 {
     EXPECT_NE(switchTrace(1, 3, 40), switchTrace(2, 3, 40));
+}
+
+TEST(DetScheduler, PinnedSchedule)
+{
+    // Recorded when workers were still OS threads: the token, quanta
+    // and Rng draws fix every interleaving, and with it every trace,
+    // stat and explorer verdict built on them.
+    const std::vector<uint32_t> want = {
+        0, 2, 1, 2, 1, 2, 1, 0, 1, 0, 2, 0, 2, 0, 2, 1, 0, 1, 2,
+        0, 2, 0, 1, 2, 0, 2, 1, 0, 2, 1, 0, 1, 2, 1, 0, 2, 0, 2,
+        1, 0, 1, 0, 2, 1, 2, 1, 0, 1, 2, 0, 2, 0, 1, 2, 1, 0};
+    EXPECT_EQ(switchTrace(17, 3, 40), want);
+}
+
+/** Recurse @p depth 16 KB frames deep, yielding every 8th level. */
+uint64_t
+deepSum(DetScheduler &sched, uint32_t depth)
+{
+    volatile uint8_t frame[16 << 10];
+    for (size_t i = 0; i < sizeof frame; i += 4096)
+        frame[i] = static_cast<uint8_t>(depth);
+    frame[sizeof frame - 1] = static_cast<uint8_t>(depth);
+    if (depth % 8 == 0)
+        sched.yield();
+    const uint64_t below = depth == 0 ? 0 : deepSum(sched, depth - 1);
+    return below + frame[0] + frame[sizeof frame - 1];
+}
+
+TEST(DetScheduler, WorkerWithMegabytesOfStackCompletes)
+{
+    // 129 frames of 16 KB: 2 MB per worker, both suspended mid-descent.
+    DetScheduler sched(3, 2);
+    std::vector<uint64_t> sums(2, 0);
+    sched.run(2, [&](uint32_t t) { sums[t] = deepSum(sched, 128); });
+    EXPECT_EQ(sums[0], 128u * 129u);
+    EXPECT_EQ(sums[1], 128u * 129u);
+    EXPECT_GT(sched.switches(), 1u);
+}
+
+TEST(DetScheduler, HostThreadsRunSchedulersIndependently)
+{
+    std::vector<std::vector<uint32_t>> serial;
+    for (uint64_t seed = 0; seed < 16; ++seed)
+        serial.push_back(switchTrace(seed, 3, 40));
+
+    std::vector<std::vector<std::vector<uint32_t>>> got(2);
+    std::vector<std::thread> hosts;
+    for (size_t h = 0; h < got.size(); ++h) {
+        hosts.emplace_back([&got, h] {
+            for (uint64_t seed = 0; seed < 16; ++seed)
+                got[h].push_back(switchTrace(seed, 3, 40));
+        });
+    }
+    for (std::thread &th : hosts)
+        th.join();
+    for (const auto &traces : got)
+        EXPECT_EQ(traces, serial);
+}
+
+size_t
+mappingCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    return static_cast<size_t>(
+        std::count(std::istreambuf_iterator<char>(maps),
+                   std::istreambuf_iterator<char>(), '\n'));
+}
+
+TEST(DetScheduler, BackToBackRunsRecycleStacks)
+{
+    auto once = [] {
+        DetScheduler sched(7, 1);
+        uint32_t steps = 0;
+        sched.run(2, [&](uint32_t) {
+            ++steps;
+            sched.yield();
+            ++steps;
+        });
+        return steps;
+    };
+    // The first run fills this thread's stack cache. TSan keeps the
+    // bookkeeping of the last 16 destroyed fibers before reusing it,
+    // so a few dozen runs also settle a TSan build's mappings.
+    for (int i = 0; i < 32; ++i)
+        ASSERT_EQ(once(), 4u);
+    const size_t before = mappingCount();
+    for (int i = 0; i < 10000; ++i)
+        ASSERT_EQ(once(), 4u);
+    EXPECT_LE(mappingCount(), before);
+}
+
+TEST(DetSchedulerDeathTest, YieldInsideCatchHandler)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            DetScheduler sched(1, 1);
+            sched.run(2, [&sched](uint32_t) {
+                try {
+                    throw 1;
+                } catch (int) {
+                    sched.yield();
+                }
+            });
+        },
+        "yield inside a catch handler");
+    // Still caught when run() itself is called from a handler.
+    EXPECT_DEATH(
+        {
+            try {
+                throw 2;
+            } catch (int) {
+                DetScheduler sched(1, 1);
+                sched.run(2, [&sched](uint32_t) {
+                    try {
+                        throw 1;
+                    } catch (int) {
+                        sched.yield();
+                    }
+                });
+            }
+        },
+        "yield inside a catch handler");
+}
+
+TEST(DetSchedulerDeathTest, YieldDuringUnwinding)
+{
+    struct YieldOnDestroy
+    {
+        DetScheduler &sched;
+        ~YieldOnDestroy() { sched.yield(); }
+    };
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            DetScheduler sched(1, 1);
+            sched.run(2, [&sched](uint32_t) {
+                try {
+                    YieldOnDestroy guard{sched};
+                    throw 1;
+                } catch (int) {
+                }
+            });
+        },
+        "during unwinding");
+}
+
+TEST(DetScheduler, RunInsideACallersCatchHandler)
+{
+    // Workers inherit the caller's exception state; it does not forbid
+    // a yield, and a handler a worker enters and leaves restores it.
+    const auto want = switchTrace(17, 3, 40);
+    try {
+        throw std::runtime_error("the caller's");
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(switchTrace(17, 3, 40), want);
+
+        DetScheduler sched(5, 1);
+        uint32_t caught = 0;
+        sched.run(2, [&](uint32_t) {
+            try {
+                throw 1;
+            } catch (int) {
+                ++caught;
+            }
+            sched.yield();
+        });
+        EXPECT_EQ(caught, 2u);
+        EXPECT_STREQ(e.what(), "the caller's");
+    }
 }
 
 TEST(DetScheduler, RunsEveryWorkerToCompletion)

@@ -16,6 +16,7 @@
  * Exit status: 0 all trials passed, 1 invariant violations found,
  * 2 usage error.
  */
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <stdexcept>
@@ -175,8 +176,11 @@ parseArgs(int argc, char **argv)
                     "bad value for --evict: '" + v +
                     "' (need 0 <= NUM <= DEN, DEN > 0)");
         } else if (s.rfind("--threads=", 0) == 0) {
-            a.threads =
-                static_cast<uint32_t>(parseU64("--threads", value(10)));
+            const uint64_t n = parseU64("--threads", value(10));
+            if (n > UINT32_MAX)
+                throw std::invalid_argument("bad value for --threads: '" +
+                                            value(10) + "' (out of range)");
+            a.threads = static_cast<uint32_t>(n);
         } else if (s.rfind("--tseed=", 0) == 0) {
             a.sched_seed = parseU64("--tseed", value(8));
         } else if (s.rfind("--repro=", 0) == 0) {
