@@ -91,7 +91,7 @@ struct BenchArgs
                     "                    variant; results identical\n"
                     "  --timeline=N      sample an interval stats\n"
                     "                    timeline every N cycles into\n"
-                    "                    one poat-timeline v1 file per\n"
+                    "                    one poat-timeline v2 file per\n"
                     "                    run (convert: tools/\n"
                     "                    timeline_dump); observer-only,\n"
                     "                    results identical\n"
@@ -524,7 +524,7 @@ runAll(const BenchArgs &args, JsonReport &report,
         for (auto &c : configs)
             c.trace_cache = args.trace_cache;
     if (args.timeline) {
-        // One poat-timeline v1 stream per primary-seed run, named by
+        // One poat-timeline v2 stream per primary-seed run, named by
         // the run's label. Extra --seeds runs share labels, so they
         // never get a timeline (see below).
         if (mkdir(args.timeline_dir.c_str(), 0755) != 0 &&

@@ -90,10 +90,13 @@ main(int argc, char **argv)
                                     TranslationMode::Hardware}) {
                 cfgs.push_back(coresCfg(args, wl, n, mode));
                 if (std::string(wl) == "MTPCC") {
-                    // Paired setup-only calibration run (see header).
+                    // Paired setup-only calibration run (see header),
+                    // labelled apart so its timeline and report rows
+                    // do not collide with the measured run's.
                     driver::ExperimentConfig calib =
                         coresCfg(args, wl, n, mode);
                     calib.tpcc_txns = 0;
+                    calib.label = driver::configLabel(calib) + ".setup";
                     cfgs.push_back(std::move(calib));
                 }
             }

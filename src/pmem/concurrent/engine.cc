@@ -33,7 +33,7 @@ ConcurrentEngine::run(const std::function<void(uint32_t)> &body)
         body(t);
         // Observer: lets profilers distinguish "done" from "blocked"
         // for the rest of the run. Carries no cycles.
-        rt_.sink().workerDone(t);
+        rt_.sink().note({NoteKind::WorkerDone, {t}});
     });
 
     gc_.close();
@@ -53,7 +53,7 @@ ConcurrentEngine::txRun(const std::function<void()> &fn)
         try {
             fn();
             if (opts_.commit_window > 1)
-                rt_.sink().commitJoin(w);
+                rt_.sink().note({NoteKind::CommitJoin, {w}});
             gc_.commit();
             locks_.releaseAll(w);
             table_.noteCommit(w);

@@ -62,8 +62,8 @@ class GroupCommit
         const uint64_t elided = rt_.flushCommitFences();
         fencesElided_ += elided;
         if (inWindow_ > 0) {
-            rt_.sink().commitBatch(inWindow_,
-                                   static_cast<uint32_t>(elided));
+            rt_.sink().note({NoteKind::CommitBatch,
+                             {inWindow_, static_cast<uint32_t>(elided)}});
             ++windows_;
             maxWindow_ = std::max(maxWindow_, inWindow_);
             inWindow_ = 0;

@@ -116,13 +116,13 @@ LockManager::acquire(uint32_t w, uint64_t key, LockMode mode,
         // upgraders against each other by construction.
         upgradeKey_[w] = key;
         if (sink_ && ls.holders.size() > 1)
-            sink_->lockWait(w, key, 1, waitEdges(w));
+            sink_->note({NoteKind::LockWait, {w, key, 1, waitEdges(w)}});
         while (ls.holders.size() > 1) {
             if (wouldDeadlock(w)) {
                 upgradeKey_.erase(w);
                 ++deadlocks_;
                 if (sink_)
-                    sink_->lockDeadlock(w, key);
+                    sink_->note({NoteKind::LockDeadlock, {w, key}});
                 throw DeadlockAbort(w, key);
             }
             ++waits_;
@@ -132,7 +132,7 @@ LockManager::acquire(uint32_t w, uint64_t key, LockMode mode,
         ls.mode = LockMode::Exclusive;
         ++acquisitions_;
         if (sink_)
-            sink_->lockAcquired(w, key, 1);
+            sink_->note({NoteKind::LockAcquired, {w, key, 1}});
         return;
     }
 
@@ -140,15 +140,16 @@ LockManager::acquire(uint32_t w, uint64_t key, LockMode mode,
     ls.queue.push_back({w, mode});
     waitKey_[w] = key;
     if (sink_ && !grantable(ls, w, mode))
-        sink_->lockWait(w, key, mode == LockMode::Exclusive ? 1 : 0,
-                        waitEdges(w));
+        sink_->note({NoteKind::LockWait,
+                      {w, key, mode == LockMode::Exclusive ? 1u : 0u,
+                       waitEdges(w)}});
     while (!grantable(ls, w, mode)) {
         if (wouldDeadlock(w)) {
             waitKey_.erase(w);
             removeWaiter(key, w);
             ++deadlocks_;
             if (sink_)
-                sink_->lockDeadlock(w, key);
+                sink_->note({NoteKind::LockDeadlock, {w, key}});
             throw DeadlockAbort(w, key);
         }
         ++waits_;
@@ -159,7 +160,8 @@ LockManager::acquire(uint32_t w, uint64_t key, LockMode mode,
     ls.queue.pop_front();
     grant(ls, w, mode, key);
     if (sink_)
-        sink_->lockAcquired(w, key, mode == LockMode::Exclusive ? 1 : 0);
+        sink_->note({NoteKind::LockAcquired,
+                      {w, key, mode == LockMode::Exclusive ? 1u : 0u}});
 }
 
 bool
@@ -174,7 +176,7 @@ LockManager::tryAcquire(uint32_t w, uint64_t key, LockMode mode)
         ls.mode = LockMode::Exclusive;
         ++acquisitions_;
         if (sink_)
-            sink_->lockAcquired(w, key, 1);
+            sink_->note({NoteKind::LockAcquired, {w, key, 1}});
         return true;
     }
     auto it = locks_.find(key);
@@ -185,8 +187,8 @@ LockManager::tryAcquire(uint32_t w, uint64_t key, LockMode mode)
         LockState &ls = locks_[key];
         grant(ls, w, mode, key);
         if (sink_)
-            sink_->lockAcquired(w, key,
-                                mode == LockMode::Exclusive ? 1 : 0);
+            sink_->note({NoteKind::LockAcquired,
+                          {w, key, mode == LockMode::Exclusive ? 1u : 0u}});
         return true;
     }
     return false;
@@ -207,7 +209,7 @@ LockManager::release(uint32_t w, uint64_t key)
     if (ls.holders.empty() && ls.queue.empty())
         locks_.erase(key);
     if (sink_)
-        sink_->lockReleased(w, key);
+        sink_->note({NoteKind::LockReleased, {w, key}});
     // Waiters poll on their next resume; no handoff needed here.
 }
 

@@ -100,9 +100,9 @@ class LockManager
     /// @}
 
     /**
-     * Sink receiving the observability events (lockWait/lockAcquired/
-     * lockReleased/lockDeadlock; see pmem/trace.h). Null (the default)
-     * emits nothing. The events are pure observers — granting order,
+     * Sink receiving the lock notes (LockWait/LockAcquired/LockReleased/
+     * LockDeadlock; see common/note.h). Null (the default) emits
+     * nothing. The events are pure observers — granting order,
      * victim choice, and counters are identical with or without one.
      */
     void setSink(TraceSink *sink) { sink_ = sink; }

@@ -312,7 +312,7 @@ PmemRuntime::txBegin(uint32_t pool_id)
     log.begin();
     cur().txPools.insert(pool_id);
 
-    sink_->txBegin(pool_id, cur().currentOp);
+    sink_->note({NoteKind::TxBegin, {pool_id, cur().currentOp}});
     sink_->alu(costs::kTxBegin + costs::kCrcHeader);
     const uint32_t hdr = log.headerOff();
     const uint32_t mirror = hdr + LogHeader::kMirrorLineOff;
@@ -515,7 +515,7 @@ PmemRuntime::txEnd()
         const auto records = log.records();
         log.commit();
         emitCommit(op, log, records);
-        sink_->txCommit(pool_id);
+        sink_->note({NoteKind::TxCommit, {pool_id}});
     }
     cur().txPools.clear();
 }
@@ -555,7 +555,7 @@ PmemRuntime::txAbort()
             }
         }
         sink_->fence();
-        sink_->txAbort(pool_id);
+        sink_->note({NoteKind::TxAbort, {pool_id}});
     }
     cur().txPools.clear();
 }
@@ -566,9 +566,9 @@ PmemRuntime::setOp(const char *name)
     auto [it, fresh] =
         opIds_.emplace(name, static_cast<uint32_t>(opIds_.size()) + 1);
     if (fresh)
-        sink_->opName(it->second, name);
+        sink_->note(Note::opName(it->second, name));
     cur().currentOp = it->second;
-    sink_->opSet(it->second);
+    sink_->note({NoteKind::OpSet, {it->second}});
 }
 
 // --------------------------------------------------------------------

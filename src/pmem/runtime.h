@@ -180,8 +180,8 @@ class PmemRuntime
     /**
      * Tag subsequent transactions with the logical workload operation
      * @p name ("insert", "new_order", ...). Interns the name to a small
-     * id (announced to the sink once via TraceSink::opName) and stamps
-     * it into every TraceSink::txBegin until the next setOp. Purely
+     * id (announced to the sink once in an OpName note) and stamps it
+     * into every TxBegin note until the next setOp. Purely
      * observational: emits no instructions.
      */
     void setOp(const char *name);

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 
+#include "common/note.h"
 #include "pmem/oid.h"
 
 namespace poat {
@@ -33,6 +34,10 @@ inline constexpr uint64_t kNoDep = 0;
 /**
  * Receiver of the dynamic instruction stream.
  *
+ * Typed virtuals cover the events that change simulated state: the
+ * nine instructions, pool map/unmap, core switches, and the
+ * software-translation brackets. Everything else — transaction spans,
+ * op tags, lock and commit contention — arrives as one note() call.
  * Every virtual method has a benign default so sinks only override what
  * they model. `pc` parameters are synthetic call-site identifiers used
  * to index the branch predictor; they need only be stable per static
@@ -151,110 +156,13 @@ class TraceSink
     virtual void swTranslateEnd() {}
 
     /**
-     * Transaction-span markers (observability, not timing): a
-     * transaction opened on pool @p pool_id while the workload op
-     * interned as @p op (0 = untagged; see opName) was running. Spans
-     * carry no instructions and no cycles — sinks that do not profile
-     * transactions ignore them, and sinks that wrap another sink must
-     * forward all four so replays profile identically.
+     * An observation-only event (common/note.h): transaction spans, op
+     * interning and switches, lock and commit-window contention, worker
+     * lifecycle. Notes carry no instructions and no cycles, so sinks
+     * that model no observer ignore them; a sink that wraps another
+     * must forward every note so replays observe identically.
      */
-    virtual void txBegin(uint32_t pool_id, uint32_t op)
-    {
-        (void)pool_id;
-        (void)op;
-    }
-
-    /** The transaction on pool @p pool_id committed. */
-    virtual void txCommit(uint32_t pool_id) { (void)pool_id; }
-
-    /** The transaction on pool @p pool_id rolled back. */
-    virtual void txAbort(uint32_t pool_id) { (void)pool_id; }
-
-    /**
-     * Interning announcement: workload-op id @p op means @p name from
-     * here on. Emitted once per distinct name, before the first txBegin
-     * that carries the id.
-     */
-    virtual void opName(uint32_t op, const char *name)
-    {
-        (void)op;
-        (void)name;
-    }
-
-    /**
-     * The current worker switched to the workload op interned as @p op
-     * (observability, not timing; see opName). Contention profilers use
-     * it to attribute lock waits to operations; every other sink may
-     * ignore it. Wrapping sinks must forward it.
-     */
-    virtual void opSet(uint32_t op) { (void)op; }
-
-    /// @name Concurrency observability events
-    ///
-    /// Emitted by the concurrent engine stack (lock manager, group
-    /// commit, worker lifecycle). Pure observers: they carry no
-    /// instructions and no cycles, so timing and stats are bit-identical
-    /// whether a sink models them or not. Never emitted by
-    /// single-threaded sequential runs. Wrapping sinks (the trace
-    /// recorder) must forward all of them so replays profile
-    /// identically.
-    /// @{
-
-    /**
-     * Worker @p worker started blocking on lock @p key in mode @p mode
-     * (0 = shared, 1 = exclusive). @p edges is the number of waits-for
-     * edges the deadlock detector saw for this wait.
-     */
-    virtual void lockWait(uint32_t worker, uint64_t key, uint8_t mode,
-                          uint32_t edges)
-    {
-        (void)worker;
-        (void)key;
-        (void)mode;
-        (void)edges;
-    }
-
-    /** Worker @p worker was granted lock @p key in mode @p mode. */
-    virtual void lockAcquired(uint32_t worker, uint64_t key, uint8_t mode)
-    {
-        (void)worker;
-        (void)key;
-        (void)mode;
-    }
-
-    /** Worker @p worker released lock @p key. */
-    virtual void lockReleased(uint32_t worker, uint64_t key)
-    {
-        (void)worker;
-        (void)key;
-    }
-
-    /**
-     * Worker @p worker was chosen as the deadlock victim while
-     * requesting lock @p key (a DeadlockAbort is about to unwind it).
-     */
-    virtual void lockDeadlock(uint32_t worker, uint64_t key)
-    {
-        (void)worker;
-        (void)key;
-    }
-
-    /** Worker @p worker finished its engine body (no more work). */
-    virtual void workerDone(uint32_t worker) { (void)worker; }
-
-    /** Worker @p worker's transaction joined the open commit window. */
-    virtual void commitJoin(uint32_t worker) { (void)worker; }
-
-    /**
-     * The commit window closed with @p members enrolled transactions,
-     * eliding @p elided commit fences into the one emitted.
-     */
-    virtual void commitBatch(uint32_t members, uint32_t elided)
-    {
-        (void)members;
-        (void)elided;
-    }
-    /// @}
+    virtual void note(const Note &n) { (void)n; }
 
   private:
     uint64_t fallbackTag_ = 0;

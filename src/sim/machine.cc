@@ -53,8 +53,6 @@ Machine::Machine(const MachineConfig &cfg)
     hPotLat_ = &stats_.histogram("pot.walk_latency");
     hNvLoadLat_ = &stats_.histogram("mem.nv_load_latency");
     hNvStoreLat_ = &stats_.histogram("mem.nv_store_latency");
-    hTxLat_ = &stats_.histogram("tx.latency");
-    hTxDurab_ = &stats_.histogram("tx.durability_events");
 
     stats_.formula("polb.miss_rate", "polb.misses", "polb.accesses");
     stats_.formula("tlb.miss_rate", "tlb.misses", "tlb.accesses");
@@ -364,97 +362,11 @@ Machine::swTranslateEnd()
 }
 
 void
-Machine::txBegin(uint32_t pool_id, uint32_t op)
+Machine::note(const Note &n)
 {
-    CoreState &c = cur();
-    ++c.txBegins;
-    c.openTx[pool_id] =
-        TxSpan{c.model->cycles(), op, c.clwbs + c.fences};
-}
-
-void
-Machine::txCommit(uint32_t pool_id)
-{
-    CoreState &c = cur();
-    const auto it = c.openTx.find(pool_id);
-    POAT_ASSERT(it != c.openTx.end(), "txCommit without txBegin");
-    ++c.txCommits;
-    const uint64_t latency = c.model->cycles() - it->second.begin_cycle;
-    hTxLat_->record(latency);
-    hTxDurab_->record(c.clwbs + c.fences - it->second.durab_at_begin);
-    const auto op = opLat_.find(it->second.op);
-    if (op != opLat_.end())
-        op->second->record(latency);
-    c.openTx.erase(it);
-}
-
-void
-Machine::txAbort(uint32_t pool_id)
-{
-    CoreState &c = cur();
-    const auto it = c.openTx.find(pool_id);
-    POAT_ASSERT(it != c.openTx.end(), "txAbort without txBegin");
-    ++c.txAborts;
-    contention_.txAborted(c.model->cycles() - it->second.begin_cycle);
-    c.openTx.erase(it);
-}
-
-void
-Machine::opName(uint32_t op, const char *name)
-{
-    opLat_[op] =
-        &stats_.histogram("tx.op." + std::string(name) + ".latency");
-    contention_.opName(op, name);
-}
-
-void
-Machine::opSet(uint32_t op)
-{
-    contention_.opSet(active_, op, cycles());
-}
-
-void
-Machine::lockWait(uint32_t, uint64_t key, uint8_t mode, uint32_t edges)
-{
-    contention_.lockWait(active_, key, mode, edges, cycles());
-}
-
-void
-Machine::lockAcquired(uint32_t, uint64_t key, uint8_t)
-{
-    contention_.lockAcquired(active_, key, cur().model->cycles(),
-                             cycles());
-}
-
-void
-Machine::lockReleased(uint32_t, uint64_t key)
-{
-    contention_.lockReleased(active_, key, cur().model->cycles(),
-                             cycles());
-}
-
-void
-Machine::lockDeadlock(uint32_t, uint64_t key)
-{
-    contention_.lockDeadlock(active_, key, cycles());
-}
-
-void
-Machine::workerDone(uint32_t)
-{
-    contention_.workerDone(active_, cycles());
-}
-
-void
-Machine::commitJoin(uint32_t)
-{
-    contention_.commitJoin(active_, cycles());
-}
-
-void
-Machine::commitBatch(uint32_t members, uint32_t elided)
-{
-    contention_.commitBatch(members, elided, cycles());
+    const CoreState &c = cur();
+    contention_.note(n, {active_, c.model->cycles(), cycles(),
+                         c.clwbs + c.fences});
 }
 
 void
@@ -527,7 +439,6 @@ Machine::syncStats() const
     uint64_t br_lookups = 0, br_mispredicts = 0;
     uint64_t l1_hits = 0, l1_misses = 0, l1_wbs = 0;
     uint64_t l2_hits = 0, l2_misses = 0, l2_wbs = 0;
-    uint64_t tx_begins = 0, tx_commits = 0, tx_aborts = 0;
 
     for (size_t i = 0; i < cores_.size(); ++i) {
         const CoreState &c = *cores_[i];
@@ -566,9 +477,6 @@ Machine::syncStats() const
         l2_hits += caches_.l2(ci).hits();
         l2_misses += caches_.l2(ci).misses();
         l2_wbs += caches_.l2(ci).writebacks();
-        tx_begins += c.txBegins;
-        tx_commits += c.txCommits;
-        tx_aborts += c.txAborts;
     }
 
     // Flat machine-wide keys: identical to the single-core naming when
@@ -621,17 +529,7 @@ Machine::syncStats() const
     reg.counter("branch.lookups") = br_lookups;
     reg.counter("branch.mispredicts") = br_mispredicts;
     reg.counter("vm.mapped_pages") = pageTable_.mappedPages();
-    reg.counter("tx.begins") = tx_begins;
-    reg.counter("tx.commits") = tx_commits;
-    reg.counter("tx.aborts") = tx_aborts;
-    reg.counter("tx.retries") = txRetries_;
-
-    // Concurrency observability: exported for multi-core machines and
-    // for any machine that saw concurrency events, so single-threaded
-    // sequential runs keep their exact pre-existing schema (golden
-    // baselines, stats_diff gates).
-    if (multi || contention_.active())
-        contention_.exportInto(reg, cyc_max);
+    contention_.exportInto(reg, cyc_max, multi);
 }
 
 const StatsRegistry &

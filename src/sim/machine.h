@@ -29,6 +29,11 @@
  * summed). The per-core CPI invariant — components sum exactly to that
  * core's cycles — is asserted for every core on every stats sync.
  *
+ * Notes (common/note.h) change no simulated state: the machine passes
+ * each one, stamped with the active core's clocks, to its
+ * telemetry::ContentionProfiler, which owns the transaction-span and
+ * contention stats; the machine keeps no state for them.
+ *
  * A POT miss on an nv access corresponds to the paper's trap to the
  * OS; since every pool a workload touches is mapped via poolMapped(),
  * hitting one here means a bug, so it panics.
@@ -37,7 +42,6 @@
 #define POAT_SIM_MACHINE_H
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -122,19 +126,8 @@ class Machine : public TraceSink
     void coreSwitch(uint32_t core) override;
     void swTranslateBegin() override;
     void swTranslateEnd() override;
-    void txBegin(uint32_t pool_id, uint32_t op) override;
-    void txCommit(uint32_t pool_id) override;
-    void txAbort(uint32_t pool_id) override;
-    void opName(uint32_t op, const char *name) override;
-    void opSet(uint32_t op) override;
-    void lockWait(uint32_t worker, uint64_t key, uint8_t mode,
-                  uint32_t edges) override;
-    void lockAcquired(uint32_t worker, uint64_t key, uint8_t mode) override;
-    void lockReleased(uint32_t worker, uint64_t key) override;
-    void lockDeadlock(uint32_t worker, uint64_t key) override;
-    void workerDone(uint32_t worker) override;
-    void commitJoin(uint32_t worker) override;
-    void commitBatch(uint32_t members, uint32_t elided) override;
+    /** Hand the note to the profiler with the active core's clocks. */
+    void note(const Note &n) override;
     /// @}
 
     /** Collected metrics for the run so far. */
@@ -225,12 +218,6 @@ class Machine : public TraceSink
                         bool per_core_lanes = false);
     telemetry::TimelineSampler *timeline() const { return timeline_; }
 
-    /** The run's contention/blocking profiler (always-on observer). */
-    const telemetry::ContentionProfiler &contention() const
-    {
-        return contention_;
-    }
-
     const MachineConfig &config() const { return cfg_; }
     Polb &polb(uint32_t core = 0) { return cores_[core]->polb; }
     Pot &pot() { return pot_; }
@@ -256,14 +243,6 @@ class Machine : public TraceSink
         uint32_t preStall() const { return polb + pot + tlb; }
     };
 
-    /** An in-flight transaction span (see TraceSink::txBegin). */
-    struct TxSpan
-    {
-        uint64_t begin_cycle = 0;
-        uint32_t op = 0;
-        uint64_t durab_at_begin = 0; ///< clwbs + fences when it opened
-    };
-
     /** Everything private to one simulated core. */
     struct CoreState
     {
@@ -282,12 +261,6 @@ class Machine : public TraceSink
         uint64_t nvStores = 0;
         uint64_t clwbs = 0;
         uint64_t fences = 0;
-
-        // Transaction-span profiling (pure observation; no timing).
-        std::map<uint32_t, TxSpan> openTx; ///< pool id -> open span
-        uint64_t txBegins = 0;
-        uint64_t txCommits = 0;
-        uint64_t txAborts = 0;
     };
 
     /** Physical region where the in-memory POT walk reads its slots. */
@@ -327,30 +300,18 @@ class Machine : public TraceSink
     Histogram *hPotLat_;     ///< pot.walk_latency
     Histogram *hNvLoadLat_;  ///< mem.nv_load_latency
     Histogram *hNvStoreLat_; ///< mem.nv_store_latency
-    Histogram *hTxLat_;      ///< tx.latency
-    Histogram *hTxDurab_;    ///< tx.durability_events
-
-    std::map<uint32_t, Histogram *> opLat_; ///< op id -> tx.op.* hist
 
     /**
-     * Concurrency observability (lock.*, sched.*, commit.batch.*,
+     * Every note's consumer (tx.*, lock.*, sched.*, commit.batch.*,
      * tx.abort.*, cp.* stats). Always-on and purely observational;
-     * syncStats() exports it only for multi-core machines or once
-     * concurrency events were seen, so sequential runs keep their
-     * exact pre-existing stats schema. Mutable: exportInto settles
-     * attribution from const stats accessors.
+     * syncStats() has it export the concurrency subtrees only for
+     * multi-core machines or once concurrency events were seen, so
+     * sequential runs keep their exact stats schema. Mutable:
+     * exportInto settles attribution from const stats accessors.
      */
     mutable telemetry::ContentionProfiler contention_;
 
-    uint64_t txRetries_ = 0; ///< concurrent-tx retry loops (see engine)
     uint64_t polbShootdowns_ = 0; ///< remote invalidations broadcast
-
-  public:
-    /**
-     * Count an abort-retry loop iteration of the concurrent engine
-     * ("tx.retries"). Pure bookkeeping: no instructions, no cycles.
-     */
-    void noteTxRetry() { ++txRetries_; }
 };
 
 } // namespace sim

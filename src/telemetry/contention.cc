@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
 #include "common/stats.h"
 
 namespace poat {
@@ -116,9 +117,90 @@ ContentionProfiler::coreSwitchIn(uint32_t core_id, uint32_t prev,
 }
 
 void
-ContentionProfiler::opName(uint32_t op, std::string name)
+ContentionProfiler::note(const Note &n, const NoteClocks &at)
 {
-    opNames_[op] = std::move(name);
+    const auto u32 = [](uint64_t v) { return static_cast<uint32_t>(v); };
+    const uint32_t c = at.core;
+    const uint64_t m = at.makespan;
+    switch (n.kind) {
+      case NoteKind::TxBegin:
+        ++txBegins_;
+        openTx_[{c, u32(n.arg[0])}] =
+            TxSpan{at.local, u32(n.arg[1]), at.durability};
+        return;
+      case NoteKind::TxCommit:
+      case NoteKind::TxAbort: {
+        const auto it = openTx_.find({c, u32(n.arg[0])});
+        POAT_ASSERT(it != openTx_.end(), "transaction end without txBegin");
+        const uint64_t span = at.local - it->second.begin;
+        if (n.kind == NoteKind::TxAbort) {
+            abortWasted_.record(span);
+        } else {
+            txLatency_.record(span);
+            txDurability_.record(at.durability - it->second.durability);
+            if (const auto op = ops_.find(it->second.op); op != ops_.end())
+                op->second.txLatency.record(span);
+        }
+        openTx_.erase(it);
+        return;
+      }
+      case NoteKind::OpName:
+        ops_[u32(n.arg[0])].name = n.name;
+        return;
+      case NoteKind::OpSet:
+        opSet(c, u32(n.arg[0]), m);
+        return;
+      default:
+        break;
+    }
+
+    // Every other note is a concurrency event.
+    active_ = true;
+    settle(m);
+    const uint64_t key = n.arg[1];
+    switch (n.kind) {
+      case NoteKind::LockWait: {
+        CoreInfo &ci = core(c);
+        ci.reason = BlockReason::LockWait;
+        ci.waiting = true;
+        ci.waitStart = m;
+        ci.waitOp = ci.curOp;
+        ci.waitKey = key;
+        ++lockWaits_;
+        waitsForEdges_ += u32(n.arg[3]);
+        ++byKey_[key].waits;
+        break;
+      }
+      case NoteKind::LockAcquired:
+        lockAcquired(c, key, at.local, m);
+        break;
+      case NoteKind::LockReleased:
+        lockReleased(c, key, at.local, m);
+        break;
+      case NoteKind::LockDeadlock: {
+        ++deadlockVictims_;
+        CoreInfo &ci = core(c);
+        endWait(ci, key, m); // the aborted wait still happened
+        ci.reason = BlockReason::TokenWait;
+        break;
+      }
+      case NoteKind::WorkerDone:
+        core(c).reason = BlockReason::IdleDone;
+        break;
+      case NoteKind::CommitJoin: {
+        CoreInfo &ci = core(c);
+        ci.joined = true;
+        ci.joinM = m;
+        if (ci.reason == BlockReason::TokenWait)
+            ci.reason = BlockReason::CommitWait;
+        break;
+      }
+      case NoteKind::CommitBatch:
+        commitBatch(u32(n.arg[0]), u32(n.arg[1]), m);
+        break;
+      default:
+        POAT_PANIC("unhandled note kind");
+    }
 }
 
 void
@@ -140,38 +222,24 @@ ContentionProfiler::opSet(uint32_t c, uint32_t op, uint64_t makespan)
 }
 
 void
-ContentionProfiler::lockWait(uint32_t c, uint64_t key, uint8_t,
-                             uint32_t edges, uint64_t makespan)
+ContentionProfiler::endWait(CoreInfo &ci, uint64_t key, uint64_t makespan)
 {
-    active_ = true;
-    settle(makespan);
-    CoreInfo &ci = core(c);
-    ci.reason = BlockReason::LockWait;
-    ci.waiting = true;
-    ci.waitStart = makespan;
-    ci.waitOp = ci.curOp;
-    ci.waitKey = key;
-    ++lockWaits_;
-    waitsForEdges_ += edges;
-    ++byKey_[key].waits;
+    if (!ci.waiting || ci.waitKey != key)
+        return;
+    const uint64_t wait = makespan - ci.waitStart;
+    waitAll_.record(wait);
+    waitStripe_[stripeOf(key)].record(wait);
+    waitByOp_[ci.waitOp].record(wait);
+    byKey_[key].wait_cycles += wait;
+    ci.waiting = false;
+    ci.reason = BlockReason::TokenWait;
 }
 
 void
 ContentionProfiler::lockAcquired(uint32_t c, uint64_t key,
                                  uint64_t local, uint64_t makespan)
 {
-    active_ = true;
-    settle(makespan);
-    CoreInfo &ci = core(c);
-    if (ci.waiting && ci.waitKey == key) {
-        const uint64_t wait = makespan - ci.waitStart;
-        waitAll_.record(wait);
-        waitStripe_[stripeOf(key)].record(wait);
-        waitByOp_[ci.waitOp].record(wait);
-        byKey_[key].wait_cycles += wait;
-        ci.waiting = false;
-        ci.reason = BlockReason::TokenWait;
-    }
+    endWait(core(c), key, makespan);
     ++lockAcquired_;
     ++byKey_[key].acquisitions;
     holds_[key] = {c, local};
@@ -189,8 +257,6 @@ void
 ContentionProfiler::lockReleased(uint32_t c, uint64_t key,
                                  uint64_t local, uint64_t makespan)
 {
-    active_ = true;
-    settle(makespan);
     if (auto it = holds_.find(key); it != holds_.end()) {
         if (it->second.first == c) {
             const uint64_t hold = local >= it->second.second
@@ -209,51 +275,9 @@ ContentionProfiler::lockReleased(uint32_t c, uint64_t key,
 }
 
 void
-ContentionProfiler::lockDeadlock(uint32_t c, uint64_t key,
-                                 uint64_t makespan)
-{
-    active_ = true;
-    settle(makespan);
-    ++deadlockVictims_;
-    CoreInfo &ci = core(c);
-    if (ci.waiting && ci.waitKey == key) {
-        // The aborted wait still happened; charge it.
-        const uint64_t wait = makespan - ci.waitStart;
-        waitAll_.record(wait);
-        waitStripe_[stripeOf(key)].record(wait);
-        waitByOp_[ci.waitOp].record(wait);
-        byKey_[key].wait_cycles += wait;
-        ci.waiting = false;
-    }
-    ci.reason = BlockReason::TokenWait;
-}
-
-void
-ContentionProfiler::workerDone(uint32_t c, uint64_t makespan)
-{
-    active_ = true;
-    settle(makespan);
-    core(c).reason = BlockReason::IdleDone;
-}
-
-void
-ContentionProfiler::commitJoin(uint32_t c, uint64_t makespan)
-{
-    active_ = true;
-    settle(makespan);
-    CoreInfo &ci = core(c);
-    ci.joined = true;
-    ci.joinM = makespan;
-    if (ci.reason == BlockReason::TokenWait)
-        ci.reason = BlockReason::CommitWait;
-}
-
-void
 ContentionProfiler::commitBatch(uint32_t members, uint32_t elided,
                                 uint64_t makespan)
 {
-    active_ = true;
-    settle(makespan);
     ++batches_;
     batchOccupancy_.record(members);
     fencesElided_ += elided;
@@ -265,13 +289,6 @@ ContentionProfiler::commitBatch(uint32_t members, uint32_t elided,
         if (ci.reason == BlockReason::CommitWait)
             ci.reason = BlockReason::TokenWait;
     }
-}
-
-void
-ContentionProfiler::txAborted(uint64_t wasted)
-{
-    ++aborts_;
-    abortWasted_.record(wasted);
 }
 
 uint64_t
@@ -308,8 +325,22 @@ ContentionProfiler::computePath()
 }
 
 void
-ContentionProfiler::exportInto(StatsRegistry &reg, uint64_t makespan)
+ContentionProfiler::exportInto(StatsRegistry &reg, uint64_t makespan,
+                               bool multi_core)
 {
+    // ---- tx.* spans (every run) -----------------------------------
+    reg.counter("tx.begins") = txBegins_;
+    reg.counter("tx.commits") = txLatency_.count();
+    reg.counter("tx.aborts") = abortWasted_.count();
+    reg.histogram("tx.latency") = txLatency_;
+    reg.histogram("tx.durability_events") = txDurability_;
+    for (const auto &[id, op] : ops_)
+        reg.histogram("tx.op." + op.name + ".latency") = op.txLatency;
+
+    // The rest only for multi-core machines and runs that saw
+    // concurrency events, so sequential runs keep their exact schema.
+    if (!multi_core && !active_)
+        return;
     settle(makespan);
 
     // ---- lock.* ---------------------------------------------------
@@ -325,9 +356,9 @@ ContentionProfiler::exportInto(StatsRegistry &reg, uint64_t makespan)
         reg.histogram(p + "hold_cycles") = holdStripe_[i];
     }
     for (const auto &[op, h] : waitByOp_) {
-        const auto it = opNames_.find(op);
+        const auto it = ops_.find(op);
         const std::string name =
-            it != opNames_.end() ? it->second : std::to_string(op);
+            it != ops_.end() ? it->second.name : std::to_string(op);
         reg.histogram("lock.op." + name + ".wait_cycles") = h;
     }
 
@@ -385,7 +416,7 @@ ContentionProfiler::exportInto(StatsRegistry &reg, uint64_t makespan)
     reg.counter("commit.batch.fences_elided") = fencesElided_;
     reg.histogram("commit.batch.occupancy") = batchOccupancy_;
     reg.histogram("commit.batch.wait_cycles") = batchWait_;
-    reg.counter("tx.abort.count") = aborts_;
+    reg.counter("tx.abort.count") = abortWasted_.count();
     reg.counter("tx.abort.wasted_total") = abortWasted_.sum();
     reg.histogram("tx.abort.wasted_cycles") = abortWasted_;
 
@@ -485,9 +516,9 @@ ContentionProfiler::exportInto(StatsRegistry &reg, uint64_t makespan)
     // path, so mid-run exports register no key a later export would
     // orphan (see the lock.top comment above).
     reg.counter("cp.op.untagged.cycles") = opCycles[0];
-    for (const auto &[op, name] : opNames_) {
-        if (op != 0)
-            reg.counter("cp.op." + name + ".cycles") = opCycles[op];
+    for (const auto &[id, op] : ops_) {
+        if (id != 0)
+            reg.counter("cp.op." + op.name + ".cycles") = opCycles[id];
     }
     std::vector<std::pair<uint64_t, uint64_t>> lranked(
         lockCycles.begin(), lockCycles.end());

@@ -1,16 +1,22 @@
 /**
  * @file
- * Concurrency observability: lock contention, blocked-cycle
- * attribution, commit-window occupancy, and critical-path extraction.
+ * Run observability from notes: transaction spans, lock contention,
+ * blocked-cycle attribution, commit-window occupancy, and critical-path
+ * extraction.
  *
- * A ContentionProfiler consumes the concurrency observer events the
- * runtime stack emits (TraceSink::lockWait/lockAcquired/lockReleased/
- * lockDeadlock/workerDone/commitJoin/commitBatch/coreSwitch/opSet) and
- * turns them into the `lock.*`, `sched.*`, `commit.batch.*`,
- * `tx.abort.*`, and `cp.*` stats subtrees (docs/OBSERVABILITY.md).
- * The profiler is a pure observer: it is fed by events that carry no
- * instructions and no cycles, so timing, metrics, and every
- * pre-existing stat are bit-identical with or without it.
+ * A ContentionProfiler consumes every note the runtime stack emits
+ * (common/note.h) plus the machine's core switches, and turns them into
+ * the `tx.*`, `lock.*`, `sched.*`, `commit.batch.*`, `tx.abort.*`, and
+ * `cp.*` stats subtrees (docs/OBSERVABILITY.md). The profiler is a pure
+ * observer: notes carry no instructions and no cycles, so timing,
+ * metrics, and every other stat are bit-identical with or without it.
+ *
+ * Transaction spans. A TxBegin note opens a span on (core, pool) and
+ * the matching TxCommit or TxAbort closes it. A committed span records
+ * its core-local cycles into `tx.latency` (and `tx.op.<name>.latency`
+ * when its op was named) and the core's clwbs + fences since the begin
+ * into `tx.durability_events`; an aborted span's cycles are the wasted
+ * work in `tx.abort.wasted_cycles`.
  *
  * Time bases. Events are stamped with two clocks:
  *  - "makespan" cycles: max over the per-core clocks at the event, the
@@ -55,6 +61,7 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/note.h"
 
 namespace poat {
 
@@ -85,49 +92,36 @@ inline constexpr uint32_t kLockTopK = 8;
 /** Rows in the `cp.lock.<rank>.*` critical-path lock table. */
 inline constexpr uint32_t kCpTopLocks = 3;
 
-/** Event-fed contention/blocking/critical-path profiler. */
+/** The machine's clocks at a note, read on the core that emitted it. */
+struct NoteClocks
+{
+    uint32_t core = 0;       ///< the active core
+    uint64_t local = 0;      ///< that core's own cycles
+    uint64_t makespan = 0;   ///< max over the per-core clocks
+    uint64_t durability = 0; ///< that core's clwbs + fences so far
+};
+
+/** Note-fed transaction/contention/blocking/critical-path profiler. */
 class ContentionProfiler
 {
   public:
     /**
      * True once any concurrency event (core switch, lock, commit,
-     * worker lifecycle) was seen. Machines gate stats export on this so
-     * purely sequential runs keep their exact pre-existing stats
-     * schema (golden baselines). opSet/opName/txAborted alone do not
-     * activate the profiler — sequential runs emit those too.
+     * worker lifecycle) was seen. Export gates the concurrency subtrees
+     * on this so purely sequential runs keep their exact stats schema
+     * (golden baselines). Tx, OpName, and OpSet notes do not activate
+     * the profiler — sequential runs emit those too.
      */
     bool active() const { return active_; }
 
-    /// @name Event feed (called by sim::Machine's TraceSink overrides)
-    /// @{
+    /** Consume note @p n, emitted at clocks @p at. */
+    void note(const Note &n, const NoteClocks &at);
 
     /**
      * Core @p core becomes the active core; @p prev was active.
      * @p makespan is the global clock at the switch.
      */
     void coreSwitchIn(uint32_t core, uint32_t prev, uint64_t makespan);
-
-    /** Interning announcement (for `lock.op.*` / `cp.op.*` names). */
-    void opName(uint32_t op, std::string name);
-
-    /** The active core switched to workload op @p op. */
-    void opSet(uint32_t core, uint32_t op, uint64_t makespan);
-
-    void lockWait(uint32_t core, uint64_t key, uint8_t mode,
-                  uint32_t edges, uint64_t makespan);
-    void lockAcquired(uint32_t core, uint64_t key, uint64_t local,
-                      uint64_t makespan);
-    void lockReleased(uint32_t core, uint64_t key, uint64_t local,
-                      uint64_t makespan);
-    void lockDeadlock(uint32_t core, uint64_t key, uint64_t makespan);
-    void workerDone(uint32_t core, uint64_t makespan);
-    void commitJoin(uint32_t core, uint64_t makespan);
-    void commitBatch(uint32_t members, uint32_t elided,
-                     uint64_t makespan);
-
-    /** A transaction rolled back after @p wasted core-local cycles. */
-    void txAborted(uint64_t wasted);
-    /// @}
 
     /**
      * Blocked cycles charged to (@p core, @p r) so far. Not settled to
@@ -137,14 +131,16 @@ class ContentionProfiler
     uint64_t blockedCycles(uint32_t core, BlockReason r) const;
 
     /**
-     * Sync every contention stat into @p reg: settles blocked-cycle
-     * attribution up to @p makespan, virtually closes the open
-     * critical-path segment there, and (re)assigns the `lock.*`,
-     * `sched.*`, `commit.batch.*`, `tx.abort.*`, and `cp.*` entries.
-     * Idempotent: calling twice with the same clock exports the same
-     * values.
+     * Sync the profiler's stats into @p reg. The `tx.*` span stats go
+     * out on every call. With @p multi_core set, or once active(), it
+     * also settles blocked-cycle attribution up to @p makespan,
+     * virtually closes the open critical-path segment there, and
+     * (re)assigns the `lock.*`, `sched.*`, `commit.batch.*`,
+     * `tx.abort.*`, and `cp.*` entries. Idempotent: calling twice with
+     * the same clock exports the same values.
      */
-    void exportInto(StatsRegistry &reg, uint64_t makespan);
+    void exportInto(StatsRegistry &reg, uint64_t makespan,
+                    bool multi_core);
 
   private:
     /** Per-core scheduler/attribution state. */
@@ -185,7 +181,35 @@ class ContentionProfiler
         uint64_t acquisitions = 0;
     };
 
+    /** An open transaction span (see the file comment). */
+    struct TxSpan
+    {
+        uint64_t begin = 0;      ///< core-local cycles at TxBegin
+        uint32_t op = 0;         ///< op id it was tagged with
+        uint64_t durability = 0; ///< clwbs + fences at TxBegin
+    };
+
+    /** An interned workload op. */
+    struct Op
+    {
+        std::string name;
+        Histogram txLatency; ///< committed spans tagged with the op
+    };
+
     CoreInfo &core(uint32_t c);
+
+    /** The active core switched to workload op @p op. */
+    void opSet(uint32_t core, uint32_t op, uint64_t makespan);
+
+    void lockAcquired(uint32_t core, uint64_t key, uint64_t local,
+                      uint64_t makespan);
+    void lockReleased(uint32_t core, uint64_t key, uint64_t local,
+                      uint64_t makespan);
+    void commitBatch(uint32_t members, uint32_t elided,
+                     uint64_t makespan);
+
+    /** Charge @p ci's open wait on @p key, if any, up to @p makespan. */
+    void endWait(CoreInfo &ci, uint64_t key, uint64_t makespan);
 
     /** Charge makespan growth up to @p makespan (running + blocked). */
     void settle(uint64_t makespan);
@@ -204,7 +228,12 @@ class ContentionProfiler
     uint32_t activeCore_ = 0;
     uint64_t lastM_ = 0; ///< makespan at the last settle point
     std::vector<CoreInfo> cores_;
-    std::map<uint32_t, std::string> opNames_;
+    std::map<uint32_t, Op> ops_; ///< op id -> interned op
+
+    // Transaction spans.
+    std::map<std::pair<uint32_t, uint32_t>, TxSpan> openTx_; ///< (core, pool)
+    uint64_t txBegins_ = 0;
+    Histogram txLatency_, txDurability_;
 
     // Lock contention.
     Histogram waitAll_, holdAll_;
@@ -225,9 +254,8 @@ class ContentionProfiler
     uint64_t batches_ = 0;
     uint64_t fencesElided_ = 0;
 
-    // Aborted work.
+    // Aborted work: one sample per aborted span.
     Histogram abortWasted_;
-    uint64_t aborts_ = 0;
 
     // Critical path.
     std::vector<Segment> segs_;

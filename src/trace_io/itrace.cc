@@ -84,18 +84,6 @@ badFile(const std::string &path, const std::string &why)
 /** Most varint operands of any record kind (LockWait). */
 constexpr size_t kMaxOperands = 4;
 
-/**
- * Varint operands of each record kind, indexed by kind byte (see the
- * EventKind comments); OpName's name bytes follow its two operands.
- */
-constexpr uint8_t kOperandCount[kMaxEventKind + 1] = {
-    0,                      // (no kind 0)
-    2, 3, 3, 2, 3, 2, 1, 1, // Alu .. NvClwb
-    0, 3, 1, 0, 0,          // Fence .. SwTranslateEnd
-    2, 1, 1, 2, 1,          // TxBegin .. CoreSwitch
-    4, 3, 2, 2, 1, 1, 1, 2, // LockWait .. CommitBatch
-};
-
 [[noreturn]] void
 badVarint(const std::string &path, VarintStatus st)
 {
@@ -417,34 +405,6 @@ TraceRecorder::swTranslateEnd()
 }
 
 void
-TraceRecorder::txBegin(uint32_t pool_id, uint32_t op)
-{
-    begin(EventKind::TxBegin);
-    put(pool_id);
-    put(op);
-    if (inner_)
-        inner_->txBegin(pool_id, op);
-}
-
-void
-TraceRecorder::txCommit(uint32_t pool_id)
-{
-    begin(EventKind::TxCommit);
-    put(pool_id);
-    if (inner_)
-        inner_->txCommit(pool_id);
-}
-
-void
-TraceRecorder::txAbort(uint32_t pool_id)
-{
-    begin(EventKind::TxAbort);
-    put(pool_id);
-    if (inner_)
-        inner_->txAbort(pool_id);
-}
-
-void
 TraceRecorder::coreSwitch(uint32_t core)
 {
     begin(EventKind::CoreSwitch);
@@ -454,96 +414,15 @@ TraceRecorder::coreSwitch(uint32_t core)
 }
 
 void
-TraceRecorder::opSet(uint32_t op)
+TraceRecorder::note(const Note &n)
 {
-    begin(EventKind::OpSet);
-    put(op);
+    const auto kind = static_cast<uint8_t>(n.kind);
+    begin(static_cast<EventKind>(kind));
+    for (uint8_t i = 0; i < kOperandCount[kind]; ++i)
+        put(n.arg[i]);
+    buf_.insert(buf_.end(), n.name.begin(), n.name.end());
     if (inner_)
-        inner_->opSet(op);
-}
-
-void
-TraceRecorder::lockWait(uint32_t worker, uint64_t key, uint8_t mode,
-                        uint32_t edges)
-{
-    begin(EventKind::LockWait);
-    put(worker);
-    put(key);
-    put(mode);
-    put(edges);
-    if (inner_)
-        inner_->lockWait(worker, key, mode, edges);
-}
-
-void
-TraceRecorder::lockAcquired(uint32_t worker, uint64_t key, uint8_t mode)
-{
-    begin(EventKind::LockAcquired);
-    put(worker);
-    put(key);
-    put(mode);
-    if (inner_)
-        inner_->lockAcquired(worker, key, mode);
-}
-
-void
-TraceRecorder::lockReleased(uint32_t worker, uint64_t key)
-{
-    begin(EventKind::LockReleased);
-    put(worker);
-    put(key);
-    if (inner_)
-        inner_->lockReleased(worker, key);
-}
-
-void
-TraceRecorder::lockDeadlock(uint32_t worker, uint64_t key)
-{
-    begin(EventKind::LockDeadlock);
-    put(worker);
-    put(key);
-    if (inner_)
-        inner_->lockDeadlock(worker, key);
-}
-
-void
-TraceRecorder::workerDone(uint32_t worker)
-{
-    begin(EventKind::WorkerDone);
-    put(worker);
-    if (inner_)
-        inner_->workerDone(worker);
-}
-
-void
-TraceRecorder::commitJoin(uint32_t worker)
-{
-    begin(EventKind::CommitJoin);
-    put(worker);
-    if (inner_)
-        inner_->commitJoin(worker);
-}
-
-void
-TraceRecorder::commitBatch(uint32_t members, uint32_t elided)
-{
-    begin(EventKind::CommitBatch);
-    put(members);
-    put(elided);
-    if (inner_)
-        inner_->commitBatch(members, elided);
-}
-
-void
-TraceRecorder::opName(uint32_t op, const char *name)
-{
-    const size_t len = std::strlen(name);
-    begin(EventKind::OpName);
-    put(op);
-    put(len);
-    buf_.insert(buf_.end(), name, name + len);
-    if (inner_)
-        inner_->opName(op, name);
+        inner_->note(n);
 }
 
 // --------------------------------------------------------------------
@@ -682,52 +561,20 @@ TraceReplayer::replayInto(TraceSink &sink) const
           case EventKind::SwTranslateEnd:
             sink.swTranslateEnd();
             break;
-          case EventKind::TxBegin:
-            sink.txBegin(u32(op[0]), u32(op[1]));
-            break;
-          case EventKind::TxCommit:
-            sink.txCommit(u32(op[0]));
-            break;
-          case EventKind::TxAbort:
-            sink.txAbort(u32(op[0]));
-            break;
           case EventKind::CoreSwitch:
             sink.coreSwitch(u32(op[0]));
             break;
-          case EventKind::OpSet:
-            sink.opSet(u32(op[0]));
-            break;
-          case EventKind::LockWait:
-            sink.lockWait(u32(op[0]), op[1], static_cast<uint8_t>(op[2]),
-                          u32(op[3]));
-            break;
-          case EventKind::LockAcquired:
-            sink.lockAcquired(u32(op[0]), op[1],
-                              static_cast<uint8_t>(op[2]));
-            break;
-          case EventKind::LockReleased:
-            sink.lockReleased(u32(op[0]), op[1]);
-            break;
-          case EventKind::LockDeadlock:
-            sink.lockDeadlock(u32(op[0]), op[1]);
-            break;
-          case EventKind::WorkerDone:
-            sink.workerDone(u32(op[0]));
-            break;
-          case EventKind::CommitJoin:
-            sink.commitJoin(u32(op[0]));
-            break;
-          case EventKind::CommitBatch:
-            sink.commitBatch(u32(op[0]), u32(op[1]));
-            break;
-          case EventKind::OpName: {
-            const uint64_t len = op[1];
-            if (len > n - pos)
-                badFile(path_, "truncated opName record");
-            std::string name(reinterpret_cast<const char *>(d + pos),
-                             static_cast<size_t>(len));
-            pos += static_cast<size_t>(len);
-            sink.opName(u32(op[0]), name.c_str());
+          default: { // a note: every kind from TxBegin on but CoreSwitch
+            Note note{static_cast<NoteKind>(kind),
+                      {op[0], op[1], op[2], op[3]}};
+            if (note.kind == NoteKind::OpName) {
+                if (op[1] > n - pos)
+                    badFile(path_, "truncated opName record");
+                note.name = {reinterpret_cast<const char *>(d + pos),
+                             static_cast<size_t>(op[1])};
+                pos += static_cast<size_t>(op[1]);
+            }
+            sink.note(note);
             break;
           }
         }

@@ -83,7 +83,10 @@ inline constexpr uint32_t kFormatVersion = 6;
 /** Bytes before the fingerprint (magic + version + 3 patched fields). */
 inline constexpr size_t kHeaderSize = 40;
 
-/** Record kinds, one per TraceSink event. */
+/**
+ * Record kinds: one per typed TraceSink event, plus one per NoteKind,
+ * whose values they share (common/note.h).
+ */
 enum class EventKind : uint8_t
 {
     Alu = 1,      ///< count, dep
@@ -116,6 +119,25 @@ enum class EventKind : uint8_t
 
 inline constexpr uint8_t kMinEventKind = 1;
 inline constexpr uint8_t kMaxEventKind = 26;
+
+static_assert(uint8_t(EventKind::TxBegin) == uint8_t(NoteKind::TxBegin) &&
+              uint8_t(EventKind::OpName) == uint8_t(NoteKind::OpName) &&
+              uint8_t(EventKind::LockWait) == uint8_t(NoteKind::LockWait) &&
+              uint8_t(EventKind::CommitBatch) ==
+                  uint8_t(NoteKind::CommitBatch),
+              "note kinds are their record kinds");
+
+/**
+ * Varint operands of each record kind, indexed by kind byte (see the
+ * EventKind comments); OpName's name bytes follow its two operands.
+ */
+inline constexpr uint8_t kOperandCount[kMaxEventKind + 1] = {
+    0,                      // (no kind 0)
+    2, 3, 3, 2, 3, 2, 1, 1, // Alu .. NvClwb
+    0, 3, 1, 0, 0,          // Fence .. SwTranslateEnd
+    2, 1, 1, 2, 1,          // TxBegin .. CoreSwitch
+    4, 3, 2, 2, 1, 1, 1, 2, // LockWait .. CommitBatch
+};
 
 /** Human-readable name of a record kind ("?" if out of range). */
 const char *eventKindName(uint8_t kind);
@@ -181,20 +203,8 @@ class TraceRecorder : public TraceSink
     void poolUnmapped(uint32_t pool_id) override;
     void swTranslateBegin() override;
     void swTranslateEnd() override;
-    void txBegin(uint32_t pool_id, uint32_t op) override;
-    void txCommit(uint32_t pool_id) override;
-    void txAbort(uint32_t pool_id) override;
-    void opName(uint32_t op, const char *name) override;
     void coreSwitch(uint32_t core) override;
-    void opSet(uint32_t op) override;
-    void lockWait(uint32_t worker, uint64_t key, uint8_t mode,
-                  uint32_t edges) override;
-    void lockAcquired(uint32_t worker, uint64_t key, uint8_t mode) override;
-    void lockReleased(uint32_t worker, uint64_t key) override;
-    void lockDeadlock(uint32_t worker, uint64_t key) override;
-    void workerDone(uint32_t worker) override;
-    void commitJoin(uint32_t worker) override;
-    void commitBatch(uint32_t members, uint32_t elided) override;
+    void note(const Note &n) override;
     /// @}
 
   private:

@@ -40,7 +40,8 @@ contention_report tool renders text and JSON from the saved report
 (strict CLI: unknown flag exits 2, unreadable input exits 1), a
 sequential bench accepts --contention with a "no multi-core runs"
 note, and a --timeline-cores run leaves the stats report
-byte-identical.
+byte-identical while writing one stream per run with exactly
+ceil(cycles / N) rows.
 
 When fig12_pot_walk and simulate binaries are also given, checks that
 malformed numbers (--jobs=abc, --scale=x, a 20-digit --jobs, a signed
@@ -198,6 +199,29 @@ def check_trace_cache(bench):
         )
 
 
+def check_run_timelines(report, tldir, dump_tool, interval):
+    """One parseable stream per run of @p report in @p tldir, with
+    exactly ceil(cycles/N) rows each (a zero-cycle run would still get
+    one finish row), and no stream shared by two runs."""
+    for r in report["runs"]:
+        path = os.path.join(tldir, r["label"] + ".poattl")
+        if not os.path.exists(path):
+            fail("run %r emitted no timeline" % r["label"])
+        proc = run_bench([dump_tool, "--json", path])
+        tl = json.loads(proc.stdout)
+        want = max(1, -(-r["cycles"] // interval))
+        got = len(tl["samples"])
+        if got != want:
+            fail(
+                "run %r: %d timeline rows, want ceil(%d/%d)=%d"
+                % (r["label"], got, r["cycles"], interval, want)
+            )
+    streams = len(os.listdir(tldir))
+    if streams != len(report["runs"]):
+        fail("%d timeline streams for %d runs"
+             % (streams, len(report["runs"])))
+
+
 def check_timeline(bench, dump_tool):
     """--timeline=N: report unchanged, streams parse, rows counted."""
     interval = 50000
@@ -224,22 +248,7 @@ def check_timeline(bench, dump_tool):
             fail("--timeline changed the stats report")
         with open(on) as f:
             report = json.load(f)
-
-        # One parseable stream per run, with exactly ceil(cycles/N)
-        # rows each (a zero-cycle run would still get one finish row).
-        for r in report["runs"]:
-            path = os.path.join(tldir, r["label"] + ".poattl")
-            if not os.path.exists(path):
-                fail("run %r emitted no timeline" % r["label"])
-            proc = run_bench([dump_tool, "--json", path])
-            tl = json.loads(proc.stdout)
-            want = max(1, -(-r["cycles"] // interval))
-            got = len(tl["samples"])
-            if got != want:
-                fail(
-                    "run %r: %d timeline rows, want ceil(%d/%d)=%d"
-                    % (r["label"], got, r["cycles"], interval, want)
-                )
+        check_run_timelines(report, tldir, dump_tool, interval)
 
         # Deep-check one stream: CPI component deltas sum to the cycle
         # delta row by row, and the rows tile the whole run.
@@ -305,7 +314,7 @@ def check_timeline(bench, dump_tool):
 BLOCK_REASONS = ["token_wait", "lock_wait", "commit_wait", "idle_done"]
 
 
-def check_contention(bench, fig9a, report_tool):
+def check_contention(bench, fig9a, report_tool, dump_tool):
     """fig_cores --contention: reports print, invariants hold, tool
     round-trips the saved stats, CLIs are strict."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -389,17 +398,22 @@ def check_contention(bench, fig9a, report_tool):
             fail("sequential --contention did not print its note")
 
         # Per-core timeline lanes are observer-only: byte-identical
-        # stats report with the instrumentation on.
+        # stats report with the instrumentation on. Every run, the
+        # MTPCC setup-only calibration runs included, writes its own
+        # stream.
         lanes = os.path.join(tmp, "lanes.json")
+        tldir = os.path.join(tmp, "tl")
         run_bench(base + [
             "--stats-json=" + lanes, "--timeline=50000",
-            "--timeline-cores", "--timeline-dir=" + os.path.join(tmp, "tl"),
+            "--timeline-cores", "--timeline-dir=" + tldir,
         ])
         with open(lanes, "rb") as f:
             if f.read() != plain_bytes:
                 fail("--timeline-cores changed the stats report")
+        check_run_timelines(report, tldir, dump_tool, 50000)
         print("OK: contention reports on %d runs (%d core lanes tiled), "
-              "tool round-trips, lanes observer-only" % (present, checked))
+              "tool round-trips, lanes observer-only, one exact "
+              "timeline per run" % (present, checked))
 
 
 def check_crash_explore(tool):
@@ -565,7 +579,7 @@ def main():
     if len(sys.argv) >= 5:
         check_timeline(bench, sys.argv[4])
     if len(sys.argv) >= 7:
-        check_contention(sys.argv[5], bench, sys.argv[6])
+        check_contention(sys.argv[5], bench, sys.argv[6], sys.argv[4])
     if len(sys.argv) >= 9:
         check_usage_errors(bench, sys.argv[7], sys.argv[8], sys.argv[3])
 

@@ -5,7 +5,8 @@
  * makespan on every core), lock wait/hold span time bases, the
  * critical-path DAG (length, lock edges, per-op and per-lock
  * attribution, and the length <= makespan bound), export idempotence,
- * and the sequential-run activation gate.
+ * and the sequential-run activation gate. Every event arrives as a
+ * note, as the machine feeds it.
  */
 #include <gtest/gtest.h>
 
@@ -19,6 +20,25 @@
 namespace poat {
 namespace telemetry {
 namespace {
+
+/**
+ * Feed @p n to @p p as core @p core emits it at makespan @p makespan
+ * and core-local clock @p local.
+ */
+void
+feed(ContentionProfiler &p, const Note &n, uint32_t core,
+     uint64_t makespan, uint64_t local = 0)
+{
+    p.note(n, {core, local, makespan, 0});
+}
+
+/** A transaction on core 0 that rolls back after @p wasted cycles. */
+void
+abortTx(ContentionProfiler &p, uint64_t wasted)
+{
+    feed(p, {NoteKind::TxBegin, {1}}, 0, 0);
+    feed(p, {NoteKind::TxAbort, {1}}, 0, 0, wasted);
+}
 
 /** Dump @p reg to a string for whole-export comparisons. */
 std::string
@@ -35,10 +55,15 @@ TEST(Contention, InactiveUntilConcurrencyEvent)
     EXPECT_FALSE(p.active());
     // Sequential runs emit op events too; they must not activate the
     // profiler (stats schema of sequential runs is golden-gated).
-    p.opName(1, "alpha");
-    p.opSet(0, 1, 10);
-    p.txAborted(5);
+    p.note(Note::opName(1, "alpha"), {});
+    feed(p, {NoteKind::OpSet, {1}}, 0, 10);
+    abortTx(p, 5);
     EXPECT_FALSE(p.active());
+    // A sequential single-core export carries the tx.* spans only.
+    StatsRegistry reg;
+    p.exportInto(reg, 10, /*multi_core=*/false);
+    EXPECT_EQ(reg.get("tx.aborts"), 1u);
+    EXPECT_EQ(reg.findHistogram("tx.abort.wasted_cycles"), nullptr);
     p.coreSwitchIn(0, 0, 0);
     EXPECT_TRUE(p.active());
 }
@@ -48,18 +73,21 @@ TEST(Contention, BlockedAttributionSumsToMakespanPerCore)
     // Events always come from the active core, as in the real feed.
     ContentionProfiler p;
     p.coreSwitchIn(0, 0, 0);
-    p.lockWait(0, 0x10, 0, 1, 40); // core 0 blocks on a lock
-    p.coreSwitchIn(1, 0, 40);      // core 1 takes over (created late:
-                                   // backfilled as token-waiting)
-    p.commitJoin(1, 90);           // core 1 waits on a commit window
+    // Core 0 blocks on a lock.
+    feed(p, {NoteKind::LockWait, {0, 0x10, 0, 1}}, 0, 40);
+    p.coreSwitchIn(1, 0, 40); // core 1 takes over (created late:
+                              // backfilled as token-waiting)
+    // Core 1 waits on a commit window.
+    feed(p, {NoteKind::CommitJoin, {1}}, 1, 90);
     p.coreSwitchIn(2, 1, 100);
-    p.workerDone(2, 120);
+    feed(p, {NoteKind::WorkerDone, {2}}, 2, 120);
     p.coreSwitchIn(0, 2, 130);
-    p.lockAcquired(0, 0x10, 7, 130); // core 0's wait ends
-    p.commitBatch(2, 3, 180);        // core 1's window closes
+    // Core 0's wait ends; then core 1's window closes.
+    feed(p, {NoteKind::LockAcquired, {0, 0x10, 1}}, 0, 130, 7);
+    feed(p, {NoteKind::CommitBatch, {2, 3}}, 0, 180);
 
     StatsRegistry reg;
-    p.exportInto(reg, 200);
+    p.exportInto(reg, 200, true);
     for (uint32_t c = 0; c < 3; ++c) {
         const std::string pre = "sched.core." + std::to_string(c) + ".";
         uint64_t sum = reg.get(pre + "running");
@@ -86,17 +114,19 @@ TEST(Contention, WaitSpansUseMakespanHoldSpansUseLocalClock)
 {
     ContentionProfiler p;
     p.coreSwitchIn(0, 0, 0);
-    p.opName(3, "put");
-    p.opSet(0, 3, 0);
+    p.note(Note::opName(3, "put"), {});
+    feed(p, {NoteKind::OpSet, {3}}, 0, 0);
     // Wait span: makespan 500 -> 620 (the waiter's own clock is
     // frozen, so only the makespan can measure it).
-    p.lockWait(0, 0xabc, 1, 2, 500);
-    p.lockAcquired(0, 0xabc, /*local=*/100, /*makespan=*/620);
+    feed(p, {NoteKind::LockWait, {0, 0xabc, 1, 2}}, 0, 500);
+    feed(p, {NoteKind::LockAcquired, {0, 0xabc, 1}}, 0, /*makespan=*/620,
+         /*local=*/100);
     // Hold span: local 100 -> 175 on the same core.
-    p.lockReleased(0, 0xabc, /*local=*/175, /*makespan=*/700);
+    feed(p, {NoteKind::LockReleased, {0, 0xabc}}, 0, /*makespan=*/700,
+         /*local=*/175);
 
     StatsRegistry reg;
-    p.exportInto(reg, 700);
+    p.exportInto(reg, 700, true);
     const Histogram *wait = reg.findHistogram("lock.wait_cycles");
     ASSERT_NE(wait, nullptr);
     EXPECT_EQ(wait->count(), 1u);
@@ -127,16 +157,17 @@ TEST(Contention, CriticalPathFollowsLockEdge)
     // segment (50) = 150 < makespan 200 — shorter than core 0's own
     // 120 + core 1's pre-acquire 30 summed naively.
     ContentionProfiler p;
-    p.opName(1, "alpha");
+    p.note(Note::opName(1, "alpha"), {});
     p.coreSwitchIn(0, 0, 0);
-    p.opSet(0, 1, 10);
-    p.lockReleased(0, 0x42, 90, 100); // never held: no hold span
+    feed(p, {NoteKind::OpSet, {1}}, 0, 10);
+    // Never held: no hold span.
+    feed(p, {NoteKind::LockReleased, {0, 0x42}}, 0, 100, 90);
     p.coreSwitchIn(1, 0, 120);
-    p.lockAcquired(1, 0x42, 5, 150);
+    feed(p, {NoteKind::LockAcquired, {1, 0x42, 1}}, 1, 150, 5);
     p.coreSwitchIn(0, 1, 200);
 
     StatsRegistry reg;
-    p.exportInto(reg, 200);
+    p.exportInto(reg, 200, true);
     EXPECT_EQ(reg.get("cp.length"), 150u);
     EXPECT_LE(reg.get("cp.length"), 200u);
     EXPECT_EQ(reg.get("cp.edges.lock"), 1u);
@@ -157,10 +188,10 @@ TEST(Contention, OpenSegmentCountsAtExport)
     // path is exactly the makespan.
     ContentionProfiler p;
     p.coreSwitchIn(0, 0, 0);
-    p.commitJoin(0, 50);
-    p.commitBatch(1, 0, 80);
+    feed(p, {NoteKind::CommitJoin, {0}}, 0, 50);
+    feed(p, {NoteKind::CommitBatch, {1, 0}}, 0, 80);
     StatsRegistry reg;
-    p.exportInto(reg, 300);
+    p.exportInto(reg, 300, true);
     EXPECT_EQ(reg.get("cp.length"), 300u);
     EXPECT_EQ(reg.get("commit.batch.windows"), 1u);
 }
@@ -168,22 +199,22 @@ TEST(Contention, OpenSegmentCountsAtExport)
 TEST(Contention, ExportIsIdempotent)
 {
     ContentionProfiler p;
-    p.opName(2, "beta");
+    p.note(Note::opName(2, "beta"), {});
     p.coreSwitchIn(0, 0, 0);
-    p.opSet(0, 2, 20);
-    p.lockWait(0, 0x7, 0, 0, 30);
+    feed(p, {NoteKind::OpSet, {2}}, 0, 20);
+    feed(p, {NoteKind::LockWait, {0, 0x7, 0, 0}}, 0, 30);
     p.coreSwitchIn(1, 0, 40);
-    p.commitJoin(1, 80);
+    feed(p, {NoteKind::CommitJoin, {1}}, 1, 80);
     p.coreSwitchIn(0, 1, 90);
-    p.lockAcquired(0, 0x7, 9, 90);
-    p.commitBatch(1, 2, 110);
-    p.txAborted(33);
+    feed(p, {NoteKind::LockAcquired, {0, 0x7, 1}}, 0, 90, 9);
+    feed(p, {NoteKind::CommitBatch, {1, 2}}, 0, 110);
+    abortTx(p, 33);
 
     StatsRegistry a;
-    p.exportInto(a, 140);
-    p.exportInto(a, 140); // same clock: every value reassigned equal
+    p.exportInto(a, 140, true);
+    p.exportInto(a, 140, true); // same clock: every value reassigned equal
     StatsRegistry b;
-    p.exportInto(b, 140);
+    p.exportInto(b, 140, true);
     EXPECT_EQ(dumpAll(a), dumpAll(b));
 }
 
@@ -191,12 +222,13 @@ TEST(Contention, AbortAndDeadlockCounters)
 {
     ContentionProfiler p;
     p.coreSwitchIn(0, 0, 0);
-    p.txAborted(40);
-    p.txAborted(60);
-    p.lockWait(0, 0x9, 1, 3, 10);
-    p.lockDeadlock(0, 0x9, 55); // aborted wait still charges 45
+    abortTx(p, 40);
+    abortTx(p, 60);
+    feed(p, {NoteKind::LockWait, {0, 0x9, 1, 3}}, 0, 10);
+    // The aborted wait still charges 45.
+    feed(p, {NoteKind::LockDeadlock, {0, 0x9}}, 0, 55);
     StatsRegistry reg;
-    p.exportInto(reg, 100);
+    p.exportInto(reg, 100, true);
     EXPECT_EQ(reg.get("tx.abort.count"), 2u);
     EXPECT_EQ(reg.get("tx.abort.wasted_total"), 100u);
     EXPECT_EQ(reg.get("lock.deadlock_victims"), 1u);

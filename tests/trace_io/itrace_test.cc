@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the poat-itrace format (v6): recorder / replayer
- * roundtrips, dep-tag canonicalization, the word-wise record hash, and
- * the required failure modes (every malformed file must raise
- * std::runtime_error with a descriptive message, never UB).
+ * roundtrips of every event and note, dep-tag canonicalization, the
+ * word-wise record hash, and the required failure modes (every
+ * malformed file must raise std::runtime_error with a descriptive
+ * message, never UB).
  */
 #include <gtest/gtest.h>
 
@@ -115,6 +116,15 @@ class JournalSink : public TraceSink
     void swTranslateBegin() override { add("swTranslateBegin"); }
     void swTranslateEnd() override { add("swTranslateEnd"); }
 
+    void
+    note(const Note &n) override
+    {
+        std::string s = "note " + std::to_string(static_cast<int>(n.kind));
+        for (const uint64_t a : n.arg)
+            s += " " + std::to_string(a);
+        add(s + " '" + std::string(n.name) + "'");
+    }
+
   private:
     void add(std::string s) { lines.push_back(std::move(s)); }
 
@@ -154,6 +164,11 @@ void
 runScenario(TraceSink &sink)
 {
     sink.poolMapped(1, 0x7000'0000'0000ull, 1 << 20);
+    sink.note(Note::opName(5, "new_order"));
+    sink.note({NoteKind::OpSet, {5}});
+    sink.note({NoteKind::TxBegin, {1, 5}});
+    sink.note({NoteKind::LockWait, {3, 0xfeed'beef'cafeull, 1, 2}});
+    sink.note({NoteKind::LockAcquired, {3, 0xfeed'beef'cafeull, 1}});
     sink.alu(3, kNoDep);
     const uint64_t a = sink.load(0x1000, kNoDep, kNoDep);
     const uint64_t b = sink.load(0x2000, a, kNoDep);
@@ -169,10 +184,20 @@ runScenario(TraceSink &sink)
     sink.alu(2, d);
     sink.swTranslateEnd();
     sink.fence();
+    sink.note({NoteKind::CommitJoin, {3}});
+    sink.note({NoteKind::CommitBatch, {4, 3}});
+    sink.note({NoteKind::TxCommit, {1}});
+    sink.note({NoteKind::LockReleased, {3, 0xfeed'beef'cafeull}});
+    sink.note({NoteKind::TxBegin, {1, 0}});
+    sink.note({NoteKind::LockDeadlock, {2, 77}});
+    sink.note({NoteKind::TxAbort, {1}});
+    sink.note({NoteKind::WorkerDone, {3}});
     sink.poolUnmapped(1);
 }
 
-constexpr uint64_t kScenarioEvents = 17;
+/** Events runScenario emits: 17 typed events and one note of each kind
+ *  (TxBegin twice). */
+constexpr uint64_t kScenarioEvents = 30;
 
 TEST(Recorder, RoundtripPreservesEventsAndDeps)
 {
@@ -520,6 +545,17 @@ TEST(Varint, OverlongEncodingThrows)
         records.append(run, '\x80');
         expectReplayError(rawTrace(records, 1), "varint exceeds 64 bits");
     }
+}
+
+TEST(Replayer, MalformedNoteRecordsThrow)
+{
+    // An OpName whose name runs past the end of the record region.
+    std::string records(1, static_cast<char>(EventKind::OpName));
+    records += "\x01\x09new"; // op 1, a 9-byte name, 3 bytes of it
+    expectReplayError(rawTrace(records, 1), "truncated opName record");
+    // A kind byte past the last record kind.
+    expectReplayError(rawTrace(std::string(1, '\x1b'), 1),
+                      "unknown record kind 27");
 }
 
 TEST(ItraceV6, RecordHashIsWordwiseFnv1a)

@@ -8,7 +8,8 @@
  * count, sidecar profile size), a per-event-kind record census, and —
  * with --head=N — the first N records in a readable one-per-line form.
  * Dep operands print as canonical load sequence numbers, exactly as
- * they are stored in the file (0 = no dependence).
+ * they are stored in the file (0 = no dependence). A note prints its
+ * operands in record order (an OpName its op and name).
  */
 #include <cinttypes>
 #include <cstdio>
@@ -158,44 +159,28 @@ class DumpSink : public TraceSink
     }
 
     void
-    txBegin(uint32_t pool_id, uint32_t op) override
-    {
-        row(trace_io::EventKind::TxBegin);
-        if (printing())
-            std::printf(" pool=%" PRIu32 " op=%" PRIu32 "\n", pool_id,
-                        op);
-    }
-
-    void
-    txCommit(uint32_t pool_id) override
-    {
-        row(trace_io::EventKind::TxCommit);
-        if (printing())
-            std::printf(" pool=%" PRIu32 "\n", pool_id);
-    }
-
-    void
-    txAbort(uint32_t pool_id) override
-    {
-        row(trace_io::EventKind::TxAbort);
-        if (printing())
-            std::printf(" pool=%" PRIu32 "\n", pool_id);
-    }
-
-    void
-    opName(uint32_t op, const char *name) override
-    {
-        row(trace_io::EventKind::OpName);
-        if (printing())
-            std::printf(" op=%" PRIu32 " name=%s\n", op, name);
-    }
-
-    void
     coreSwitch(uint32_t core) override
     {
         row(trace_io::EventKind::CoreSwitch);
         if (printing())
             std::printf(" core=%" PRIu32 "\n", core);
+    }
+
+    void
+    note(const Note &n) override
+    {
+        const auto kind = static_cast<uint8_t>(n.kind);
+        row(static_cast<trace_io::EventKind>(kind));
+        if (!printing())
+            return;
+        if (n.kind == NoteKind::OpName) {
+            std::printf(" op=%" PRIu64 " name=%.*s\n", n.arg[0],
+                        static_cast<int>(n.name.size()), n.name.data());
+            return;
+        }
+        for (uint8_t i = 0; i < trace_io::kOperandCount[kind]; ++i)
+            std::printf(" %" PRIu64, n.arg[i]);
+        std::printf("\n");
     }
 
   private:
