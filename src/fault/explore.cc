@@ -11,30 +11,185 @@
 namespace poat {
 namespace fault {
 
-using detail::checkEventContract;
-using detail::checkRecovered;
 using detail::choosePoints;
-using detail::kNoExpectedEvents;
-using detail::runSteps;
-using detail::StepWindow;
+using detail::CrashPoint;
+using detail::Recording;
+using detail::TrialRun;
+using detail::TrialStats;
+using detail::WriteBackEvent;
 
 namespace {
 
-/** Counters one trial contributes; aggregated after the fan-out. */
-struct TrialStats
+/**
+ * The recording hook: appends every durability event with the line
+ * bytes its write-back persists and the current phase, and forwards to
+ * DrainProbe's batch grouping. Non-interfering: every write-back
+ * proceeds.
+ */
+class StreamRecorder final : public DurabilityHook
 {
-    uint64_t crashes_injected = 0;
-    uint64_t undo_entries_rolled_back = 0;
-    uint64_t frees_redone = 0;
-    uint64_t blocks_leaked = 0;
-    uint64_t recovery_events = 0; ///< M_k (outer trials only)
-    uint64_t trials = 0;
-    uint64_t recovery_trials = 0;
-    uint64_t reorder_states = 0;
-    uint64_t torn_states = 0;
-    uint64_t max_depth = 0;
-    std::vector<Failure> failures;
+  public:
+    explicit StreamRecorder(std::vector<WriteBackEvent> &out) : out_(out) {}
+
+    /** Attribute later events to step @p step (or its eviction pass). */
+    void
+    enter(uint64_t step, bool evict_pass)
+    {
+        step_ = step;
+        evictPass_ = evict_pass;
+    }
+
+    bool
+    onWriteBack(Pool &pool, uint32_t line, WriteBackCause cause) override
+    {
+        WriteBackEvent &e = out_.emplace_back();
+        e.pool_id = pool.id();
+        e.line = line;
+        e.step = step_;
+        e.evict_pass = evictPass_;
+        e.cause = cause;
+        const uint64_t base = static_cast<uint64_t>(line) * kLineSize;
+        pool.readRaw(static_cast<uint32_t>(base), e.bytes.data(),
+                     std::min<uint64_t>(kLineSize, pool.size() - base));
+        return probe_.onWriteBack(pool, line, cause);
+    }
+
+    void
+    onFenceDrainBegin(Pool &pool,
+                      const std::vector<uint32_t> &pending) override
+    {
+        probe_.onFenceDrainBegin(pool, pending);
+    }
+
+    const std::vector<DrainBatch> &batches() const
+    {
+        return probe_.batches();
+    }
+
+  private:
+    std::vector<WriteBackEvent> &out_;
+    DrainProbe probe_;
+    uint64_t step_ = 0;
+    bool evictPass_ = false;
 };
+
+/**
+ * Step one from the recording: persist the events the crash point lets
+ * through (see crashRun) and attribute the first event not persisted
+ * whole to its phase.
+ */
+CrashPoint
+crashFromStream(PmemRuntime &rt, const Recording &rec, uint64_t steps,
+                uint64_t k, const std::vector<uint8_t> *drain)
+{
+    const uint64_t total = rec.events.size();
+    auto persist = [&](uint64_t i, uint8_t mask) {
+        const WriteBackEvent &e = rec.events[i];
+        OpenPool *op = rt.registry().find(e.pool_id);
+        if (op == nullptr) {
+            throw std::runtime_error(
+                "durability-event contract violated: recorded event " +
+                std::to_string(i) + " writes back pool " +
+                std::to_string(e.pool_id) +
+                ", which the workload's setup did not create");
+        }
+        op->pool.persistLineWords(e.line, e.bytes.data(), mask);
+    };
+    for (uint64_t i = 0; i < std::min(k, total); ++i)
+        persist(i, DurabilityHook::kFullLineMask);
+    const uint64_t n_masks = drain != nullptr ? drain->size() : 0;
+    uint64_t broken = k + n_masks; // first event not persisted whole
+    for (uint64_t r = 0; r < n_masks && k + r < total; ++r) {
+        const uint8_t mask = (*drain)[r];
+        if (mask != DurabilityHook::kFullLineMask)
+            broken = std::min(broken, k + r);
+        if (mask != 0)
+            persist(k + r, mask);
+    }
+
+    CrashPoint cp;
+    cp.fired = broken < total;
+    cp.window = {steps, steps};
+    if (cp.fired) {
+        const WriteBackEvent &e = rec.events[broken];
+        cp.window = e.evict_pass ? detail::StepWindow{e.step + 1, e.step + 1}
+                                 : detail::StepWindow{e.step, e.step + 1};
+    }
+    cp.events = total;
+    cp.diag = rec.diag;
+    rt.registry().crashAll();
+    return cp;
+}
+
+/**
+ * Step one by re-execution: run every step under the crash hook,
+ * attributing the first suppressed or torn write-back to the step (or
+ * eviction pass) it fired in.
+ */
+CrashPoint
+crashByReexecution(TrialRun &run, const ExploreOptions &opts, uint64_t k,
+                   const std::vector<uint8_t> *drain)
+{
+    CrashAtEvent prefix_hook(k);
+    CrashWithDrain drain_hook(k, drain != nullptr
+                                     ? *drain
+                                     : std::vector<uint8_t>{});
+    CrashHook &hook = drain != nullptr
+        ? static_cast<CrashHook &>(drain_hook)
+        : static_cast<CrashHook &>(prefix_hook);
+    run.rt.registry().setDurabilityHook(&hook);
+    CrashPoint cp;
+    cp.window = {opts.steps, opts.steps};
+    Rng evict_rng(detail::evictSeed(opts));
+    bool attributed = false;
+    for (uint64_t i = 0; i < opts.steps; ++i) {
+        run.driver->step(run.rt, i);
+        if (!attributed && hook.fired()) {
+            cp.window = {i, i + 1};
+            attributed = true;
+        }
+        detail::maybeEvict(run.rt, evict_rng, opts);
+        if (!attributed && hook.fired()) {
+            cp.window = {i + 1, i + 1};
+            attributed = true;
+        }
+    }
+    run.rt.registry().setDurabilityHook(nullptr);
+    cp.fired = hook.fired();
+    cp.events = hook.observed();
+    cp.diag = run.driver->diagnostics();
+    run.rt.registry().crashAll();
+    return cp;
+}
+
+/**
+ * Payload offsets of the blocks @p pool's crashed working image holds
+ * allocated, by a read-only walk of the heap's header chain: the block
+ * set recovery's allocator rescan will find. The allocator's free list
+ * cannot answer this — crashAll() does not rescan it, so it describes
+ * whichever run built the image — and a rescan here would run its
+ * self-healing write-backs and shift the in-recovery crash indices.
+ * The walk stops at the first header it cannot trust; recovery
+ * diagnoses such an image itself.
+ */
+std::vector<uint32_t>
+allocatedInImage(const Pool &pool)
+{
+    const PoolHeader &ph = pool.header();
+    const uint32_t heap_end = ph.heap_off + ph.heap_size;
+    std::vector<uint32_t> out;
+    uint32_t off = ph.heap_off;
+    while (off + sizeof(BlockHeader) <= heap_end) {
+        const BlockHeader h = pool.readAs<BlockHeader>(off);
+        if (!h.crcValid() || h.size < PoolAllocator::kMinBlock ||
+            h.size > heap_end - off)
+            break;
+        if (h.allocated())
+            out.push_back(off + static_cast<uint32_t>(sizeof(BlockHeader)));
+        off += h.size;
+    }
+    return out;
+}
 
 /**
  * In-recovery crash-point sampling seed for the level after @p stack.
@@ -53,35 +208,17 @@ innerSeed(const ExploreOptions &opts, uint64_t k,
 }
 
 /**
- * One complete crash trial: run the workload and freeze the durable
- * image at event k — either the plain prefix freeze or, when @p drain
- * is non-null, a CrashWithDrain over the batch starting at k (subset /
- * torn-line reorder state). Then crash, recover, crash the recovery
- * stack level by level per @p stack, recover fully, and check every
- * invariant — including that recovering a second time changes nothing.
- *
- * @param expected_events Profile-pass event total; every trial must
- *        observe exactly this many durability events (see
- *        checkEventContract) or the whole exploration aborts. Pass
- *        kNoExpectedEvents on the replay path, which has no profile.
- * @return the number of durability events the final (fully completing)
- *         recovery emitted — the crash-point space one level below
- *         @p stack.
+ * Step two of a crash trial, whichever source built the crashed image:
+ * scrub, inspect the logs, crash the recovery stack, recover, check
+ * every invariant, and recover again for idempotence (see runTrial).
  */
 uint64_t
-runTrial(const ExploreOptions &opts, uint64_t k,
-         const std::vector<uint64_t> &stack,
-         const std::vector<uint8_t> *drain, uint64_t expected_events,
-         TrialStats &ts)
+checkCrashed(const ExploreOptions &opts, uint64_t k,
+             const std::vector<uint64_t> &stack,
+             const std::vector<uint8_t> *drain, TrialRun &run,
+             const CrashPoint &cp, TrialStats &ts)
 {
-    PmemRuntime rt(detail::trialRuntimeOptions(opts));
-    if (opts.strict)
-        rt.registry().setDurabilityPolicy(DurabilityPolicy::Strict);
-    std::unique_ptr<workloads::CrashDriver> driver =
-        workloads::makeCrashDriver(opts.workload, opts.steps, opts.seed,
-                                   opts.threads, opts.sched_seed);
-    driver->setup(rt);
-
+    PmemRuntime &rt = run.rt;
     if (drain != nullptr) {
         ++ts.reorder_states;
         const bool torn =
@@ -96,6 +233,8 @@ runTrial(const ExploreOptions &opts, uint64_t k,
         ++ts.recovery_trials;
     }
     ts.max_depth = std::max<uint64_t>(ts.max_depth, stack.size());
+    if (cp.fired)
+        ++ts.crashes_injected;
 
     auto fail = [&](const std::string &why) {
         Failure f;
@@ -112,25 +251,9 @@ runTrial(const ExploreOptions &opts, uint64_t k,
         f.sched_seed = opts.sched_seed;
         f.threads = opts.threads;
         f.why = why;
-        f.diag = driver->diagnostics();
+        f.diag = cp.diag;
         ts.failures.push_back(std::move(f));
     };
-
-    CrashAtEvent prefix_hook(k);
-    CrashWithDrain drain_hook(k, drain != nullptr
-                                     ? *drain
-                                     : std::vector<uint8_t>{});
-    CrashHook &crash_hook =
-        drain != nullptr ? static_cast<CrashHook &>(drain_hook)
-                         : static_cast<CrashHook &>(prefix_hook);
-    rt.registry().setDurabilityHook(&crash_hook);
-    const StepWindow w = runSteps(rt, *driver, opts, crash_hook);
-    rt.registry().setDurabilityHook(nullptr);
-    checkEventContract(crash_hook.observed(), expected_events);
-    if (crash_hook.fired())
-        ++ts.crashes_injected;
-
-    rt.registry().crashAll();
 
     // Recovery's own first step is the scrub pass (see recoverAll), so
     // the legality walk below must inspect the image recovery will
@@ -162,9 +285,12 @@ runTrial(const ExploreOptions &opts, uint64_t k,
                 if (st == LogHeader::kActive) {
                     ts.undo_entries_rolled_back += log.records().size();
                 } else if (st == LogHeader::kCommitting) {
+                    const std::vector<uint32_t> live =
+                        allocatedInImage(op.pool);
                     for (const UndoLog::Record &r : log.records()) {
                         if (r.type == LogEntryHeader::kFree &&
-                            op.alloc.isAllocated(r.target_off))
+                            std::binary_search(live.begin(), live.end(),
+                                               r.target_off))
                             ++ts.frees_redone;
                     }
                 }
@@ -209,7 +335,8 @@ runTrial(const ExploreOptions &opts, uint64_t k,
     rt.registry().setDurabilityHook(nullptr);
 
     std::string why;
-    if (!checkRecovered(rt, *driver, w, &ts.blocks_leaked, &why)) {
+    if (!detail::checkRecovered(rt, *run.driver, cp.window,
+                                &ts.blocks_leaked, &why)) {
         fail(why);
         return recovery_counter.total();
     }
@@ -223,9 +350,31 @@ runTrial(const ExploreOptions &opts, uint64_t k,
         return recovery_counter.total();
     }
     uint64_t dummy_leaked = 0;
-    if (!checkRecovered(rt, *driver, w, &dummy_leaked, &why))
+    if (!detail::checkRecovered(rt, *run.driver, cp.window, &dummy_leaked,
+                                &why))
         fail("after second recovery: " + why);
     return recovery_counter.total();
+}
+
+/** One recording pass (see detail::Recording). */
+Recording
+recordOnce(const ExploreOptions &opts)
+{
+    TrialRun run(opts);
+    Recording rec;
+    StreamRecorder hook(rec.events);
+    run.rt.registry().setDurabilityHook(&hook);
+    Rng evict_rng(detail::evictSeed(opts));
+    for (uint64_t i = 0; i < opts.steps; ++i) {
+        hook.enter(i, false);
+        run.driver->step(run.rt, i);
+        hook.enter(i, true);
+        detail::maybeEvict(run.rt, evict_rng, opts);
+    }
+    run.rt.registry().setDurabilityHook(nullptr);
+    rec.batches = hook.batches();
+    rec.diag = run.driver->diagnostics();
+    return rec;
 }
 
 /**
@@ -236,7 +385,7 @@ runTrial(const ExploreOptions &opts, uint64_t k,
 void
 expandRecoveryCrashes(const ExploreOptions &opts, uint64_t k,
                       const std::vector<uint64_t> &stack, uint64_t events,
-                      uint64_t expected_events, TrialStats &ts)
+                      const Recording &rec, TrialStats &ts)
 {
     if (stack.size() >= opts.depth || events == 0)
         return;
@@ -246,12 +395,63 @@ expandRecoveryCrashes(const ExploreOptions &opts, uint64_t k,
         std::vector<uint64_t> next = stack;
         next.push_back(j);
         const uint64_t m =
-            runTrial(opts, k, next, nullptr, expected_events, ts);
-        expandRecoveryCrashes(opts, k, next, m, expected_events, ts);
+            detail::runTrial(opts, k, next, nullptr, &rec, ts);
+        expandRecoveryCrashes(opts, k, next, m, rec, ts);
     }
 }
 
 } // namespace
+
+namespace detail {
+
+void
+checkEventContract(const Recording &first, const Recording &second)
+{
+    if (first.events == second.events)
+        return;
+    const auto diff =
+        std::mismatch(first.events.begin(), first.events.end(),
+                      second.events.begin(), second.events.end());
+    throw std::runtime_error(
+        "durability-event contract violated: one recording counted " +
+        std::to_string(first.events.size()) + " events, the other " +
+        std::to_string(second.events.size()) +
+        ", first differing at event " +
+        std::to_string(diff.first - first.events.begin()) +
+        " — the workload is nondeterministic under the hook");
+}
+
+Recording
+recordStream(const ExploreOptions &opts)
+{
+    Recording recs[2];
+    driver::runTasks(2, opts.jobs,
+                     [&](size_t i) { recs[i] = recordOnce(opts); });
+    checkEventContract(recs[0], recs[1]);
+    return std::move(recs[0]);
+}
+
+CrashPoint
+crashRun(TrialRun &run, const ExploreOptions &opts, uint64_t k,
+         const std::vector<uint8_t> *drain, const Recording *rec)
+{
+    return rec != nullptr
+        ? crashFromStream(run.rt, *rec, opts.steps, k, drain)
+        : crashByReexecution(run, opts, k, drain);
+}
+
+uint64_t
+runTrial(const ExploreOptions &opts, uint64_t k,
+         const std::vector<uint64_t> &stack,
+         const std::vector<uint8_t> *drain, const Recording *rec,
+         TrialStats &ts)
+{
+    TrialRun run(opts);
+    const CrashPoint cp = crashRun(run, opts, k, drain, rec);
+    return checkCrashed(opts, k, stack, drain, run, cp, ts);
+}
+
+} // namespace detail
 
 std::string
 Failure::repro() const
@@ -305,29 +505,12 @@ explore(const ExploreOptions &opts)
 {
     ExploreReport report;
 
-    // ---- profile pass: count the durability events ------------------
-    {
-        PmemRuntime rt(detail::trialRuntimeOptions(opts));
-        if (opts.strict)
-            rt.registry().setDurabilityPolicy(DurabilityPolicy::Strict);
-        std::unique_ptr<workloads::CrashDriver> driver =
-            workloads::makeCrashDriver(opts.workload, opts.steps,
-                                       opts.seed, opts.threads,
-                                       opts.sched_seed);
-        driver->setup(rt);
-        EventCounter counter;
-        rt.registry().setDurabilityHook(&counter);
-        Rng evict_rng(detail::evictSeed(opts));
-        for (uint64_t i = 0; i < opts.steps; ++i) {
-            driver->step(rt, i);
-            detail::maybeEvict(rt, evict_rng, opts);
-        }
-        rt.registry().setDurabilityHook(nullptr);
-        report.total_events = counter.total();
-        report.clwb_events = counter.count(WriteBackCause::Clwb);
-        report.fence_events = counter.count(WriteBackCause::Fence);
-        report.evict_events = counter.count(WriteBackCause::Evict);
-    }
+    // ---- recording pass: the durability-event stream, twice ----------
+    const Recording rec = detail::recordStream(opts);
+    report.total_events = rec.events.size();
+    report.clwb_events = rec.count(WriteBackCause::Clwb);
+    report.fence_events = rec.count(WriteBackCause::Fence);
+    report.evict_events = rec.count(WriteBackCause::Evict);
 
     // ---- outer fan-out ----------------------------------------------
     const uint64_t depth = opts.in_recovery ? opts.depth : 0;
@@ -340,41 +523,17 @@ explore(const ExploreOptions &opts)
     driver::runTasks(ks.size(), opts.jobs, [&](size_t idx) {
         TrialStats &ts = slots[idx];
         const uint64_t k = ks[idx];
-        const uint64_t recovery_events = runTrial(
-            trial_opts, k, {}, nullptr, report.total_events, ts);
-        ts.recovery_events = recovery_events;
+        const uint64_t recovery_events =
+            detail::runTrial(trial_opts, k, {}, nullptr, &rec, ts);
         // In-recovery crash stacks below this k, up to `depth` levels.
-        expandRecoveryCrashes(trial_opts, k, {}, recovery_events,
-                              report.total_events, ts);
+        expandRecoveryCrashes(trial_opts, k, {}, recovery_events, rec, ts);
     });
 
     // ---- reorder fan-out (drain subsets and torn lines) -------------
     std::vector<TrialStats> rslots;
     if (opts.reorder) {
-        // Probe pass: group the identical event stream into batches.
-        DrainProbe probe;
-        {
-            PmemRuntime rt(detail::trialRuntimeOptions(opts));
-            if (opts.strict)
-                rt.registry().setDurabilityPolicy(
-                    DurabilityPolicy::Strict);
-            std::unique_ptr<workloads::CrashDriver> driver =
-                workloads::makeCrashDriver(opts.workload, opts.steps,
-                                           opts.seed, opts.threads,
-                                           opts.sched_seed);
-            driver->setup(rt);
-            rt.registry().setDurabilityHook(&probe);
-            Rng evict_rng(detail::evictSeed(opts));
-            for (uint64_t i = 0; i < opts.steps; ++i) {
-                driver->step(rt, i);
-                detail::maybeEvict(rt, evict_rng, opts);
-            }
-            rt.registry().setDurabilityHook(nullptr);
-        }
-        checkEventContract(probe.total(), report.total_events);
-
         // When crash points are sampled, sample batches the same way.
-        const std::vector<DrainBatch> &batches = probe.batches();
+        const std::vector<DrainBatch> &batches = rec.batches;
         const std::vector<uint64_t> bidx = choosePoints(
             batches.size(), opts.sample,
             opts.seed + 0x2545f4914f6cdd1dull);
@@ -398,9 +557,8 @@ explore(const ExploreOptions &opts)
             // Reorder trials do not recurse into recovery: the subset
             // space is already a per-batch multiplier, and the
             // recovery-crash dimension is covered by the prefix trials.
-            runTrial(trial_opts, plans[idx].start, {},
-                     &plans[idx].masks, report.total_events,
-                     rslots[idx]);
+            detail::runTrial(trial_opts, plans[idx].start, {},
+                             &plans[idx].masks, &rec, rslots[idx]);
         });
     }
 
@@ -545,9 +703,10 @@ replayRepro(const std::string &repro, const ExploreOptions &base)
         return replayMediaTrial(opts, k, media);
     }
 
+    // Re-execution: the reference path, independent of any recording.
     TrialStats ts;
-    runTrial(opts, k, stack, drain.empty() ? nullptr : &drain,
-             kNoExpectedEvents, ts);
+    detail::runTrial(opts, k, stack, drain.empty() ? nullptr : &drain,
+                     nullptr, ts);
     return ts.failures;
 }
 

@@ -5,13 +5,18 @@
  * The explorer answers "does recovery work from EVERY possible crash
  * point of this workload?" by construction instead of by luck:
  *
- *  1. Profile pass: run the workload once with an EventCounter hook and
- *     count its durability events (64-byte line write-backs) — the
- *     complete set of instants at which a power failure could leave a
- *     distinct durable image.
- *  2. Exploration: for each chosen event index k, re-run the workload
- *     with a CrashAtEvent(k) hook (freeze semantics, see injector.h),
- *     simulate the power failure, recover, and check every invariant:
+ *  1. Recording pass: run the workload and record its durability
+ *     events (64-byte line write-backs, with the bytes each persists
+ *     and the step it fired in) — the complete set of instants at which
+ *     a power failure could leave a distinct durable image. The pass
+ *     runs twice and the two streams must be identical (the event
+ *     contract, fault/trial.h), so a nondeterministic workload fails
+ *     fast instead of misplacing crash points.
+ *  2. Exploration: for each chosen event index k, set the workload up
+ *     in a fresh runtime and persist recorded events [0, k) — the image
+ *     a CrashAtEvent(k) run would freeze (freeze semantics, see
+ *     injector.h) without re-running the workload — simulate the power
+ *     failure, recover, and check every invariant:
  *       - atomicity: the recovered state equals the volatile model
  *         after exactly s or s+1 completed steps, where s is the step
  *         the crash point landed in (per-workload verifiers, see
@@ -28,9 +33,9 @@
  *     the recovery of THAT crash at j2, and so on, then recovers fully
  *     and re-checks all invariants. depth = 0 disables in-recovery
  *     crashes; the historic one-level behaviour is depth = 1.
- *  4. Reorder states (opt-in, see fault/reorder.h): a probe pass groups
- *     the event stream into drain batches; each batch gets
- *     CrashWithDrain trials persisting proper subsets of the batch
+ *  4. Reorder states (opt-in, see fault/reorder.h): the recording
+ *     groups the event stream into drain batches; each batch gets
+ *     CrashWithDrain-image trials persisting proper subsets of the batch
  *     (exhaustive up to `drain_bound`, seeded-sampled beyond) plus
  *     torn-line states that persist only a prefix/suffix of one line's
  *     8-byte words. Under --strict the workload runs with the Strict
@@ -48,7 +53,9 @@
  * two digits per batch event), the Strict policy flag, the scheduler
  * seed and engine workers, the media-fault index (see fault/media.h),
  * and the eviction schedule, so no out-of-band options are needed to
- * replay a sampled run.
+ * replay a sampled run. A replayed trial re-executes the workload under
+ * the crash hook instead of reading a recording: it is the reference
+ * the recorded trials are checked against.
  */
 #ifndef POAT_FAULT_EXPLORE_H
 #define POAT_FAULT_EXPLORE_H
@@ -222,7 +229,7 @@ struct Failure
 /** Outcome of an exploration. */
 struct ExploreReport
 {
-    uint64_t total_events = 0;    ///< durability events in the profile pass
+    uint64_t total_events = 0;    ///< durability events of the recording
     uint64_t clwb_events = 0;     ///< ... caused by CLWB
     uint64_t fence_events = 0;    ///< ... caused by fences (Strict)
     uint64_t evict_events = 0;    ///< ... caused by forced eviction
@@ -244,7 +251,7 @@ struct ExploreReport
 };
 
 /**
- * Profile then explore per the options; deterministic for fixed
+ * Record then explore per the options; deterministic for fixed
  * options within one build. Workload or driver errors (as opposed to
  * invariant violations) propagate as exceptions.
  */

@@ -6,12 +6,19 @@
  * pmem/pool.h). The model is *freeze semantics*: a suppressed
  * write-back drops only the durable copy of the line — every piece of
  * volatile bookkeeping proceeds unchanged — so the program's execution
- * after the crash point is bit-identical to an uninjected run. The
- * explorer lets the workload run to completion, then simulates the
- * power failure (crashAll) and recovers from the frozen durable image.
- * That turns "crash at instruction X" into a deterministic, replayable
- * experiment: the durable image equals what real hardware would hold
- * had the power failed right before event k.
+ * after the crash point is bit-identical to an uninjected run. A hooked
+ * run goes on to completion, then simulates the power failure
+ * (crashAll) and recovers from the frozen durable image. That turns
+ * "crash at instruction X" into a deterministic, replayable experiment:
+ * the durable image equals what real hardware would hold had the power
+ * failed right before event k.
+ *
+ * The same property lets one recorded uninjected run stand in for all
+ * of them: the image frozen at k is the setup image plus the first k
+ * write-backs of the recorded stream, which is how the explorers build
+ * their trials (fault/trial.h). The hooks below remain the reference
+ * for that (--repro and the differential test re-execute under them),
+ * and they still crash the recoveries of in-recovery trials.
  *
  * Two crash hooks cover two shapes of failure:
  *
@@ -23,9 +30,9 @@
  *    staged lines a real power failure lets reach media, including a
  *    line torn at 8-byte-word granularity mid-write-back.
  *
- * Both count every durability event they observe (observed()), which
- * the explorer checks against the profile pass so a nondeterministic
- * workload cannot silently truncate the crash-point space.
+ * Both count every durability event they observe (observed()); the
+ * differential test requires a re-executed trial to observe exactly
+ * the recorded stream's count.
  */
 #ifndef POAT_FAULT_INJECTOR_H
 #define POAT_FAULT_INJECTOR_H

@@ -12,21 +12,20 @@ namespace poat {
 namespace fault {
 
 using detail::checkRecovered;
-using detail::runSteps;
-using detail::StepWindow;
+using detail::CrashPoint;
+using detail::MediaTrialStats;
+using detail::Recording;
+using detail::TrialRun;
 
 namespace {
 
-/** Counters one media trial contributes; aggregated after the fan-out. */
-struct MediaTrialStats
+/** Media trials run under the Eager policy, whatever @p opts says. */
+ExploreOptions
+eagerOptions(ExploreOptions opts)
 {
-    uint64_t trials = 0;
-    uint64_t injected = 0;
-    uint64_t repaired = 0;
-    uint64_t diagnosed = 0;
-    uint64_t benign = 0;
-    std::vector<Failure> failures;
-};
+    opts.strict = false;
+    return opts;
+}
 
 /**
  * Seed for the injection RNG of fault f at crash point k: every random
@@ -138,19 +137,16 @@ siteAllowed(const MediaSite &site, const MediaOptions &opts)
 }
 
 /**
- * One media trial: run to crash point k, inject the fault(s) in @p spec
- * into the frozen durable image, recover, and classify the outcome
- * (repaired / benign / diagnosed / Failure). See media.h.
+ * Step two of a media trial, whichever source built the crashed image:
+ * inject the fault(s) in @p spec, recover, and classify (see
+ * runMediaTrial).
  */
 void
-runMediaTrial(const ExploreOptions &opts, uint64_t k,
-              const std::string &spec, MediaTrialStats &ts)
+checkMediaTrial(const ExploreOptions &opts, uint64_t k,
+                const std::string &spec, TrialRun &run,
+                const CrashPoint &cp, MediaTrialStats &ts)
 {
-    PmemRuntime rt(detail::trialRuntimeOptions(opts));
-    std::unique_ptr<workloads::CrashDriver> driver =
-        workloads::makeCrashDriver(opts.workload, opts.steps, opts.seed,
-                                   opts.threads, opts.sched_seed);
-    driver->setup(rt);
+    PmemRuntime &rt = run.rt;
     ++ts.trials;
 
     auto fail = [&](const std::string &why) {
@@ -167,12 +163,6 @@ runMediaTrial(const ExploreOptions &opts, uint64_t k,
         f.why = why;
         ts.failures.push_back(std::move(f));
     };
-
-    CrashAtEvent crash_hook(k);
-    rt.registry().setDurabilityHook(&crash_hook);
-    const StepWindow w = runSteps(rt, *driver, opts, crash_hook);
-    rt.registry().setDurabilityHook(nullptr);
-    rt.registry().crashAll();
 
     // Enumerate on the uncorrupted image, then corrupt the durable copy
     // and crash again so the working image sees it, as a reboot would.
@@ -206,7 +196,7 @@ runMediaTrial(const ExploreOptions &opts, uint64_t k,
 
     uint64_t leaked = 0;
     std::string why;
-    if (!checkRecovered(rt, *driver, w, &leaked, &why)) {
+    if (!checkRecovered(rt, *run.driver, cp.window, &leaked, &why)) {
         fail("after media fault: " + why);
         return;
     }
@@ -219,7 +209,7 @@ runMediaTrial(const ExploreOptions &opts, uint64_t k,
              e.what());
         return;
     }
-    if (!checkRecovered(rt, *driver, w, &leaked, &why))
+    if (!checkRecovered(rt, *run.driver, cp.window, &leaked, &why))
         fail("after second recovery: " + why);
 }
 
@@ -297,24 +287,10 @@ exploreMedia(const MediaOptions &opts)
 {
     MediaReport report;
 
-    // ---- profile pass: count the durability events ------------------
-    {
-        PmemRuntime rt(detail::trialRuntimeOptions(opts.base));
-        std::unique_ptr<workloads::CrashDriver> driver =
-            workloads::makeCrashDriver(
-                opts.base.workload, opts.base.steps, opts.base.seed,
-                opts.base.threads, opts.base.sched_seed);
-        driver->setup(rt);
-        EventCounter counter;
-        rt.registry().setDurabilityHook(&counter);
-        Rng evict_rng(detail::evictSeed(opts.base));
-        for (uint64_t i = 0; i < opts.base.steps; ++i) {
-            driver->step(rt, i);
-            detail::maybeEvict(rt, evict_rng, opts.base);
-        }
-        rt.registry().setDurabilityHook(nullptr);
-        report.total_events = counter.total();
-    }
+    // ---- recording pass: the durability-event stream, twice ----------
+    const ExploreOptions base = eagerOptions(opts.base);
+    const Recording rec = detail::recordStream(base);
+    report.total_events = rec.events.size();
 
     // ---- crash points -----------------------------------------------
     const uint64_t T = report.total_events;
@@ -333,7 +309,7 @@ exploreMedia(const MediaOptions &opts)
     report.points = points.size();
 
     // ---- per-point fault selection ----------------------------------
-    // One clean (uninjected) pass per point enumerates the site table;
+    // One clean (uninjected) image per point enumerates the site table;
     // the fault index space is over ALL sites so reproducers do not
     // depend on the filters below.
     struct Trial
@@ -343,20 +319,10 @@ exploreMedia(const MediaOptions &opts)
     };
     std::vector<Trial> trials;
     for (uint64_t k : points) {
-        PmemRuntime rt(detail::trialRuntimeOptions(opts.base));
-        std::unique_ptr<workloads::CrashDriver> driver =
-            workloads::makeCrashDriver(
-                opts.base.workload, opts.base.steps, opts.base.seed,
-                opts.base.threads, opts.base.sched_seed);
-        driver->setup(rt);
-        CrashAtEvent hook(k);
-        rt.registry().setDurabilityHook(&hook);
-        runSteps(rt, *driver, opts.base, hook);
-        rt.registry().setDurabilityHook(nullptr);
-        rt.registry().crashAll();
-
+        TrialRun run(base);
+        detail::crashRun(run, base, k, nullptr, &rec);
         const std::vector<MediaSite> sites =
-            enumerateMediaSites(rt.registry());
+            enumerateMediaSites(run.rt.registry());
         report.sites += sites.size();
 
         std::vector<uint64_t> cand;
@@ -392,8 +358,8 @@ exploreMedia(const MediaOptions &opts)
     // ---- trial fan-out ----------------------------------------------
     std::vector<MediaTrialStats> slots(trials.size());
     driver::runTasks(trials.size(), opts.base.jobs, [&](size_t idx) {
-        runMediaTrial(opts.base, trials[idx].k, trials[idx].spec,
-                      slots[idx]);
+        detail::runMediaTrial(base, trials[idx].k, trials[idx].spec, &rec,
+                              slots[idx]);
     });
 
     for (const MediaTrialStats &ts : slots) {
@@ -412,10 +378,25 @@ std::vector<Failure>
 replayMediaTrial(const ExploreOptions &opts, uint64_t k,
                  const std::string &spec)
 {
+    // Re-execution: the reference path, independent of any recording.
     MediaTrialStats ts;
-    runMediaTrial(opts, k, spec, ts);
+    detail::runMediaTrial(eagerOptions(opts), k, spec, nullptr, ts);
     return ts.failures;
 }
+
+namespace detail {
+
+void
+runMediaTrial(const ExploreOptions &opts, uint64_t k,
+              const std::string &spec, const Recording *rec,
+              MediaTrialStats &ts)
+{
+    TrialRun run(opts);
+    const CrashPoint cp = crashRun(run, opts, k, nullptr, rec);
+    checkMediaTrial(opts, k, spec, run, cp, ts);
+}
+
+} // namespace detail
 
 } // namespace fault
 } // namespace poat

@@ -5,10 +5,11 @@
  * The crash-point explorer (fault/explore.h) proves recovery works from
  * any *power-failure* image; this explorer proves recovery also
  * survives the images NVM itself damages at rest — latent bit flips and
- * torn 64-byte lines. For each chosen crash point k it freezes the
- * durable image exactly as a crash trial would, then corrupts one (or
- * two) checksummed on-media structures and requires recovery to end in
- * one of exactly three states:
+ * torn 64-byte lines. For each chosen crash point k it builds the
+ * durable image exactly as a crash trial does — from the explorer's
+ * recorded write-back stream, or by re-execution when a reproducer
+ * replays — then corrupts one (or two) checksummed on-media structures
+ * and requires recovery to end in one of exactly three states:
  *
  *   repaired  — the scrub pass fixed the corruption (mirror resync,
  *               dead-snapshot reseal, or block-header rebuild) and every
@@ -92,7 +93,7 @@ struct MediaOptions
     /**
      * Crash points (durability-event indexes) at which to freeze the
      * image before injecting. Empty means the default spread
-     * {0, T/4, T/2, 3*T/4, T} where T is the profile-pass event count;
+     * {0, T/4, T/2, 3*T/4, T} where T is the recorded event count;
      * T itself is legal and means "the run completed, corrupt the
      * quiescent image".
      */
@@ -121,7 +122,7 @@ struct MediaOptions
 /** Outcome of a media exploration. */
 struct MediaReport
 {
-    uint64_t total_events = 0; ///< durability events (profile pass)
+    uint64_t total_events = 0; ///< durability events of the recording
     uint64_t points = 0;       ///< crash points actually used
     uint64_t sites = 0;        ///< fault sites (summed over points)
     uint64_t trials = 0;       ///< injection trials run
@@ -138,16 +139,17 @@ struct MediaReport
 };
 
 /**
- * Profile, then for each crash point inject each chosen fault into a
- * freshly frozen image and classify recovery; deterministic for fixed
- * options within one build. Workload or driver errors (as opposed to
+ * Record, then for each crash point inject each chosen fault into a
+ * freshly built crashed image and classify recovery; deterministic for
+ * fixed options within one build. Workload or driver errors (as opposed to
  * invariant violations) propagate as exceptions.
  */
 MediaReport exploreMedia(const MediaOptions &opts);
 
 /**
- * Re-run one media trial: crash at @p k, inject per @p spec ("17" or
- * "17+42"), recover, classify. Used by replayRepro for ":m" tokens.
+ * Re-run one media trial: re-execute the workload crashing at @p k,
+ * inject per @p spec ("17" or "17+42"), recover, classify. Used by
+ * replayRepro for ":m" tokens.
  * @return the failure if the trial fails, or an empty vector.
  * @throws std::invalid_argument on a malformed spec or a fault index
  *         past the site space of this image.

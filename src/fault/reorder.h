@@ -12,17 +12,19 @@
  * writing at 8-byte-word granularity. This module enumerates that
  * per-event crash-state space:
  *
- *  1. A probe pass runs the workload under DrainProbe, which records
- *     every durability event and groups the fence-retired ones into
- *     batches (Pool::fence announces each drain via onFenceDrainBegin;
- *     CLWB and eviction write-backs are singleton batches).
+ *  1. The explorer's recording pass forwards every durability event to
+ *     DrainProbe, which groups the fence-retired ones into batches
+ *     (Pool::fence announces each drain via onFenceDrainBegin; CLWB and
+ *     eviction write-backs are singleton batches).
  *  2. For each batch [b, b+n) the explorer plans CrashWithDrain trials:
  *     every proper, non-empty subset of the batch when 2^n - 2 fits the
  *     exhaustive bound, a seeded sample of subsets otherwise, plus torn
  *     states — the drain stops mid-line at each batch position, with
  *     the interrupted line persisting only a proper prefix or suffix of
  *     its eight 8-byte words (the word-mask analogue of the media
- *     injector's torn-64B faults).
+ *     injector's torn-64B faults). A trial persists the recorded
+ *     events before b whole and batch event b + i per its word mask:
+ *     the image CrashWithDrain(b, masks) would freeze.
  *
  * The empty subset equals CrashAtEvent(b) and the full subset equals
  * CrashAtEvent(b + n), so both are covered by the prefix trials and
@@ -42,7 +44,7 @@ namespace poat {
 namespace fault {
 
 /**
- * One drain batch of the profiled event stream: the write-back events
+ * One drain batch of the recorded event stream: the write-back events
  * [start, start + lines.size()) retire together and reach media in no
  * guaranteed order. A CLWB or eviction write-back is its own batch of
  * one (the line can still tear mid-write).
@@ -58,7 +60,7 @@ struct DrainBatch
 };
 
 /**
- * Profiling hook that records every durability event and groups
+ * Hook that groups the durability events it observes into
  * fence-drain batches (see file comment). Non-interfering: every
  * write-back proceeds.
  */

@@ -1,23 +1,27 @@
 /**
  * @file
  * Shared trial machinery for the crash-point and media-fault explorers
- * (internal to src/fault/): deterministic step running under a
- * durability hook, the recovered-state invariant checks, and seeded
- * point selection. Both explorers must agree on these bit-for-bit or a
- * reproducer from one would replay differently in the other.
+ * (internal to src/fault/): the recorded write-back stream, the two
+ * ways a trial gets its crashed runtime (from a prefix of that stream,
+ * or by re-executing the workload under a crash hook), the
+ * recovered-state invariant checks, and seeded point selection. Both
+ * explorers must agree on these bit-for-bit or a reproducer from one
+ * would replay differently in the other.
  */
 #ifndef POAT_FAULT_TRIAL_H
 #define POAT_FAULT_TRIAL_H
 
+#include <array>
 #include <map>
+#include <memory>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "fault/explore.h"
 #include "fault/injector.h"
+#include "fault/reorder.h"
 #include "pmem/runtime.h"
 #include "workloads/crash_support.h"
 
@@ -37,6 +41,8 @@ struct StepWindow
 {
     uint64_t lo = 0;
     uint64_t hi = 0;
+
+    bool operator==(const StepWindow &) const = default;
 };
 
 inline uint64_t
@@ -71,56 +77,103 @@ maybeEvict(PmemRuntime &rt, Rng &rng, const ExploreOptions &opts)
 }
 
 /**
- * Sentinel for "no profiled event count to check against" (replay of a
- * reproducer string runs without a profile pass).
+ * A fresh runtime with the workload set up, durability policy
+ * included: where every recording and every trial starts. Crash hooks
+ * are armed only after setup (setup is non-transactional).
  */
-constexpr uint64_t kNoExpectedEvents = UINT64_MAX;
-
-/**
- * Profile-pass contract: the profile and every trial must observe the
- * same durability-event count, or crash-point indices silently mean
- * different instants in different runs (a nondeterministic workload
- * truncates or shifts the crash-point space). Fails fast, naming both
- * counts.
- */
-inline void
-checkEventContract(uint64_t observed, uint64_t expected)
+struct TrialRun
 {
-    if (expected == kNoExpectedEvents || observed == expected)
-        return;
-    throw std::runtime_error(
-        "durability-event contract violated: profile pass counted " +
-        std::to_string(expected) + " events but the trial observed " +
-        std::to_string(observed) +
-        " — the workload is nondeterministic under the hook");
-}
-
-/**
- * Run all workload steps with @p hook installed, attributing the first
- * suppressed write-back to the step (or eviction pass) it fired in.
- */
-inline StepWindow
-runSteps(PmemRuntime &rt, workloads::CrashDriver &driver,
-         const ExploreOptions &opts, const CrashHook &hook)
-{
-    Rng evict_rng(evictSeed(opts));
-    StepWindow w{opts.steps, opts.steps};
-    bool attributed = false;
-    for (uint64_t i = 0; i < opts.steps; ++i) {
-        driver.step(rt, i);
-        if (!attributed && hook.fired()) {
-            w.lo = i;
-            w.hi = i + 1;
-            attributed = true;
-        }
-        maybeEvict(rt, evict_rng, opts);
-        if (!attributed && hook.fired()) {
-            w.lo = w.hi = i + 1;
-            attributed = true;
-        }
+    explicit TrialRun(const ExploreOptions &opts)
+        : rt(trialRuntimeOptions(opts)),
+          driver(workloads::makeCrashDriver(opts.workload, opts.steps,
+                                            opts.seed, opts.threads,
+                                            opts.sched_seed))
+    {
+        if (opts.strict)
+            rt.registry().setDurabilityPolicy(DurabilityPolicy::Strict);
+        driver->setup(rt);
     }
-    return w;
-}
+
+    PmemRuntime rt;
+    std::unique_ptr<workloads::CrashDriver> driver; ///< uses rt
+};
+
+/**
+ * One durability event of a recorded run: the 64 bytes
+ * Pool::writeBackLine persists for it (the volatile line when the hook
+ * ran) and the phase it fired in — step `step`, or the eviction pass
+ * after it.
+ */
+struct WriteBackEvent
+{
+    uint32_t pool_id = 0;
+    uint32_t line = 0;
+    uint64_t step = 0;
+    bool evict_pass = false;
+    WriteBackCause cause = WriteBackCause::Clwb;
+    std::array<uint8_t, kLineSize> bytes{};
+
+    bool operator==(const WriteBackEvent &) const = default;
+};
+
+/**
+ * The durability-event stream of one uninjected run after setup. Freeze
+ * semantics (injector.h) make every trial's execution identical to it,
+ * so the durable image at crash point k is the setup image plus events
+ * [0, k) — the crash-point space without re-running the workload.
+ */
+struct Recording
+{
+    std::vector<WriteBackEvent> events;
+    std::vector<DrainBatch> batches; ///< DrainProbe's grouping of events
+    std::string diag;                ///< driver diagnostics() at run end
+
+    uint64_t
+    count(WriteBackCause cause) const
+    {
+        uint64_t n = 0;
+        for (const WriteBackEvent &e : events)
+            n += e.cause == cause;
+        return n;
+    }
+};
+
+/**
+ * Event contract: two recordings of one configuration must be
+ * identical event for event (pool, line, bytes, cause, phase), or crash
+ * point indices would mean different instants in different trials — a
+ * nondeterministic workload must fail fast, not fuzz. Throws a
+ * std::runtime_error naming both event counts.
+ */
+void checkEventContract(const Recording &first, const Recording &second);
+
+/**
+ * Record the stream twice (two executions, fanned out over opts.jobs)
+ * and return it once the two pass checkEventContract.
+ */
+Recording recordStream(const ExploreOptions &opts);
+
+/** What step one of a trial hands to the post-crash checks. */
+struct CrashPoint
+{
+    StepWindow window;   ///< phase of the first event not persisted whole
+    bool fired = false;  ///< some write-back was suppressed or torn
+    uint64_t events = 0; ///< durability events the execution emitted
+    std::string diag;    ///< driver diagnostics() at the end of the run
+};
+
+/**
+ * Step one of a trial: crash @p run at event @p k and revert it to the
+ * durable image (crashAll). Events before k persist whole; with
+ * @p drain, event k + i persists the words of (*drain)[i] and every
+ * event past the masks nothing — CrashAtEvent(k) or CrashWithDrain(k,
+ * *drain) semantics. The image is built from @p rec when it is
+ * non-null, else by re-executing the workload under the crash hook
+ * (the reference path: --repro and the differential test).
+ */
+CrashPoint crashRun(TrialRun &run, const ExploreOptions &opts,
+                    uint64_t k, const std::vector<uint8_t> *drain,
+                    const Recording *rec);
 
 /**
  * Post-recovery invariants: idle and legal undo logs, valid allocator
@@ -193,6 +246,54 @@ choosePoints(uint64_t total, uint64_t sample, uint64_t rng_seed)
     ks.assign(chosen.begin(), chosen.end());
     return ks;
 }
+
+/** Counters one crash trial contributes; aggregated after the fan-out. */
+struct TrialStats
+{
+    uint64_t crashes_injected = 0;
+    uint64_t undo_entries_rolled_back = 0;
+    uint64_t frees_redone = 0;
+    uint64_t blocks_leaked = 0;
+    uint64_t trials = 0;
+    uint64_t recovery_trials = 0;
+    uint64_t reorder_states = 0;
+    uint64_t torn_states = 0;
+    uint64_t max_depth = 0;
+    std::vector<Failure> failures;
+};
+
+/**
+ * One complete crash trial (explore.cc): crashRun at @p k (a drain
+ * state when @p drain is non-null), then crash the recovery stack
+ * level by level per @p stack, recover fully, and check every
+ * invariant — including that recovering a second time changes nothing.
+ * @return the durability events the final (completing) recovery
+ *         emitted: the crash-point space one level below @p stack.
+ */
+uint64_t runTrial(const ExploreOptions &opts, uint64_t k,
+                  const std::vector<uint64_t> &stack,
+                  const std::vector<uint8_t> *drain, const Recording *rec,
+                  TrialStats &ts);
+
+/** Counters one media trial contributes; aggregated after the fan-out. */
+struct MediaTrialStats
+{
+    uint64_t trials = 0;
+    uint64_t injected = 0;
+    uint64_t repaired = 0;
+    uint64_t diagnosed = 0;
+    uint64_t benign = 0;
+    std::vector<Failure> failures;
+};
+
+/**
+ * One media trial (media.cc): crashRun at @p k, inject the fault(s) in
+ * @p spec into the frozen durable image, recover, and classify the
+ * outcome (repaired / benign / diagnosed / Failure). See media.h.
+ */
+void runMediaTrial(const ExploreOptions &opts, uint64_t k,
+                   const std::string &spec, const Recording *rec,
+                   MediaTrialStats &ts);
 
 } // namespace detail
 } // namespace fault

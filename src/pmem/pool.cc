@@ -217,9 +217,18 @@ Pool::writeBackLine(uint32_t line, WriteBackCause cause)
             return;
     }
     const uint64_t base = static_cast<uint64_t>(line) * kLineSize;
-    const uint64_t n = std::min<uint64_t>(kLineSize, data_.size() - base);
     uint8_t bytes[kLineSize];
-    data_.read(base, bytes, n);
+    data_.read(base, bytes,
+               std::min<uint64_t>(kLineSize, data_.size() - base));
+    persistLineWords(line, bytes, mask);
+}
+
+void
+Pool::persistLineWords(uint32_t line, const uint8_t *bytes, uint8_t mask)
+{
+    const uint64_t base = static_cast<uint64_t>(line) * kLineSize;
+    POAT_ASSERT(base < durable_.size(), "write-back line out of range");
+    const uint64_t n = std::min<uint64_t>(kLineSize, durable_.size() - base);
     if (mask == DurabilityHook::kFullLineMask) {
         durable_.write(base, bytes, n);
         return;

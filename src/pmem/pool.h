@@ -437,6 +437,18 @@ class Pool
     void corruptDurable(uint32_t off, const void *src, size_t n);
 
     /**
+     * Persist the words of @p mask from the line image @p bytes into
+     * line @p line of the DURABLE image: bit w carries bytes [8w, 8w+8)
+     * (DurabilityHook's word-mask convention). kFullLineMask is a whole
+     * write-back; any other mask tears the line, and the words it
+     * leaves out keep their durable contents. Every write-back persists
+     * through this, and the crash explorer rebuilds crashed images
+     * from a recorded write-back stream with it.
+     */
+    void persistLineWords(uint32_t line, const uint8_t *bytes,
+                          uint8_t mask);
+
+    /**
      * Host-side checksum work accounting. Each pool defaults to a
      * private counter block; the registry points all of its pools at
      * one shared block so `pmem.checksum.*` aggregates per process.

@@ -1,13 +1,18 @@
 /** @file Unit tests for the crash-point exploration engine. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/stats.h"
 #include "fault/explore.h"
 #include "fault/injector.h"
+#include "fault/trial.h"
 #include "pmem/runtime.h"
+#include "pmem/scrub.h"
 #include "workloads/crash_support.h"
 
 namespace poat {
@@ -113,6 +118,70 @@ TEST(Explore, DeterministicAcrossRuns)
     ASSERT_EQ(a.failures.size(), b.failures.size());
     for (size_t i = 0; i < a.failures.size(); ++i)
         EXPECT_EQ(a.failures[i].repro(), b.failures[i].repro());
+}
+
+TEST(Explore, FreesRedoneReadsTheCrashedImage)
+{
+    // LL erases defer each free to commit: between the durable commit
+    // point and the free's own header write-back, the crashed image
+    // holds a committing log whose free record names a block that is
+    // still allocated in that image. Recovery redoes that free — also
+    // when the uncrashed run frees the block for good, so that no
+    // end-of-run allocator state says it is live.
+    const ExploreOptions o = smallRun("LL");
+    const fault::detail::Recording rec = fault::detail::recordStream(o);
+
+    // Blocks allocated when the uncrashed run ends.
+    fault::detail::TrialRun done(o);
+    fault::detail::crashRun(done, o, rec.events.size(), nullptr, &rec);
+    done.rt.registry().recoverAll();
+
+    uint64_t checked = 0;
+    for (uint64_t k = 0; k < rec.events.size(); ++k) {
+        fault::detail::TrialRun run(o);
+        fault::detail::crashRun(run, o, k, nullptr, &rec);
+        // Oracle on a scratch copy of the image: scrub and rescan as
+        // recovery will, then ask the allocator.
+        std::vector<std::pair<uint32_t, uint32_t>> redo;
+        for (uint32_t id : run.rt.registry().openIds()) {
+            OpenPool &op = run.rt.registry().get(id);
+            scrubPool(op.pool);
+            op.alloc.rescan();
+            op.forEachLog([&](UndoLog &log) {
+                if (log.state() != LogHeader::kCommitting)
+                    return;
+                for (const UndoLog::Record &r : log.records()) {
+                    if (r.type == LogEntryHeader::kFree &&
+                        op.alloc.isAllocated(r.target_off))
+                        redo.emplace_back(id, r.target_off);
+                }
+            });
+        }
+        const bool freed_for_good =
+            !redo.empty() &&
+            std::all_of(redo.begin(), redo.end(), [&](const auto &b) {
+                return !done.rt.registry().get(b.first).alloc.isAllocated(
+                    b.second);
+            });
+        if (!freed_for_good)
+            continue;
+        ++checked;
+        for (const fault::detail::Recording *source : {&rec,
+             static_cast<const fault::detail::Recording *>(nullptr)}) {
+            fault::detail::TrialStats ts;
+            fault::detail::runTrial(o, k, {}, nullptr, source, ts);
+            EXPECT_EQ(ts.frees_redone, redo.size())
+                << "k=" << k << (source ? " (stream)" : " (re-executed)");
+            EXPECT_TRUE(ts.failures.empty()) << "k=" << k;
+        }
+        run.rt.registry().recoverAll();
+        for (const auto &[id, payload] : redo) {
+            EXPECT_FALSE(run.rt.registry().get(id).alloc.isAllocated(
+                payload))
+                << "recovery must redo the free (k=" << k << ")";
+        }
+    }
+    EXPECT_GT(checked, 0u) << "no crash point with a free to redo";
 }
 
 TEST(Explore, SamplingBoundsTrialCount)

@@ -257,20 +257,38 @@ TEST(Reorder, DrainMaskCodecRoundTripsAndRejects)
 
 TEST(Reorder, EventContractViolationNamesBothCounts)
 {
-    EXPECT_NO_THROW(fault::detail::checkEventContract(5, 5));
-    EXPECT_NO_THROW(fault::detail::checkEventContract(
-        5, fault::detail::kNoExpectedEvents));
+    using fault::detail::checkEventContract;
+    using fault::detail::Recording;
+    auto recording = [](size_t events) {
+        Recording r;
+        r.events.resize(events);
+        for (size_t i = 0; i < events; ++i)
+            r.events[i].line = static_cast<uint32_t>(i);
+        return r;
+    };
+    EXPECT_NO_THROW(checkEventContract(recording(5), recording(5)));
     try {
-        fault::detail::checkEventContract(5, 7);
+        checkEventContract(recording(5), recording(7));
         FAIL() << "contract violation must throw";
     } catch (const std::runtime_error &e) {
         const std::string what = e.what();
         EXPECT_NE(what.find("contract"), std::string::npos) << what;
         EXPECT_NE(what.find("7"), std::string::npos)
-            << "must name the profiled count: " << what;
+            << "must name the second count: " << what;
         EXPECT_NE(what.find("5"), std::string::npos)
-            << "must name the observed count: " << what;
+            << "must name the first count: " << what;
     }
+
+    // Equal counts are not enough: the streams must match event for
+    // event — line bytes and phase included.
+    Recording torn = recording(5);
+    torn.events[3].bytes[17] = 0x5a;
+    EXPECT_THROW(checkEventContract(recording(5), torn),
+                 std::runtime_error);
+    Recording moved = recording(5);
+    moved.events[2].evict_pass = true;
+    EXPECT_THROW(checkEventContract(recording(5), moved),
+                 std::runtime_error);
 }
 
 TEST(Reorder, ExplorationCoversReorderStates)

@@ -2,16 +2,18 @@
  * @file
  * Crash-point and media-fault exploration driver (see src/fault/).
  *
- * Default mode profiles a workload's durability events, then re-runs it
- * crashing at every event index (or a seeded sample), recovering, and
- * checking all recovery invariants — including crashes injected into
- * the recovery itself. --media mode instead corrupts checksummed
- * on-media structures of crashed images (bit flips and torn lines,
+ * Default mode records a workload's durability events, then crashes it
+ * at every event index (or a seeded sample) by rebuilding the durable
+ * image from that recording, recovering, and checking all recovery
+ * invariants — including crashes injected into the recovery itself.
+ * --media mode instead corrupts checksummed on-media structures of
+ * crashed images (bit flips and torn lines,
  * optionally two at a time with --doubles) and requires recovery to
  * repair, stay benign, or fail stop with a MediaError diagnostic.
  * Either mode prints coverage plus a deterministic reproducer for every
- * failure; reproducers replay with --repro=... within one build (media
- * reproducers carry an ":mF" token and route automatically).
+ * failure; reproducers replay with --repro=... within one build by
+ * re-executing the workload (media reproducers carry an ":mF" token
+ * and route automatically).
  *
  * Exit status: 0 all trials passed, 1 invariant violations found,
  * 2 usage error.
