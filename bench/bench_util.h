@@ -2,7 +2,7 @@
  * @file
  * Shared plumbing for the paper-reproduction bench binaries: argument
  * parsing (--quick / --scale=N / --txns=N / --jobs=N / --stats-json=F /
- * --trace=F / --timeline=N), configuration builders, the parallel sweep entry point
+ * --trace=D / --timeline=N), configuration builders, the parallel sweep entry point
  * every binary funnels its runs through (runAll), fixed-width table
  * printing that mirrors the paper's rows, and the machine-readable
  * JSON report every binary can emit (docs/OBSERVABILITY.md documents
@@ -23,16 +23,16 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/cpi.h"
+#include "common/json.h"
 #include "common/logging.h"
-#include "common/trace_event.h"
 #include "driver/experiment.h"
 #include "driver/sweep.h"
 #include "report/contention.h"
@@ -53,7 +53,7 @@ struct BenchArgs
     std::vector<uint64_t> seeds; ///< extra seeds for error bars (incl. seed)
     bool cpi_stack = false; ///< print per-run CPI component stacks
     std::string stats_json; ///< write a JSON report here (empty = off)
-    std::string trace;      ///< write a poat-trace v1 file here
+    std::string trace;      ///< Chrome trace output dir (empty = off)
     std::string trace_cache; ///< instruction-trace cache dir (empty = off)
     uint64_t timeline = 0;  ///< cycles per timeline sample (0 = off)
     std::string timeline_dir = "timelines"; ///< --timeline output dir
@@ -79,10 +79,11 @@ struct BenchArgs
                     "                    cores; 1 = serial; results are\n"
                     "                    identical at any N)\n"
                     "  --stats-json=FILE write a JSON stats report\n"
-                    "  --trace=FILE      write a poat-trace v1 event "
-                    "trace\n"
-                    "                    (convert: tools/trace_convert;\n"
-                    "                    forces --jobs=1)\n"
+                    "  --trace=DIR       write each run's translation\n"
+                    "                    events as Chrome trace JSON,\n"
+                    "                    one <label>.json per run;\n"
+                    "                    observer-only, results\n"
+                    "                    identical\n"
                     "  --trace-cache=DIR capture/replay instruction\n"
                     "                    traces (poat-itrace): runs\n"
                     "                    sharing a functional config\n"
@@ -209,35 +210,9 @@ struct BenchArgs
                 usageError("unknown argument: " + s);
             }
         }
-        if (!a.trace.empty() && a.jobs != 1) {
-            // One --trace sink, one producer at a time (trace_event.h):
-            // tracing serializes the sweep.
-            if (a.jobs > 1)
-                std::fprintf(stderr,
-                             "note: --trace shares one event sink "
-                             "across runs; forcing --jobs=1\n");
-            a.jobs = 1;
-        }
         return a;
     }
 };
-
-/** Minimal JSON string escaping for labels and file names. */
-inline std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20)
-            out += ' ';
-        else
-            out += c;
-    }
-    return out;
-}
 
 /**
  * Thread-safe collector of finished runs for the JSON report.
@@ -319,11 +294,10 @@ class BenchRecorder
  * Construction installs a driver-level observer (when --stats-json is
  * given) that records every runExperiment() call — label, config
  * summary, headline numbers, and the run's full hierarchical stats —
- * into a mutex-guarded BenchRecorder, and owns the single EventTracer
- * runs share when --trace is given (runAll() attaches it per-config;
- * tracing forces a serial sweep because the sink is single-producer).
- * write() emits the report and the serialized trace; benches add
- * their headline metrics (speedup geomeans etc.) via metric() first.
+ * into a mutex-guarded BenchRecorder. write() emits the report;
+ * benches add their headline metrics (speedup geomeans etc.) via
+ * metric() first. The report also names the per-run output files
+ * (runFileStem).
  */
 class JsonReport
 {
@@ -338,8 +312,6 @@ class JsonReport
                     recorder_.record(cfg, res);
                 });
         }
-        if (!args_.trace.empty())
-            tracer_ = std::make_unique<EventTracer>();
     }
 
     ~JsonReport()
@@ -372,10 +344,24 @@ class JsonReport
     /** Record one config's multi-seed error bar (--seeds). */
     void errorBar(ErrorBar bar) { bars_.push_back(std::move(bar)); }
 
-    /** The tracer runs record into (null unless --trace was given). */
-    EventTracer *tracer() { return tracer_.get(); }
+    /**
+     * File stem of the next primary-seed run labelled @p label: the
+     * label itself the first time, then "<label>-2", "<label>-3", ...
+     * (skipping any stem already taken). Labels omit some machine
+     * knobs (POLB size, walk latency), so sweeps repeat them; calling
+     * this in submission order gives every run its own timeline and
+     * trace file, the same names at any --jobs.
+     */
+    std::string
+    runFileStem(const std::string &label)
+    {
+        std::string stem = label;
+        for (unsigned k = 2; !stems_.insert(stem).second; ++k)
+            stem = label + "-" + std::to_string(k);
+        return stem;
+    }
 
-    /** Emit the JSON report and the trace file (once; idempotent). */
+    /** Emit the JSON report (once; idempotent). */
     void
     write()
     {
@@ -384,8 +370,6 @@ class JsonReport
         written_ = true;
         if (!args_.stats_json.empty())
             writeStats();
-        if (tracer_)
-            writeTrace();
     }
 
   private:
@@ -457,27 +441,12 @@ class JsonReport
                     args_.stats_json.c_str());
     }
 
-    void
-    writeTrace()
-    {
-        std::ofstream os(args_.trace);
-        if (!os) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         args_.trace.c_str());
-            POAT_FATAL("cannot open --trace output file");
-        }
-        tracer_->serialize(os);
-        std::printf("trace: wrote %zu events to %s (convert with "
-                    "tools/trace_convert)\n",
-                    tracer_->recorded(), args_.trace.c_str());
-    }
-
     std::string name_;
     BenchArgs args_;
     BenchRecorder recorder_;
     std::vector<std::pair<std::string, double>> metrics_;
     std::vector<ErrorBar> bars_;
-    std::unique_ptr<EventTracer> tracer_;
+    std::set<std::string> stems_; ///< runFileStem names handed out
     bool written_ = false;
 };
 
@@ -504,40 +473,51 @@ printCpiStack(const std::string &label, const CpiStack &cpi)
                 static_cast<unsigned long long>(total));
 }
 
+/** Create the output directory @p dir of @p flag if it is missing. */
+inline void
+makeOutputDir(const std::string &dir, const char *flag)
+{
+    if (mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
+        std::fprintf(stderr, "cannot create %s for %s\n", dir.c_str(),
+                     flag);
+        POAT_FATAL("cannot create an output directory");
+    }
+}
+
 /**
  * Execute a batch of experiment configs through driver::runSweep with
  * the --jobs setting, returning results in submission order (identical
- * to a serial runExperiment loop at any job count). When --trace is
- * active the report's tracer is attached to every config and the sweep
- * is serial (BenchArgs::parse already forced jobs=1). A live
- * "sweep k/n" progress line goes to stderr so long regenerations still
- * show a heartbeat while the result tables print all at once.
+ * to a serial runExperiment loop at any job count). --timeline and
+ * --trace give every primary-seed run its own output file, named by
+ * JsonReport::runFileStem. A live "sweep k/n" progress line goes to
+ * stderr so long regenerations still show a heartbeat while the result
+ * tables print all at once.
  */
 inline std::vector<driver::ExperimentResult>
 runAll(const BenchArgs &args, JsonReport &report,
        std::vector<driver::ExperimentConfig> configs)
 {
-    if (report.tracer())
-        for (auto &c : configs)
-            c.tracer = report.tracer();
     if (!args.trace_cache.empty())
         for (auto &c : configs)
             c.trace_cache = args.trace_cache;
-    if (args.timeline) {
-        // One poat-timeline v2 stream per primary-seed run, named by
-        // the run's label. Extra --seeds runs share labels, so they
-        // never get a timeline (see below).
-        if (mkdir(args.timeline_dir.c_str(), 0755) != 0 &&
-            errno != EEXIST) {
-            std::fprintf(stderr, "cannot create %s\n",
-                         args.timeline_dir.c_str());
-            POAT_FATAL("cannot create --timeline-dir");
-        }
+    if (args.timeline)
+        makeOutputDir(args.timeline_dir, "--timeline-dir");
+    if (!args.trace.empty())
+        makeOutputDir(args.trace, "--trace");
+    if (args.timeline || !args.trace.empty()) {
+        // One poat-timeline v2 stream and one Chrome trace per
+        // primary-seed run. Extra --seeds runs get neither (see below).
         for (auto &c : configs) {
-            c.timeline_interval = args.timeline;
-            c.timeline_path = args.timeline_dir + "/" +
-                driver::configLabel(c) + ".poattl";
-            c.timeline_cores = args.timeline_cores;
+            const std::string stem =
+                report.runFileStem(driver::configLabel(c));
+            if (args.timeline) {
+                c.timeline_interval = args.timeline;
+                c.timeline_path =
+                    args.timeline_dir + "/" + stem + ".poattl";
+                c.timeline_cores = args.timeline_cores;
+            }
+            if (!args.trace.empty())
+                c.trace_path = args.trace + "/" + stem + ".json";
         }
     }
     driver::SweepOptions so;
@@ -591,12 +571,12 @@ runAll(const BenchArgs &args, JsonReport &report,
         // results above stay the tables' source of truth) and report
         // the per-config spread. Extra runs share the trace cache --
         // the fingerprint includes the seed, so each seed gets its own
-        // cache entry -- but never the event tracer.
+        // cache entry -- but no trace or timeline file.
         std::vector<driver::ExperimentConfig> extra;
         for (size_t s = 1; s < args.seeds.size(); ++s)
             for (driver::ExperimentConfig c : configs) {
                 c.seed = args.seeds[s];
-                c.tracer = nullptr;
+                c.trace_path.clear();
                 c.timeline_interval = 0;
                 c.timeline_path.clear();
                 extra.push_back(std::move(c));

@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "pmem/runtime.h"
+#include "telemetry/chrome_trace.h"
 #include "telemetry/timeline.h"
 #include "trace_io/itrace.h"
 #include "workloads/lhash.h"
@@ -430,11 +431,15 @@ applyProfile(const std::string &blob, const std::string &path,
 }
 
 /**
- * Attach the configured interval sampler (if any) to @p machine: the
- * machine binds its stats source and occupancy gauges, and when the
- * run executes natively (@p rt nonnull) the runtime-side gauges ride
- * along. Replayed runs have no live runtime, so their timelines carry
- * the machine gauges only.
+ * The configured interval sampler (if any), bound to @p machine's
+ * stats with the machine-side gauges: total POLB occupancy and, with
+ * cfg.timeline_cores on a multi-core machine, one cumulative
+ * blocked-reason gauge per core and reason
+ * ("sched.core.<i>.blocked.<reason>.total"; the suffix keeps the names
+ * apart from the registry's per-interval deltas). When the run executes
+ * natively (@p rt nonnull) the runtime-side gauges ride along; replayed
+ * runs have no live runtime, so their timelines carry the machine
+ * gauges only.
  */
 std::unique_ptr<telemetry::TimelineSampler>
 makeTimeline(const ExperimentConfig &cfg, sim::Machine &machine,
@@ -444,7 +449,30 @@ makeTimeline(const ExperimentConfig &cfg, sim::Machine &machine,
         return nullptr;
     auto timeline = std::make_unique<telemetry::TimelineSampler>(
         cfg.timeline_interval, cfg.timeline_path);
-    machine.attachTimeline(timeline.get(), cfg.timeline_cores);
+    timeline->setStatsSource(
+        [&machine]() -> const StatsRegistry & { return machine.stats(); });
+    const uint32_t cores = machine.numCores();
+    timeline->addGauge("polb.occupancy", [&machine, cores] {
+        uint64_t occ = 0;
+        for (uint32_t i = 0; i < cores; ++i)
+            occ += static_cast<uint64_t>(machine.polb(i).occupancy());
+        return occ;
+    });
+    timeline->setCores(cores);
+    if (cfg.timeline_cores && cores > 1) {
+        for (uint32_t i = 0; i < cores; ++i) {
+            for (uint32_t r = 0; r < telemetry::kBlockReasons; ++r) {
+                const auto reason = static_cast<telemetry::BlockReason>(r);
+                timeline->addGauge(
+                    "sched.core." + std::to_string(i) + ".blocked." +
+                        telemetry::blockReasonName(reason) + ".total",
+                    [&machine, i, reason] {
+                        return machine.contention().blockedCycles(i,
+                                                                  reason);
+                    });
+            }
+        }
+    }
     if (rt) {
         PoolRegistry *reg = &rt->registry();
         timeline->addGauge("pmem.undo_log_bytes", [reg] {
@@ -464,6 +492,54 @@ makeTimeline(const ExperimentConfig &cfg, sim::Machine &machine,
     }
     return timeline;
 }
+
+/**
+ * A run's observers, owned for the run: the Chrome trace, attached
+ * when the machine is built so it sees the whole run, and the interval
+ * timeline, attached once the runtime whose gauges it reads exists.
+ */
+class RunObservers
+{
+  public:
+    RunObservers(const ExperimentConfig &cfg, sim::Machine &machine)
+        : cfg_(cfg), machine_(machine)
+    {
+        if (cfg.trace_path.empty())
+            return;
+        trace_ = std::make_unique<telemetry::ChromeTraceExporter>(
+            cfg.trace_path);
+        trace_->marker(machine.cycles(), "begin " + configLabel(cfg));
+        machine.addObserver(trace_.get());
+    }
+
+    /** Attach the timeline, with @p rt's gauges when the run is live. */
+    void
+    addTimeline(PmemRuntime *rt)
+    {
+        timeline_ = makeTimeline(cfg_, machine_, rt);
+        if (timeline_)
+            machine_.addObserver(timeline_.get());
+    }
+
+    /** Close the timeline, mark the run's end and write the trace. */
+    void
+    finish()
+    {
+        const uint64_t end = machine_.cycles();
+        if (timeline_)
+            timeline_->finish(end);
+        if (trace_) {
+            trace_->marker(end, "end " + configLabel(cfg_));
+            trace_->finish();
+        }
+    }
+
+  private:
+    const ExperimentConfig &cfg_;
+    sim::Machine &machine_;
+    std::unique_ptr<telemetry::ChromeTraceExporter> trace_;
+    std::unique_ptr<telemetry::TimelineSampler> timeline_;
+};
 
 } // namespace
 
@@ -487,25 +563,11 @@ runExperimentLive(const ExperimentConfig &cfg)
     }
 
     sim::Machine machine(machineConfigFor(cfg));
-
-    // Per-run tracer: attached for the duration of this run only.
-    // Machine::setTracer() acquires exclusive use, so two concurrent
-    // runs sharing one tracer panic instead of racing.
-    EventTracer *tracer = cfg.tracer;
-    machine.setTracer(tracer);
-    const std::string label = configLabel(cfg);
-    if (tracer)
-        tracer->marker(machine.cycles(), "begin " + label);
-
+    RunObservers observers(cfg, machine);
     PmemRuntime rt(runtimeOptions(cfg), &machine);
-    const auto timeline = makeTimeline(cfg, machine, &rt);
+    observers.addTimeline(&rt);
     executeWorkload(cfg, rt, res);
-
-    if (timeline)
-        timeline->finish(machine.cycles());
-    if (tracer)
-        tracer->marker(machine.cycles(), "end " + label);
-    machine.setTracer(nullptr);
+    observers.finish();
 
     res.metrics = machine.metrics();
     res.cpi = machine.cpi();
@@ -534,25 +596,16 @@ runExperimentCaptured(const ExperimentConfig &cfg,
 
     ExperimentResult res;
     sim::Machine machine(machineConfigFor(cfg));
-    EventTracer *tracer = cfg.tracer;
-    machine.setTracer(tracer);
-    const std::string label = configLabel(cfg);
-    if (tracer)
-        tracer->marker(machine.cycles(), "begin " + label);
+    RunObservers observers(cfg, machine);
 
     // The recorder forwards every event to the machine with the exact
     // dep tags a direct run would pass, so capture-run metrics equal
     // live-run metrics.
     trace_io::TraceRecorder rec(&machine, path, traceFingerprint(cfg));
     PmemRuntime rt(runtimeOptions(cfg), &rec);
-    const auto timeline = makeTimeline(cfg, machine, &rt);
+    observers.addTimeline(&rt);
     executeWorkload(cfg, rt, res);
-
-    if (timeline)
-        timeline->finish(machine.cycles());
-    if (tracer)
-        tracer->marker(machine.cycles(), "end " + label);
-    machine.setTracer(nullptr);
+    observers.finish();
 
     res.metrics = machine.metrics();
     res.cpi = machine.cpi();
@@ -584,20 +637,10 @@ runExperimentReplayed(const ExperimentConfig &cfg,
 
     ExperimentResult res;
     sim::Machine machine(machineConfigFor(cfg));
-    EventTracer *tracer = cfg.tracer;
-    machine.setTracer(tracer);
-    const std::string label = configLabel(cfg);
-    if (tracer)
-        tracer->marker(machine.cycles(), "begin " + label);
-
-    const auto timeline = makeTimeline(cfg, machine, nullptr);
+    RunObservers observers(cfg, machine);
+    observers.addTimeline(nullptr);
     rep.replayInto(machine);
-
-    if (timeline)
-        timeline->finish(machine.cycles());
-    if (tracer)
-        tracer->marker(machine.cycles(), "end " + label);
-    machine.setTracer(nullptr);
+    observers.finish();
 
     res.metrics = machine.metrics();
     res.cpi = machine.cpi();

@@ -16,7 +16,6 @@
 #include <string>
 
 #include "common/stats.h"
-#include "common/trace_event.h"
 #include "sim/machine.h"
 #include "workloads/harness.h"
 #include "workloads/tpcc/tpcc.h"
@@ -127,16 +126,14 @@ struct ExperimentConfig
     bool timeline_cores = false;
 
     /**
-     * Cycle-stamped event tracer attached to the run's machine for the
-     * duration of the run; null = no tracing. Not owned.
-     *
-     * Per-run tracer contract: an EventTracer accepts events from at
-     * most one machine at a time (Machine::setTracer acquires it and
-     * panics on concurrent sharing), so every concurrently executing
-     * config needs its own tracer — there is deliberately no
-     * process-wide default. Reuse across *sequential* runs is fine.
+     * Output path of the run's Chrome trace of translation events
+     * (telemetry/chrome_trace.h); empty = no trace. The run owns its
+     * exporter, so concurrent runs need only distinct paths. Timing-
+     * and reporting-only like the timeline: deliberately excluded from
+     * traceFingerprint(), and metrics and stats are bit-identical with
+     * it on or off.
      */
-    EventTracer *tracer = nullptr;
+    std::string trace_path;
 };
 
 /** Metrics of one finished run. */

@@ -6,8 +6,9 @@
  * mode, machine) runs. Runs are hermetic by construction — each gets a
  * fresh PmemRuntime and a fresh sim::Machine, and all randomness is
  * seeded per run — so they can execute concurrently as long as the few
- * process-wide touch points (the experiment observer, an attached
- * EventTracer) are kept per-run or serialized. runSweep() is that
+ * process-wide touch points (the experiment observer, and per-run
+ * output files such as a Chrome trace or a timeline, which need
+ * distinct paths) are kept per-run or serialized. runSweep() is that
  * fan-out: a fixed-size thread pool that preserves *serial semantics*:
  *
  *  - results come back in submission order, whatever the completion
@@ -22,10 +23,10 @@
  *    byte-identical to a hand-written runExperiment() loop.
  *
  * Because each run's telemetry is self-contained (the result carries
- * its own StatsRegistry; a tracer is attached per-config, see
- * ExperimentConfig::tracer), a parallel sweep produces bit-identical
- * ExperimentResults to a serial one — tests/driver/sweep_test.cc
- * proves this property on randomized batches.
+ * its own StatsRegistry, and each run owns its machine's observers),
+ * a parallel sweep produces bit-identical ExperimentResults to a
+ * serial one — tests/driver/sweep_test.cc proves this property on
+ * randomized batches.
  */
 #ifndef POAT_DRIVER_SWEEP_H
 #define POAT_DRIVER_SWEEP_H

@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/json.h"
+
 namespace poat {
 namespace report {
 
@@ -50,20 +52,6 @@ children(const FlatJson &flat, const std::string &stem,
                              static_cast<uint64_t>(it->second));
     }
     return out;
-}
-
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\' << c;
-        else if (static_cast<unsigned char>(c) < 0x20)
-            os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-               << "0123456789abcdef"[c & 0xf];
-        else
-            os << c;
-    }
 }
 
 } // namespace
@@ -235,9 +223,8 @@ renderContentionJson(const std::vector<ContentionRun> &runs,
     os << "[";
     for (size_t i = 0; i < runs.size(); ++i) {
         const ContentionRun &r = runs[i];
-        os << (i ? ",\n " : "\n ") << "{\"label\": \"";
-        jsonEscape(os, r.label);
-        os << "\", \"makespan\": " << r.makespan
+        os << (i ? ",\n " : "\n ") << "{\"label\": \""
+           << jsonEscape(r.label) << "\", \"makespan\": " << r.makespan
            << ", \"cores\": " << r.cores << ",\n  \"lock\": {\"waits\": "
            << r.lock_waits << ", \"acquisitions\": "
            << r.lock_acquisitions << ", \"waits_for_edges\": "
@@ -267,9 +254,8 @@ renderContentionJson(const std::vector<ContentionRun> &runs,
            << r.cp_segments << ", \"lock_edges\": " << r.cp_lock_edges
            << ", \"ops\": {";
         for (size_t o = 0; o < r.cp_ops.size(); ++o) {
-            os << (o ? ", " : "") << "\"";
-            jsonEscape(os, r.cp_ops[o].first);
-            os << "\": " << r.cp_ops[o].second;
+            os << (o ? ", " : "") << "\"" << jsonEscape(r.cp_ops[o].first)
+               << "\": " << r.cp_ops[o].second;
         }
         os << "}, \"locks\": [";
         for (size_t l = 0; l < r.cp_locks.size(); ++l)

@@ -4,12 +4,13 @@
 
 #include "sim/core_inorder.h"
 #include "sim/core_ooo.h"
-#include "telemetry/timeline.h"
 
 namespace poat {
 namespace sim {
 
 namespace {
+
+using Kind = telemetry::Retired::Kind;
 
 /** CPI component of the cache level that serviced an access. */
 CpiComponent
@@ -92,9 +93,33 @@ Machine::tlbPenalty(uint64_t vaddr)
 }
 
 void
-Machine::timelineTick()
+Machine::addObserver(telemetry::Observer *observer)
 {
-    timeline_->tick(cur().model->cycles());
+    if (observers_.empty())
+        for (const auto &c : cores_)
+            observedClock_.push_back(c->model->cycles());
+    observers_.push_back(observer);
+}
+
+void
+Machine::notifyRetired(Kind kind, uint64_t oid, const NvXlat *x,
+                       uint32_t data_cycles)
+{
+    telemetry::Retired r;
+    r.core = active_;
+    r.kind = kind;
+    r.start_cycle = observedClock_[active_];
+    r.end_cycle = observedClock_[active_] = cur().model->cycles();
+    if (x) {
+        r.oid = oid;
+        r.polb_hit = x->polbHit;
+        r.polb_cycles = x->polb;
+        r.pot_cycles = x->pot;
+        r.tlb_cycles = x->tlb;
+        r.data_cycles = data_cycles;
+    }
+    for (telemetry::Observer *o : observers_)
+        o->retired(r);
 }
 
 void
@@ -104,8 +129,8 @@ Machine::coreSwitch(uint32_t core)
     const uint32_t prev = active_;
     contention_.coreSwitchIn(core, prev, cycles());
     active_ = core;
-    POAT_TRACE(tracer_, cores_[core]->model->cycles(),
-               TraceComponent::Core, TraceOutcome::Switch, core, 0);
+    for (telemetry::Observer *o : observers_)
+        o->coreSwitched(core);
 }
 
 void
@@ -114,8 +139,7 @@ Machine::alu(uint32_t count, uint64_t dep)
     CoreState &c = cur();
     c.instructions += count;
     c.model->alu(count, dep);
-    if (timeline_)
-        timelineTick();
+    retired(Kind::Alu);
 }
 
 void
@@ -125,8 +149,7 @@ Machine::branch(bool taken, uint64_t pc, uint64_t dep)
     ++c.instructions;
     const bool mispredict = c.bp.predictAndUpdate(pc, taken);
     c.model->branch(mispredict, dep);
-    if (timeline_)
-        timelineTick();
+    retired(Kind::Branch);
 }
 
 uint64_t
@@ -142,8 +165,7 @@ Machine::load(uint64_t vaddr, uint64_t dep, uint64_t dep2)
     costs.mem = acc.latency;
     costs.mem_comp = levelComp(acc.level);
     const uint64_t tag = c.model->load(costs, dep, dep2);
-    if (timeline_)
-        timelineTick();
+    retired(Kind::Load);
     return tag;
 }
 
@@ -160,8 +182,7 @@ Machine::store(uint64_t vaddr, uint64_t dep)
     costs.mem = acc.latency;
     costs.mem_comp = levelComp(acc.level);
     c.model->store(costs, dep);
-    if (timeline_)
-        timelineTick();
+    retired(Kind::Store);
 }
 
 uint32_t
@@ -205,8 +226,7 @@ Machine::translateNv(ObjectID oid)
         uint64_t base;
         if (auto hit = c.polb.lookup(oid.poolId())) {
             base = *hit;
-            POAT_TRACE(tracer_, c.model->cycles(), TraceComponent::Polb,
-                       TraceOutcome::Hit, oid.raw, x.polb);
+            x.polbHit = true;
         } else {
             const PotWalk w = pot_.walk(oid.poolId());
             if (!w.found)
@@ -214,18 +234,12 @@ Machine::translateNv(ObjectID oid)
             x.pot = ideal ? 0 : potWalkCharge(w, /*parallel=*/false);
             hPotProbes_->record(w.probes);
             hPotLat_->record(x.pot);
-            POAT_TRACE(tracer_, c.model->cycles(), TraceComponent::Pot,
-                       TraceOutcome::Walk, oid.raw, x.pot);
             base = w.base;
             c.polb.insert(oid.poolId(), base);
         }
         hXlatLat_->record(x.polb + x.pot);
         const uint64_t vaddr = base + oid.offset();
         x.tlb = tlbPenalty(vaddr);
-        if (x.tlb != 0) {
-            POAT_TRACE(tracer_, c.model->cycles(), TraceComponent::Tlb,
-                       TraceOutcome::Miss, oid.raw, x.tlb);
-        }
         x.paddr = pageTable_.translate(vaddr);
         return x;
     }
@@ -236,9 +250,8 @@ Machine::translateNv(ObjectID oid)
     const uint64_t key = oid.raw >> 12;
     if (auto hit = c.polb.lookup(key)) {
         x.paddr = (*hit) * kPageSize + oid.offset() % kPageSize;
+        x.polbHit = true;
         hXlatLat_->record(0);
-        POAT_TRACE(tracer_, c.model->cycles(), TraceComponent::Polb,
-                   TraceOutcome::Hit, oid.raw, 0);
         return x;
     }
     const PotWalk w = pot_.walk(oid.poolId());
@@ -249,8 +262,6 @@ Machine::translateNv(ObjectID oid)
     hPotProbes_->record(w.probes);
     hPotLat_->record(x.pot);
     hXlatLat_->record(x.pot);
-    POAT_TRACE(tracer_, c.model->cycles(), TraceComponent::Pot,
-               TraceOutcome::Walk, oid.raw, x.pot);
     const uint64_t vaddr = w.base + oid.offset();
     const uint64_t pfn = pageTable_.frameOf(vaddr);
     c.polb.insert(key, pfn);
@@ -267,13 +278,10 @@ Machine::nvLoad(ObjectID oid, uint64_t dep, uint64_t dep2)
     const NvXlat x = translateNv(oid);
     const auto acc = caches_.accessClassified(active_, x.paddr, false);
     hNvLoadLat_->record(x.preStall() + acc.latency);
-    POAT_TRACE(tracer_, c.model->cycles(), TraceComponent::NvAccess,
-               TraceOutcome::Load, oid.raw, x.preStall() + acc.latency);
     AccessCosts costs{x.polb, x.pot, x.tlb, acc.latency,
                       levelComp(acc.level)};
     const uint64_t tag = c.model->load(costs, dep, dep2);
-    if (timeline_)
-        timelineTick();
+    retired(Kind::NvLoad, oid.raw, &x, acc.latency);
     return tag;
 }
 
@@ -286,13 +294,10 @@ Machine::nvStore(ObjectID oid, uint64_t dep)
     const NvXlat x = translateNv(oid);
     const auto acc = caches_.accessClassified(active_, x.paddr, true);
     hNvStoreLat_->record(x.preStall() + acc.latency);
-    POAT_TRACE(tracer_, c.model->cycles(), TraceComponent::NvAccess,
-               TraceOutcome::Store, oid.raw, x.preStall() + acc.latency);
     AccessCosts costs{x.polb, x.pot, x.tlb, acc.latency,
                       levelComp(acc.level)};
     c.model->store(costs, dep);
-    if (timeline_)
-        timelineTick();
+    retired(Kind::NvStore, oid.raw, &x, acc.latency);
 }
 
 void
@@ -306,8 +311,7 @@ Machine::clwb(uint64_t vaddr)
     const uint64_t pa = pageTable_.translate(vaddr);
     caches_.flushLine(pa);
     c.model->clwb(costs, cfg_.clwb_latency);
-    if (timeline_)
-        timelineTick();
+    retired(Kind::Clwb);
 }
 
 void
@@ -318,13 +322,9 @@ Machine::nvClwb(ObjectID oid)
     ++c.clwbs;
     const NvXlat x = translateNv(oid);
     caches_.flushLine(x.paddr);
-    POAT_TRACE(tracer_, c.model->cycles(), TraceComponent::NvAccess,
-               TraceOutcome::Flush, oid.raw,
-               cfg_.clwb_latency + x.preStall());
     AccessCosts costs{x.polb, x.pot, x.tlb, 0, CpiComponent::L1D};
     c.model->clwb(costs, cfg_.clwb_latency);
-    if (timeline_)
-        timelineTick();
+    retired(Kind::NvClwb, oid.raw, &x, cfg_.clwb_latency);
 }
 
 void
@@ -334,8 +334,7 @@ Machine::fence()
     ++c.instructions;
     ++c.fences;
     c.model->fence();
-    if (timeline_)
-        timelineTick();
+    retired(Kind::Fence);
 }
 
 void
@@ -367,40 +366,6 @@ Machine::note(const Note &n)
     const CoreState &c = cur();
     contention_.note(n, {active_, c.model->cycles(), cycles(),
                          c.clwbs + c.fences});
-}
-
-void
-Machine::attachTimeline(telemetry::TimelineSampler *timeline,
-                        bool per_core_lanes)
-{
-    timeline_ = timeline;
-    if (!timeline_)
-        return;
-    timeline_->setStatsSource(
-        [this]() -> const StatsRegistry & { return stats(); });
-    timeline_->addGauge("polb.occupancy", [this] {
-        uint64_t occ = 0;
-        for (const auto &c : cores_)
-            occ += static_cast<uint64_t>(c->polb.occupancy());
-        return occ;
-    });
-    timeline_->setCores(static_cast<uint32_t>(cores_.size()));
-    if (!per_core_lanes || cores_.size() <= 1)
-        return;
-    // Per-core blocked-reason lanes: cumulative cycles charged so far
-    // (".total" suffix keeps the names distinct from the per-interval
-    // delta series the registry counters already contribute).
-    for (uint32_t i = 0; i < cores_.size(); ++i) {
-        for (uint32_t r = 0; r < telemetry::kBlockReasons; ++r) {
-            const auto reason = static_cast<telemetry::BlockReason>(r);
-            timeline_->addGauge(
-                "sched.core." + std::to_string(i) + ".blocked." +
-                    telemetry::blockReasonName(reason) + ".total",
-                [this, i, reason] {
-                    return contention_.blockedCycles(i, reason);
-                });
-        }
-    }
 }
 
 void

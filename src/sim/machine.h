@@ -34,6 +34,11 @@
  * telemetry::ContentionProfiler, which owns the transaction-span and
  * contention stats; the machine keeps no state for them.
  *
+ * Observers (telemetry/observer.h) see every retired instruction with
+ * its resolved translation, and every core switch. They only read, so
+ * metrics and stats are byte-identical with any set attached; with
+ * none, each instruction costs one extra branch.
+ *
  * A POT miss on an nv access corresponds to the paper's trap to the
  * OS; since every pool a workload touches is mapped via poolMapped(),
  * hitting one here means a bug, so it panics.
@@ -48,9 +53,9 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "common/trace_event.h"
 #include "pmem/trace.h"
 #include "telemetry/contention.h"
+#include "telemetry/observer.h"
 #include "sim/branch.h"
 #include "sim/cache.h"
 #include "sim/config.h"
@@ -60,11 +65,6 @@
 #include "sim/vm.h"
 
 namespace poat {
-
-namespace telemetry {
-class TimelineSampler;
-}
-
 namespace sim {
 
 /** Aggregate run metrics exported after simulation. */
@@ -107,7 +107,6 @@ class Machine : public TraceSink
 {
   public:
     explicit Machine(const MachineConfig &cfg);
-    ~Machine() override { setTracer(nullptr); }
 
     /// @name TraceSink interface
     /// @{
@@ -182,41 +181,17 @@ class Machine : public TraceSink
     void dumpStatsJson(std::ostream &os, int indent = 0) const;
 
     /**
-     * Attach (or detach, with nullptr) a cycle-stamped event tracer.
-     * The machine does not own it, but holds exclusive producer rights
-     * while attached: attaching a tracer that another machine already
-     * holds panics (its ring buffer is single-producer; see
-     * trace_event.h). Detach — or destroy the machine — to hand the
-     * tracer to the next run.
+     * Add @p observer (not owned; it must outlive the run) to the list
+     * that sees every retired instruction and core switch, in the
+     * order added.
      */
-    void
-    setTracer(EventTracer *tracer)
-    {
-        if (tracer_ == tracer)
-            return;
-        if (tracer_)
-            tracer_->release();
-        if (tracer)
-            tracer->acquire();
-        tracer_ = tracer;
-    }
-    EventTracer *tracer() const { return tracer_; }
+    void addObserver(telemetry::Observer *observer);
 
-    /**
-     * Attach (or detach, with nullptr) an interval timeline sampler.
-     * Binds the sampler's stats source to this machine's registry and
-     * registers the machine-side occupancy gauge ("polb.occupancy");
-     * the caller adds any runtime-side gauges afterwards and calls
-     * finish() when the run ends. With @p per_core_lanes set (and more
-     * than one core), also registers per-core blocked-reason gauges
-     * ("sched.core.<i>.blocked.<reason>.total", cumulative cycles) so
-     * multi-core timelines carry one lane per core. The sampler
-     * observes only — attaching one changes no simulated state, so
-     * metrics and stats stay bit-identical.
-     */
-    void attachTimeline(telemetry::TimelineSampler *timeline,
-                        bool per_core_lanes = false);
-    telemetry::TimelineSampler *timeline() const { return timeline_; }
+    /** The note consumer (blocked-cycle lanes, tx and lock stats). */
+    const telemetry::ContentionProfiler &contention() const
+    {
+        return contention_;
+    }
 
     const MachineConfig &config() const { return cfg_; }
     Polb &polb(uint32_t core = 0) { return cores_[core]->polb; }
@@ -239,6 +214,7 @@ class Machine : public TraceSink
         uint32_t pot = 0;  ///< POT walk cycles (on a POLB miss)
         uint32_t tlb = 0;  ///< TLB-miss walk cycles
         uint64_t paddr = 0;
+        bool polbHit = false;
 
         uint32_t preStall() const { return polb + pot + tlb; }
     };
@@ -281,8 +257,26 @@ class Machine : public TraceSink
     /** Sync every component counter and formula into stats_. */
     void syncStats() const;
 
-    /** Give the timeline sampler the current cycle (if one is on). */
-    void timelineTick();
+    /**
+     * Report the instruction of @p kind the active core just retired
+     * to the observers, if any. nv accesses pass their oid, translation
+     * and data cycles.
+     */
+    void
+    retired(telemetry::Retired::Kind kind, uint64_t oid = 0,
+            const NvXlat *x = nullptr, uint32_t data_cycles = 0)
+    {
+        if (!observers_.empty())
+            notifyRetired(kind, oid, x, data_cycles);
+    }
+
+    /**
+     * Build retired()'s record and hand it out. Out of line, so the
+     * unobserved path of every handler stays one branch.
+     */
+    [[gnu::noinline]] void notifyRetired(telemetry::Retired::Kind kind,
+                                         uint64_t oid, const NvXlat *x,
+                                         uint32_t data_cycles);
 
     MachineConfig cfg_;
     std::vector<std::unique_ptr<CoreState>> cores_;
@@ -290,8 +284,15 @@ class Machine : public TraceSink
     CacheHierarchy caches_;
     PageTable pageTable_;
     Pot pot_;
-    EventTracer *tracer_ = nullptr;
-    telemetry::TimelineSampler *timeline_ = nullptr;
+    std::vector<telemetry::Observer *> observers_;
+
+    /**
+     * Each core's clock after its last observed instruction: the
+     * start clock of its next one. Only instructions move a core's
+     * clock, and every instruction after the first addObserver() is
+     * observed, so this equals the clock before the charge.
+     */
+    std::vector<uint64_t> observedClock_;
 
     mutable StatsRegistry stats_;
     // Hot-path histogram handles (stable: std::map nodes don't move).

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/stats.h"
 #include "common/varint.h"
@@ -332,21 +333,6 @@ TimelineReader::TimelineReader(const std::string &path)
 // --------------------------------------------------------------------
 // Converters
 
-namespace {
-
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\' << c;
-        else
-            os << c;
-    }
-}
-
-} // namespace
-
 void
 dumpCsv(const TimelineReader &tl, std::ostream &os)
 {
@@ -373,15 +359,13 @@ dumpJson(const TimelineReader &tl, std::ostream &os)
        << tl.interval() << ",\n  \"cores\": " << tl.cores()
        << ",\n  \"counters\": [";
     for (size_t i = 0; i < tl.counterNames().size(); ++i) {
-        os << (i ? ", " : "") << '"';
-        jsonEscape(os, tl.counterNames()[i]);
-        os << '"';
+        os << (i ? ", " : "") << '"' << jsonEscape(tl.counterNames()[i])
+           << '"';
     }
     os << "],\n  \"gauges\": [";
     for (size_t i = 0; i < tl.gaugeNames().size(); ++i) {
-        os << (i ? ", " : "") << '"';
-        jsonEscape(os, tl.gaugeNames()[i]);
-        os << '"';
+        os << (i ? ", " : "") << '"' << jsonEscape(tl.gaugeNames()[i])
+           << '"';
     }
     os << "],\n  \"samples\": [";
     for (size_t s = 0; s < tl.samples().size(); ++s) {
@@ -448,9 +432,8 @@ dumpChrome(const TimelineReader &tl, std::ostream &os)
     auto event = [&](const std::string &name, uint64_t ts,
                      auto &&write_args) {
         const int core = seriesCore(name);
-        os << (first ? "\n" : ",\n") << " {\"name\": \"";
-        jsonEscape(os, name);
-        os << "\", \"ph\": \"C\", \"ts\": " << ts
+        os << (first ? "\n" : ",\n") << " {\"name\": \""
+           << jsonEscape(name) << "\", \"ph\": \"C\", \"ts\": " << ts
            << ", \"pid\": " << (core < 0 ? 0 : 1 + core)
            << ", \"tid\": 0, \"args\": {";
         write_args();
@@ -481,10 +464,10 @@ dumpChrome(const TimelineReader &tl, std::ostream &os)
                 while (i < counters.size() &&
                        counters[i].compare(0, stack.size() + 1,
                                            stack + ".") == 0) {
-                    os << (inner_first ? "" : ", ") << '"';
-                    jsonEscape(os,
-                               counters[i].substr(stack.size() + 1));
-                    os << "\": " << row.deltas[i];
+                    os << (inner_first ? "" : ", ") << '"'
+                       << jsonEscape(std::string_view(counters[i])
+                                         .substr(stack.size() + 1))
+                       << "\": " << row.deltas[i];
                     inner_first = false;
                     ++i;
                 }

@@ -61,6 +61,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "telemetry/observer.h"
 
 namespace poat {
 
@@ -78,8 +79,12 @@ inline constexpr uint32_t kTimelineVersion = 2;
 /** Bytes before the series names (magic + version + 5 fixed fields). */
 inline constexpr size_t kTimelineHeaderSize = 40;
 
-/** Cycle-driven delta sampler writing a poat-timeline v2 file. */
-class TimelineSampler
+/**
+ * Cycle-driven delta sampler writing a poat-timeline v2 file. As a
+ * machine observer it ticks on every retired instruction with the
+ * retiring core's clock.
+ */
+class TimelineSampler : public Observer
 {
   public:
     /**
@@ -88,7 +93,7 @@ class TimelineSampler
      * @throws std::runtime_error if the file cannot be created.
      */
     TimelineSampler(uint64_t interval, std::string path);
-    ~TimelineSampler();
+    ~TimelineSampler() override;
 
     TimelineSampler(const TimelineSampler &) = delete;
     TimelineSampler &operator=(const TimelineSampler &) = delete;
@@ -112,7 +117,7 @@ class TimelineSampler
 
     /**
      * Record the simulated core count in the header (v2 field; the
-     * machine sets it at attach). Must precede the first sample.
+     * driver sets it at attach). Must precede the first sample.
      */
     void setCores(uint32_t cores)
     {
@@ -122,9 +127,8 @@ class TimelineSampler
     }
 
     /**
-     * Cycle notification from the machine's event handlers: samples
-     * once per crossed interval boundary. Cheap when no boundary was
-     * crossed (one compare).
+     * Cycle notification: samples once per crossed interval boundary.
+     * Cheap when no boundary was crossed (one compare).
      */
     void
     tick(uint64_t now_cycles)
@@ -132,6 +136,8 @@ class TimelineSampler
         if (now_cycles >= next_)
             crossBoundaries(now_cycles);
     }
+
+    void retired(const Retired &r) override { tick(r.end_cycle); }
 
     /**
      * Take the final partial sample (if any cycles are unsampled),

@@ -29,7 +29,9 @@ to end: the stats report stays byte-identical to a timeline-off run,
 every run emits a parseable poat-timeline stream whose row count is
 exactly ceil(cycles / N), per-row CPI component deltas sum to the row's
 cycle delta, and the --chrome conversion yields loadable JSON of
-"ph":"C" counter events.
+"ph":"C" counter events. The same pass checks --trace=DIR: the stats
+report stays byte-identical, every run writes its own loadable Chrome
+trace, and a parallel sweep stays parallel.
 
 When fig_cores and contention_report binaries are also given, checks
 the concurrency-observability surface: --contention prints per-run
@@ -44,7 +46,9 @@ byte-identical while writing one stream per run with exactly
 ceil(cycles / N) rows.
 
 When fig12_pot_walk and simulate binaries are also given, checks that
-malformed numbers (--jobs=abc, --scale=x, a 20-digit --jobs, a signed
+fig12 --jobs=4, whose labels repeat (they omit the walk latency),
+still writes one parseable timeline per run, and that malformed
+numbers (--jobs=abc, --scale=x, a 20-digit --jobs, a signed
 --seed, an empty --txns), an empty --seeds list, --timeline=0, and an
 unknown simulate workload or flag each print a diagnostic plus the
 usage text and exit 2 instead of aborting.
@@ -199,14 +203,30 @@ def check_trace_cache(bench):
         )
 
 
+def run_file_stems(report):
+    """Per-run output file stems, in run order, by the bench's rule
+    (JsonReport::runFileStem): the label the first time, then
+    <label>-2, <label>-3, ... skipping stems already taken."""
+    used = set()
+    stems = []
+    for r in report["runs"]:
+        stem, k = r["label"], 2
+        while stem in used:
+            stem = "%s-%d" % (r["label"], k)
+            k += 1
+        used.add(stem)
+        stems.append(stem)
+    return stems
+
+
 def check_run_timelines(report, tldir, dump_tool, interval):
     """One parseable stream per run of @p report in @p tldir, with
     exactly ceil(cycles/N) rows each (a zero-cycle run would still get
     one finish row), and no stream shared by two runs."""
-    for r in report["runs"]:
-        path = os.path.join(tldir, r["label"] + ".poattl")
+    for r, stem in zip(report["runs"], run_file_stems(report)):
+        path = os.path.join(tldir, stem + ".poattl")
         if not os.path.exists(path):
-            fail("run %r emitted no timeline" % r["label"])
+            fail("run %r emitted no timeline %s" % (r["label"], path))
         proc = run_bench([dump_tool, "--json", path])
         tl = json.loads(proc.stdout)
         want = max(1, -(-r["cycles"] // interval))
@@ -309,6 +329,57 @@ def check_timeline(bench, dump_tool):
             "exact row counts, CPI deltas sum per row, Chrome JSON "
             "loads" % len(report["runs"])
         )
+
+        # --trace=DIR: observer-only, one loadable Chrome trace per run,
+        # and the sweep keeps its --jobs.
+        trdir = os.path.join(tmp, "traces")
+        traced = os.path.join(tmp, "traced.json")
+        proc = run_bench(base + ["--stats-json=" + traced,
+                                 "--trace=" + trdir])
+        with open(traced, "rb") as f:
+            if f.read() != off_bytes:
+                fail("--trace changed the stats report")
+        if "forcing --jobs=1" in proc.stderr + proc.stdout:
+            fail("--trace still forces --jobs=1")
+        stems = run_file_stems(report)
+        if sorted(os.listdir(trdir)) != sorted(s + ".json" for s in stems):
+            fail("%d trace files for %d runs"
+                 % (len(os.listdir(trdir)), len(stems)))
+        events = 0
+        for r, stem in zip(report["runs"], stems):
+            with open(os.path.join(trdir, stem + ".json")) as f:
+                doc = json.load(f)
+            names = [e["name"] for e in doc["traceEvents"]]
+            if names[:2] != ["begin " + r["label"], "end " + r["label"]]:
+                fail("trace %s lacks its run markers: %r"
+                     % (stem, names[:2]))
+            loads = sum(
+                1 for e in doc["traceEvents"] if e["name"] == "nv.load")
+            if loads != r["stats"]["mem"]["nv_loads"]:
+                fail("trace %s: %d nv.load events, %d nv loads"
+                     % (stem, loads, r["stats"]["mem"]["nv_loads"]))
+            events += len(names)
+        print("OK: --trace report byte-identical, %d Chrome traces "
+              "(%d events) load, one per run" % (len(stems), events))
+
+
+def check_repeated_labels(fig12, dump_tool):
+    """fig12 --jobs=4 repeats labels (they omit the walk latency), yet
+    every run gets its own parseable timeline."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "fig12.json")
+        tldir = os.path.join(tmp, "tl")
+        run_bench([fig12, "--quick", "--no-tpcc", "--jobs=4",
+                   "--stats-json=" + out, "--timeline=50000",
+                   "--timeline-dir=" + tldir])
+        with open(out) as f:
+            report = json.load(f)
+        labels = [r["label"] for r in report["runs"]]
+        if len(set(labels)) == len(labels):
+            fail("fig12 labels no longer repeat; pick another bench")
+        check_run_timelines(report, tldir, dump_tool, 50000)
+        print("OK: fig12 %d runs over %d labels, one timeline each"
+              % (len(labels), len(set(labels))))
 
 
 BLOCK_REASONS = ["token_wait", "lock_wait", "commit_wait", "idle_done"]
@@ -581,6 +652,7 @@ def main():
     if len(sys.argv) >= 7:
         check_contention(sys.argv[5], bench, sys.argv[6], sys.argv[4])
     if len(sys.argv) >= 9:
+        check_repeated_labels(sys.argv[7], sys.argv[4])
         check_usage_errors(bench, sys.argv[7], sys.argv[8], sys.argv[3])
 
 

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -265,32 +266,63 @@ TEST(Telemetry, ConfigLabelCoversTheVariantAxes)
     EXPECT_EQ(configLabel(c), "custom");
 }
 
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+size_t
+countOf(const std::string &hay, const std::string &needle)
+{
+    size_t n = 0;
+    for (size_t at = hay.find(needle); at != std::string::npos;
+         at = hay.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
 TEST(Telemetry, AttachedTracerRecordsTranslationEvents)
 {
-    EventTracer tracer(1u << 16);
     auto cfg = opt(base("LL", PoolPattern::Random));
-    cfg.tracer = &tracer;
-    runExperiment(cfg);
-#if POAT_TRACE_ENABLED
-    EXPECT_GT(tracer.total(), 0u);
-#endif
-    // Run-boundary markers are always present.
-    std::ostringstream os;
-    tracer.serialize(os);
-    EXPECT_NE(os.str().find("M 0 begin LL.RANDOM.opt_pipelined.inorder"),
+    cfg.trace_path = testing::TempDir() + "experiment_test.trace.json";
+    const auto res = runExperiment(cfg);
+    const std::string json = slurp(cfg.trace_path);
+    // One nv.* event per nv access, one POLB or POT event before each.
+    EXPECT_EQ(countOf(json, "\"name\": \"nv.load\""),
+              res.metrics.nv_loads);
+    EXPECT_EQ(countOf(json, "\"name\": \"nv.store\""),
+              res.metrics.nv_stores);
+    EXPECT_GT(countOf(json, "\"name\": \"pot.walk\""), 0u);
+    // The run-boundary markers bracket the run.
+    EXPECT_NE(json.find("{\"name\": \"begin LL.RANDOM.opt_pipelined."
+                        "inorder\", \"ph\": \"i\", \"s\": \"g\", "
+                        "\"ts\": 0,"),
               std::string::npos);
+    EXPECT_NE(json.find("{\"name\": \"end LL.RANDOM.opt_pipelined."
+                        "inorder\", \"ph\": \"i\", \"s\": \"g\", "
+                        "\"ts\": " +
+                        std::to_string(res.metrics.cycles) + ","),
+              std::string::npos);
+    EXPECT_NE(json.find("\"dropped_events\": 0}"), std::string::npos);
 }
 
 TEST(Telemetry, TracerDoesNotPerturbTiming)
 {
-    EventTracer tracer(1u << 16);
     auto traced = opt(base("BST", PoolPattern::Each));
-    traced.tracer = &tracer;
+    traced.trace_path = testing::TempDir() + "experiment_test.bst.json";
     const auto with = runExperiment(traced);
     const auto without =
         runExperiment(opt(base("BST", PoolPattern::Each)));
     EXPECT_EQ(with.metrics.cycles, without.metrics.cycles);
     EXPECT_EQ(with.workload_checksum, without.workload_checksum);
+    std::ostringstream a, b;
+    with.stats.dumpJson(a);
+    without.stats.dumpJson(b);
+    EXPECT_EQ(a.str(), b.str());
 }
 
 } // namespace

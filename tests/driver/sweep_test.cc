@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -240,27 +241,39 @@ TEST(Sweep, EmptyBatchAndDefaultJobs)
 
 TEST(Sweep, PerRunTracersRecordConcurrently)
 {
-    // Four concurrent runs, each with its own tracer: markers land in
-    // the right tracer and the single-producer contract never trips.
+    // Four concurrent runs, each writing its own Chrome trace: every
+    // file is whole and carries its own run's markers, and the results
+    // equal an untraced serial loop's.
     std::vector<ExperimentConfig> cfgs = randomBatch(11, 4);
-    std::vector<std::unique_ptr<EventTracer>> tracers;
-    for (auto &c : cfgs) {
-        tracers.push_back(std::make_unique<EventTracer>(1u << 12));
-        c.mode = TranslationMode::Hardware;
-        c.tracer = tracers.back().get();
+    std::vector<ExperimentConfig> traced = cfgs;
+    for (size_t i = 0; i < traced.size(); ++i) {
+        traced[i].mode = cfgs[i].mode = TranslationMode::Hardware;
+        traced[i].trace_path = testing::TempDir() + "sweep_test.trace." +
+            std::to_string(i) + ".json";
     }
     SweepOptions so;
     so.jobs = 4;
-    const auto res = runSweep(cfgs, so);
+    const auto res = runSweep(traced, so);
     ASSERT_EQ(res.size(), cfgs.size());
     for (size_t i = 0; i < cfgs.size(); ++i) {
+        std::ifstream in(traced[i].trace_path);
         std::ostringstream os;
-        tracers[i]->serialize(os);
-        EXPECT_NE(
-            os.str().find("begin " + configLabel(cfgs[i])),
-            std::string::npos)
+        os << in.rdbuf();
+        const std::string json = os.str();
+        const std::string label = configLabel(cfgs[i]);
+        EXPECT_NE(json.find("\"begin " + label + "\""), std::string::npos)
             << i;
-        EXPECT_FALSE(tracers[i]->acquired()) << i;
+        EXPECT_NE(json.find("\"end " + label + "\""), std::string::npos)
+            << i;
+        // Whole: the closing otherData block is the file's last line.
+        const size_t tail = json.rfind("\n], \"displayTimeUnit\"");
+        ASSERT_NE(tail, std::string::npos) << i;
+        EXPECT_NE(json.find("\"dropped_events\": ", tail),
+                  std::string::npos)
+            << i;
+        EXPECT_EQ(json.back(), '\n') << i;
+        expectBitIdentical(res[i], runExperiment(cfgs[i]),
+                           "traced config " + std::to_string(i));
     }
 }
 

@@ -210,37 +210,102 @@ TEST(Machine, EndToEndWithRuntime)
     }
 }
 
-TEST(Machine, SetTracerAcquiresAndDestructorReleases)
+/** Counts what the machine reports; changes nothing. */
+struct CountingObserver : telemetry::Observer
 {
-    EventTracer t(64);
+    void
+    retired(const telemetry::Retired &r) override
     {
-        Machine m(inorder());
-        m.setTracer(&t);
-        EXPECT_TRUE(t.acquired());
-        // Re-attaching the same tracer to the same machine is a no-op.
-        m.setTracer(&t);
-        EXPECT_TRUE(t.acquired());
+        ++byKind[static_cast<size_t>(r.kind)];
+        if (r.end_cycle < r.start_cycle)
+            ++backwards;
+        // One core: each charge starts where the previous one ended.
+        if (r.start_cycle != lastEnd)
+            ++gaps;
+        lastEnd = r.end_cycle;
     }
-    // ~Machine released the tracer: a later run may reuse it.
-    EXPECT_FALSE(t.acquired());
+    void coreSwitched(uint32_t) override { ++switches; }
 
-    Machine m2(inorder());
-    m2.setTracer(&t);
-    EXPECT_TRUE(t.acquired());
-    m2.setTracer(nullptr);
-    EXPECT_FALSE(t.acquired());
+    uint64_t byKind[9] = {};
+    uint64_t backwards = 0;
+    uint64_t gaps = 0;
+    uint64_t lastEnd = 0;
+    uint64_t switches = 0;
+};
+
+/** A short runtime-driven list workload on @p m; returns the stats JSON. */
+std::string
+runListWorkload(Machine &m)
+{
+    RuntimeOptions o;
+    o.mode = TranslationMode::Hardware;
+    PmemRuntime rt(o, &m);
+    const uint32_t pool = rt.poolCreate("p", 1 << 20);
+    ObjectID head = OID_NULL;
+    for (int i = 0; i < 50; ++i) {
+        const ObjectID n = rt.pmalloc(pool, 16);
+        ObjectRef r = rt.deref(n);
+        rt.write<uint64_t>(r, 0, i);
+        rt.write<uint64_t>(r, 8, head.raw);
+        head = n;
+    }
+    for (ObjectID cur = head; !cur.isNull();)
+        cur = ObjectID(rt.read<uint64_t>(rt.deref(cur), 8));
+    std::ostringstream os;
+    m.dumpStatsJson(os);
+    return os.str();
 }
 
-TEST(MachineDeathTest, TwoMachinesSharingOneTracerPanic)
+TEST(Machine, ObserversLeaveTheStatsJsonByteIdentical)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EventTracer t(64);
-    Machine a(inorder());
-    a.setTracer(&t);
-    Machine b(inorder());
-    // The ring buffer is single-producer; a second concurrent machine
-    // must panic instead of silently racing (see common/trace_event.h).
-    EXPECT_DEATH(b.setTracer(&t), "shared by two concurrent producers");
+    using Kind = telemetry::Retired::Kind;
+    for (const auto design : {PolbDesign::Pipelined, PolbDesign::Parallel}) {
+        for (const auto core : {CoreType::InOrder, CoreType::OutOfOrder}) {
+            MachineConfig c;
+            c.core = core;
+            c.polb_design = design;
+            Machine plain(c);
+            Machine observed(c);
+            CountingObserver a, b;
+            observed.addObserver(&a);
+            observed.addObserver(&b);
+            EXPECT_EQ(runListWorkload(plain), runListWorkload(observed));
+
+            // Every observer sees every instruction event, in order.
+            const auto met = observed.metrics();
+            const auto n = [&a](Kind k) {
+                return a.byKind[static_cast<size_t>(k)];
+            };
+            EXPECT_EQ(n(Kind::NvLoad), met.nv_loads);
+            EXPECT_EQ(n(Kind::NvStore), met.nv_stores);
+            EXPECT_EQ(n(Kind::NvClwb) + n(Kind::Clwb), met.clwbs);
+            EXPECT_EQ(n(Kind::Fence), met.fences);
+            EXPECT_EQ(n(Kind::Load), met.loads);
+            EXPECT_EQ(n(Kind::Store), met.stores);
+            EXPECT_EQ(a.backwards, 0u);
+            EXPECT_EQ(a.gaps, 0u);
+            EXPECT_EQ(a.lastEnd, observed.cycles());
+            EXPECT_EQ(a.switches, 0u);
+            for (size_t k = 0; k < 9; ++k)
+                EXPECT_EQ(a.byKind[k], b.byKind[k]) << k;
+        }
+    }
+}
+
+TEST(Machine, CoreSwitchesReachEveryObserver)
+{
+    MachineConfig c = inorder();
+    c.cores = 2;
+    Machine m(c);
+    CountingObserver obs;
+    m.addObserver(&obs);
+    m.alu(4, 0);
+    m.coreSwitch(1);
+    m.alu(2, 0);
+    m.coreSwitch(0);
+    EXPECT_EQ(obs.switches, 2u);
+    EXPECT_EQ(obs.byKind[static_cast<size_t>(telemetry::Retired::Kind::Alu)],
+              2u);
 }
 
 TEST(Machine, DumpStatsListsAllSubsystems)
