@@ -1,6 +1,7 @@
 #include "fault/explore.h"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 
 #include "driver/sweep.h"
@@ -83,6 +84,7 @@ crashFromStream(PmemRuntime &rt, const Recording &rec, uint64_t steps,
                 uint64_t k, const std::vector<uint8_t> *drain)
 {
     const uint64_t total = rec.events.size();
+    const uint64_t prefix = std::min(k, total);
     auto persist = [&](uint64_t i, uint8_t mask) {
         const WriteBackEvent &e = rec.events[i];
         OpenPool *op = rt.registry().find(e.pool_id);
@@ -95,7 +97,14 @@ crashFromStream(PmemRuntime &rt, const Recording &rec, uint64_t steps,
         }
         op->pool.persistLineWords(e.line, e.bytes.data(), mask);
     };
-    for (uint64_t i = 0; i < std::min(k, total); ++i)
+    // The newest checkpoint at or below the prefix, then its tail.
+    const uint64_t j = std::min<uint64_t>(
+        prefix / Recording::kCheckpointEvery, rec.checkpoints.size());
+    if (j > 0) {
+        for (uint32_t i : rec.checkpoints[j - 1])
+            persist(i, DurabilityHook::kFullLineMask);
+    }
+    for (uint64_t i = j * Recording::kCheckpointEvery; i < prefix; ++i)
         persist(i, DurabilityHook::kFullLineMask);
     const uint64_t n_masks = drain != nullptr ? drain->size() : 0;
     uint64_t broken = k + n_masks; // first event not persisted whole
@@ -421,6 +430,24 @@ checkEventContract(const Recording &first, const Recording &second)
         " — the workload is nondeterministic under the hook");
 }
 
+void
+addCheckpoints(Recording &rec)
+{
+    rec.checkpoints.clear();
+    std::map<uint64_t, uint32_t> last; // (pool << 32 | line) -> event
+    for (uint64_t i = 0; i < rec.events.size(); ++i) {
+        const WriteBackEvent &e = rec.events[i];
+        last[uint64_t{e.pool_id} << 32 | e.line] =
+            static_cast<uint32_t>(i);
+        if ((i + 1) % Recording::kCheckpointEvery != 0)
+            continue;
+        std::vector<uint32_t> &cp = rec.checkpoints.emplace_back();
+        cp.reserve(last.size());
+        for (const auto &[key, writer] : last)
+            cp.push_back(writer);
+    }
+}
+
 Recording
 recordStream(const ExploreOptions &opts)
 {
@@ -428,6 +455,7 @@ recordStream(const ExploreOptions &opts)
     driver::runTasks(2, opts.jobs,
                      [&](size_t i) { recs[i] = recordOnce(opts); });
     checkEventContract(recs[0], recs[1]);
+    addCheckpoints(recs[0]);
     return std::move(recs[0]);
 }
 

@@ -13,10 +13,14 @@
  *     contract, fault/trial.h), so a nondeterministic workload fails
  *     fast instead of misplacing crash points.
  *  2. Exploration: for each chosen event index k, set the workload up
- *     in a fresh runtime and persist recorded events [0, k) — the image
- *     a CrashAtEvent(k) run would freeze (freeze semantics, see
- *     injector.h) without re-running the workload — simulate the power
- *     failure, recover, and check every invariant:
+ *     in a fresh runtime and give it the durable image of recorded
+ *     events [0, k) — the image a CrashAtEvent(k) run would freeze
+ *     (freeze semantics, see injector.h) without re-running the
+ *     workload. The recording's checkpoint every 64 events names each
+ *     line's last writer so far, so the trial persists that checkpoint
+ *     plus a tail of at most 63 events, not all k (fault/trial.h).
+ *     Then simulate the power failure, recover, and check every
+ *     invariant:
  *       - atomicity: the recovered state equals the volatile model
  *         after exactly s or s+1 completed steps, where s is the step
  *         the crash point landed in (per-workload verifiers, see

@@ -121,12 +121,30 @@ struct WriteBackEvent
  * semantics (injector.h) make every trial's execution identical to it,
  * so the durable image at crash point k is the setup image plus events
  * [0, k) — the crash-point space without re-running the workload.
+ *
+ * Checkpoints make that image cost the lines a prefix changes, not its
+ * length. A prefix event persists its whole line, so events [0, 64j)
+ * leave the same image as the last writer of each (pool, line) among
+ * them does alone: checkpoint j lists those writers. A trial at k
+ * persists checkpoint floor(k / 64), then events [64 floor(k / 64), k)
+ * — at most D + 63 line writes for a run that writes D distinct lines.
  */
 struct Recording
 {
+    /** Events between two checkpoints; a constant, not a knob. */
+    static constexpr uint64_t kCheckpointEvery = 64;
+
     std::vector<WriteBackEvent> events;
     std::vector<DrainBatch> batches; ///< DrainProbe's grouping of events
     std::string diag;                ///< driver diagnostics() at run end
+
+    /**
+     * checkpoints[j - 1]: for each (pool, line) events [0, 64j) write
+     * back, the index of its last writer, in (pool, line) order. Built
+     * by addCheckpoints(); a recording without them (tests build some
+     * by hand) replays every prefix from event 0.
+     */
+    std::vector<std::vector<uint32_t>> checkpoints;
 
     uint64_t
     count(WriteBackCause cause) const
@@ -147,9 +165,13 @@ struct Recording
  */
 void checkEventContract(const Recording &first, const Recording &second);
 
+/** Build @p rec's checkpoints (see Recording) from its events. */
+void addCheckpoints(Recording &rec);
+
 /**
  * Record the stream twice (two executions, fanned out over opts.jobs)
- * and return it once the two pass checkEventContract.
+ * and return it, checkpointed, once the two pass checkEventContract.
+ * Trial threads then only read it.
  */
 Recording recordStream(const ExploreOptions &opts);
 
@@ -167,9 +189,10 @@ struct CrashPoint
  * durable image (crashAll). Events before k persist whole; with
  * @p drain, event k + i persists the words of (*drain)[i] and every
  * event past the masks nothing — CrashAtEvent(k) or CrashWithDrain(k,
- * *drain) semantics. The image is built from @p rec when it is
- * non-null, else by re-executing the workload under the crash hook
- * (the reference path: --repro and the differential test).
+ * *drain) semantics. The image is built from @p rec (a checkpoint plus
+ * a tail, see Recording) when it is non-null, else by re-executing the
+ * workload under the crash hook (the reference path: --repro and the
+ * differential test).
  */
 CrashPoint crashRun(TrialRun &run, const ExploreOptions &opts,
                     uint64_t k, const std::vector<uint8_t> *drain,

@@ -126,20 +126,18 @@ PoolAllocator::rebuildFreeList()
     // between the merged-header fence and the poison fence leaves the
     // stale bytes behind; scrub's extent reconstruction could later
     // mistake them for a live block (see poisonHeader). Idempotent —
-    // a clean image has nothing to poison. Never-written pages hold no
-    // header and are skipped, so a fresh heap costs a page, not a scan.
+    // a clean image has nothing to poison. The scan reads each resident
+    // page of an extent once and computes a crc only for a slot that
+    // is not all zero, so a fresh heap costs one page and a freed
+    // region costs its written slots.
     for (const auto &[free_off, free_size] : freeList_) {
-        for (uint32_t p = free_off + static_cast<uint32_t>(kAlign);
-             p + sizeof(BlockHeader) <= free_off + free_size;
-             p = nextHeaderSlot(pool_, p)) {
-            BlockHeader stale{};
-            pool_.readRaw(p, &stale, sizeof(stale));
-            if (!stale.crcValid())
-                continue;
-            const uint8_t zeros[sizeof(BlockHeader)] = {};
-            pool_.writeRaw(p, zeros, sizeof(zeros));
-            pool_.persist(p, sizeof(BlockHeader));
-        }
+        scanHeaderSlots(pool_, free_off + kAlign, free_off + free_size,
+                        [this](uint32_t stale, const BlockHeader &) {
+                            const uint8_t zeros[sizeof(BlockHeader)] = {};
+                            pool_.writeRaw(stale, zeros, sizeof(zeros));
+                            pool_.persist(stale, sizeof(BlockHeader));
+                            return false; // sweep the whole extent
+                        });
     }
 }
 

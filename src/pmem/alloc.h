@@ -17,7 +17,9 @@
 #ifndef POAT_PMEM_ALLOC_H
 #define POAT_PMEM_ALLOC_H
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -110,20 +112,20 @@ class PoolAllocator
     uint32_t alloc(uint32_t size, bool persist_now = true);
 
     /**
-     * The header slot a 16-byte heap scan visits after @p slot: the
-     * next kAlign step, or the start of the next page when @p slot's
-     * page is not resident in the working image. The skip is exact: an
-     * absent page reads as zero, an all-zero BlockHeader is not
-     * crc-valid, and a kAlign-aligned header never straddles a page.
+     * Visit the crc-valid BlockHeaders at the kAlign-aligned slots of
+     * [@p begin, @p end) in @p pool's working image, in ascending
+     * order: @p visit(slot, header) returns true to stop the scan, and
+     * may rewrite the slot it is handed. Each resident page of the
+     * range is read once through its page view; an absent page is
+     * skipped whole, and an all-zero slot before its crc is computed.
+     * Both skips are exact: an absent page reads as zero, an all-zero
+     * BlockHeader is not crc-valid, and an aligned header never
+     * straddles a page. An unaligned @p begin, which only a forged
+     * block size can produce, starts at the next slot.
      */
-    static uint32_t
-    nextHeaderSlot(const Pool &pool, uint32_t slot)
-    {
-        static_assert(kPageSize % kAlign == 0);
-        if (pool.pageResident(slot))
-            return slot + kAlign;
-        return static_cast<uint32_t>(alignUp(slot + 1, kPageSize));
-    }
+    template <typename Visit>
+    static void scanHeaderSlots(const Pool &pool, uint32_t begin,
+                                uint32_t end, Visit &&visit);
 
     /** Persist every header the last alloc/free wrote. */
     void persistTouched();
@@ -203,6 +205,31 @@ class PoolAllocator
     std::map<uint32_t, uint32_t> freeList_; ///< block off -> total size
     std::vector<uint32_t> touched_;
 };
+
+template <typename Visit>
+void
+PoolAllocator::scanHeaderSlots(const Pool &pool, uint32_t begin,
+                               uint32_t end, Visit &&visit)
+{
+    static_assert(kPageSize % kAlign == 0);
+    for (uint64_t slot = alignUp(begin, kAlign);
+         slot + sizeof(BlockHeader) <= end;) {
+        const uint64_t next_page = alignUp(slot + 1, kPageSize);
+        const uint64_t page_end = std::min<uint64_t>(next_page, end);
+        const uint8_t *page =
+            pool.residentPage(static_cast<uint32_t>(slot));
+        for (; page != nullptr && slot + sizeof(BlockHeader) <= page_end;
+             slot += kAlign) {
+            BlockHeader h;
+            std::memcpy(&h, page + slot % kPageSize, sizeof(h));
+            if ((h.size | h.flags | h.prev_size | h.crc) == 0)
+                continue;
+            if (h.crcValid() && visit(static_cast<uint32_t>(slot), h))
+                return;
+        }
+        slot = next_page;
+    }
+}
 
 } // namespace poat
 

@@ -241,11 +241,11 @@ class PoolImage
     /** Copy @p n bytes in at @p off, allocating absent pages. */
     void write(uint64_t off, const void *src, size_t n);
 
-    /** True iff the page holding @p off is allocated. */
-    bool
-    resident(uint64_t off) const
+    /** The kPageSize bytes of the page holding @p off; null if absent. */
+    const uint8_t *
+    page(uint64_t off) const
     {
-        return pages_[off / kPageSize] != nullptr;
+        return pages_[off / kPageSize].get();
     }
 
     /** The dense on-media layout: every byte, absent pages as zeros. */
@@ -389,8 +389,21 @@ class Pool
     bool
     pageResident(uint32_t off) const
     {
+        return residentPage(off) != nullptr;
+    }
+
+    /**
+     * Read-only view of the working image's page holding @p off: its
+     * kPageSize bytes from the page's start, or nullptr while the page
+     * is absent (pageResident). Scans that read a page at a time use it
+     * instead of a readRaw per field. A write through the pool shows in
+     * the view at once; crash() replaces the image and ends the view.
+     */
+    const uint8_t *
+    residentPage(uint32_t off) const
+    {
         POAT_ASSERT(off < data_.size(), "residency query out of range");
-        return data_.resident(off);
+        return data_.page(off);
     }
 
     /**

@@ -258,28 +258,23 @@ scrubHeap(Pool &pool, const std::vector<LogRecord> &records,
             // block covering both, i.e. the corrupt header is a
             // remainder an alloc split freshly carved and the
             // successor's prev_size update has not persisted yet. No
-            // match of either kind means this was the last block. The
-            // scan skips never-written pages (they hold no header).
+            // match of either kind means this was the last block.
             const uint32_t prev_off = off - prev_size;
             uint32_t size = 0;
             bool stale_span = false;
             for (int pass = 0; pass < 2 && size == 0; ++pass) {
-                for (uint32_t cand = off + PoolAllocator::kMinBlock;
-                     cand + sizeof(BlockHeader) <= heap_end;
-                     cand = PoolAllocator::nextHeaderSlot(pool, cand)) {
-                    BlockHeader next{};
-                    pool.readRaw(cand, &next, sizeof(next));
-                    const uint32_t want =
-                        pass == 0 ? cand - off : cand - prev_off;
-                    if (next.crcValid() &&
-                        cand + static_cast<uint64_t>(next.size) <=
-                            heap_end &&
-                        next.prev_size == want) {
+                const uint32_t link_base = pass == 0 ? off : prev_off;
+                PoolAllocator::scanHeaderSlots(
+                    pool, off + PoolAllocator::kMinBlock, heap_end,
+                    [&](uint32_t cand, const BlockHeader &next) {
+                        if (cand + static_cast<uint64_t>(next.size) >
+                                heap_end ||
+                            next.prev_size != cand - link_base)
+                            return false;
                         size = cand - off;
                         stale_span = pass == 1;
-                        break;
-                    }
-                }
+                        return true;
+                    });
             }
             if (size == 0 && heap_end - off >= PoolAllocator::kMinBlock)
                 size = heap_end - off;

@@ -49,8 +49,9 @@ class TraceSink
     virtual ~TraceSink() = default;
 
     /**
-     * @p count generic single-cycle ALU instructions; the first consumes
-     * the value tagged @p dep (if nonzero), the rest chain.
+     * @p count generic single-cycle ALU instructions. Only the first
+     * waits on the value tagged @p dep (if nonzero); the rest wait on
+     * nothing, and none produces a tag (SIMULATOR.md, "Value tags").
      */
     virtual void alu(uint32_t count, uint64_t dep = kNoDep)
     {

@@ -9,11 +9,16 @@
  * workloads, one and four host jobs — both sources must produce
  * byte-identical durable images, the same step window, crash flag,
  * event count and diagnostics, and identical trial counters and
- * failure records.
+ * failure records. The StreamCheckpoints tests check the recording's
+ * checkpoints against persisting every prefix whole.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -366,6 +371,209 @@ TEST(StreamTrials, EvictionPassEventsAttributeToTheFollowingStep)
     EXPECT_FALSE(c.fired);
     EXPECT_EQ(c.window.lo, o.steps);
     EXPECT_EQ(c.window.hi, o.steps);
+}
+
+// ---- Checkpoints: the prefix image without persisting the whole prefix.
+
+using LineKey = std::pair<uint32_t, uint32_t>; // (pool, line)
+using LineBytes = std::array<uint8_t, kLineSize>;
+
+/** Durable bytes of every (pool, line) @p rec writes back. */
+std::map<LineKey, LineBytes>
+recordedLines(PmemRuntime &rt, const Recording &rec)
+{
+    std::map<LineKey, LineBytes> out;
+    for (const fault::detail::WriteBackEvent &e : rec.events) {
+        LineBytes &bytes = out[{e.pool_id, e.line}];
+        rt.registry().get(e.pool_id).pool.readDurable(
+            e.line * static_cast<uint32_t>(kLineSize), bytes.data(),
+            kLineSize);
+    }
+    return out;
+}
+
+/**
+ * Put @p lines (a recordedLines() snapshot taken after setup) back into
+ * the durable images, so one set-up runtime serves many trials: every
+ * durable byte a trial writes lies on a recorded line.
+ */
+void
+restoreLines(PmemRuntime &rt, const std::map<LineKey, LineBytes> &lines)
+{
+    for (const auto &[key, bytes] : lines) {
+        rt.registry().get(key.first).pool.persistLineWords(
+            key.second, bytes.data(), DurabilityHook::kFullLineMask);
+    }
+}
+
+/** The reference: persist recorded events [from, to) whole, one by one. */
+void
+persistWhole(PmemRuntime &rt, const Recording &rec, uint64_t from,
+             uint64_t to)
+{
+    for (uint64_t i = from; i < std::min<uint64_t>(to, rec.events.size());
+         ++i) {
+        const fault::detail::WriteBackEvent &e = rec.events[i];
+        rt.registry().get(e.pool_id).pool.persistLineWords(
+            e.line, e.bytes.data(), DurabilityHook::kFullLineMask);
+    }
+}
+
+/** Then persist the words of @p masks from event @p k on. */
+void
+persistMasks(PmemRuntime &rt, const Recording &rec, uint64_t k,
+             const std::vector<uint8_t> &masks)
+{
+    for (uint64_t r = 0; r < masks.size() && k + r < rec.events.size();
+         ++r) {
+        const fault::detail::WriteBackEvent &e = rec.events[k + r];
+        if (masks[r] != 0) {
+            rt.registry().get(e.pool_id).pool.persistLineWords(
+                e.line, e.bytes.data(), masks[r]);
+        }
+    }
+}
+
+/**
+ * Checkpoint-built images against whole prefixes for every k in
+ * [0, total], two points past it, and drain masks starting at 64j - 1,
+ * 64j and 64j + 1. Recorded lines are compared at every k, whole
+ * durable images at every checkpoint boundary and at the end. The k
+ * range is split over four host threads that share @p rec.
+ */
+void
+expectCheckpointedImagesMatch(const ExploreOptions &o, const Recording &rec)
+{
+    const uint64_t total = rec.events.size();
+    const uint64_t every = Recording::kCheckpointEvery;
+    ASSERT_GE(rec.checkpoints.size(), 2u) << o.workload;
+    ASSERT_EQ(rec.checkpoints.size(), total / every) << o.workload;
+    std::vector<uint64_t> ks;
+    for (uint64_t k = 0; k <= total; ++k)
+        ks.push_back(k);
+    ks.push_back(total + 1);
+    ks.push_back(total + every);
+
+    constexpr size_t kChunks = 4;
+    std::vector<std::string> problems(kChunks);
+    driver::runTasks(kChunks, kChunks, [&](size_t c) {
+        TrialRun run(o);
+        TrialRun ref(o);
+        const std::map<LineKey, LineBytes> setup =
+            recordedLines(run.rt, rec);
+        std::string &p = problems[c];
+        auto check = [&](const std::string &what, uint64_t k) {
+            if (recordedLines(run.rt, rec) != recordedLines(ref.rt, rec)) {
+                p += " " + what + std::to_string(k) + ": lines differ";
+            } else if ((k % every == 0 || k >= total) &&
+                       durableImages(run.rt) != durableImages(ref.rt)) {
+                p += " " + what + std::to_string(k) + ": images differ";
+            }
+        };
+        const size_t lo = ks.size() * c / kChunks;
+        const size_t hi = ks.size() * (c + 1) / kChunks;
+        persistWhole(ref.rt, rec, 0, ks[lo]);
+        uint64_t done = ks[lo];
+        for (size_t i = lo; i < hi; ++i) {
+            const uint64_t k = ks[i];
+            restoreLines(run.rt, setup);
+            fault::detail::crashRun(run, o, k, nullptr, &rec);
+            persistWhole(ref.rt, rec, done, k);
+            done = std::max(done, k);
+            check("k=", k);
+        }
+        // Drain states around the boundaries this chunk's threads own.
+        const std::vector<uint8_t> masks = {0xff, 0x0f, 0x00, 0xf0, 0xff};
+        for (uint64_t j = 1 + c; j <= total / every; j += kChunks) {
+            for (uint64_t start : {j * every - 1, j * every, j * every + 1}) {
+                restoreLines(run.rt, setup);
+                restoreLines(ref.rt, setup);
+                fault::detail::crashRun(run, o, start, &masks, &rec);
+                persistWhole(ref.rt, rec, 0, start);
+                persistMasks(ref.rt, rec, start, masks);
+                check("drain at ", start);
+            }
+        }
+    });
+    for (size_t c = 0; c < kChunks; ++c)
+        EXPECT_EQ(problems[c], "") << o.workload << " chunk " << c;
+}
+
+TEST(StreamCheckpoints, ImagesMatchWholePrefixes)
+{
+    std::vector<ExploreOptions> configs = {config("B+T", 12, 3),
+                                           config("LL", 12, 5)};
+    ExploreOptions rbt = config("RBT", 10, 3);
+    rbt.evict_num = 1;
+    rbt.evict_den = 4;
+    configs.push_back(rbt);
+    ExploreOptions lht = config("LHT", 6, 1);
+    lht.threads = 2;
+    lht.sched_seed = 1;
+    configs.push_back(lht);
+    configs.push_back(config("TPCC", 2, 1));
+    for (const ExploreOptions &o : configs)
+        expectCheckpointedImagesMatch(o, fault::detail::recordStream(o));
+}
+
+TEST(StreamCheckpoints, KeyOnPoolAndLineAndWorkWithoutCheckpoints)
+{
+    // No explorer workload spreads over two pools, so build a stream by
+    // hand: both pools write the same line numbers, each line several
+    // times, across three checkpoints.
+    const ExploreOptions o = config("LL", 2, 1);
+    auto twoPools = [&o]() {
+        auto run = std::make_unique<TrialRun>(o);
+        run->rt.registry().create("second", 1 << 20);
+        return run;
+    };
+    std::unique_ptr<TrialRun> probe = twoPools();
+    const std::vector<uint32_t> ids = probe->rt.registry().openIds();
+    ASSERT_EQ(ids.size(), 2u);
+    Recording rec;
+    Rng rng(9);
+    for (uint32_t i = 0; i < 3 * Recording::kCheckpointEvery + 17; ++i) {
+        fault::detail::WriteBackEvent &e = rec.events.emplace_back();
+        e.pool_id = ids[rng.below(2)];
+        e.line = 100 + static_cast<uint32_t>(rng.below(6));
+        e.step = i / 40;
+        for (uint8_t &b : e.bytes)
+            b = static_cast<uint8_t>(rng.next());
+    }
+    Recording plain = rec; // no checkpoints: every prefix from event 0
+    fault::detail::addCheckpoints(rec);
+    ASSERT_EQ(rec.checkpoints.size(), 3u);
+    for (uint64_t k = 0; k <= rec.events.size() + 1; ++k) {
+        for (const Recording *source : {&rec, &plain}) {
+            std::unique_ptr<TrialRun> run = twoPools();
+            std::unique_ptr<TrialRun> ref = twoPools();
+            fault::detail::crashRun(*run, o, k, nullptr, source);
+            persistWhole(ref->rt, *source, 0, k);
+            EXPECT_TRUE(durableImages(run->rt) == durableImages(ref->rt))
+                << "k=" << k << (source == &rec ? "" : " (no checkpoints)");
+        }
+    }
+
+    // A stream naming a pool the setup did not create fails loudly,
+    // naming the event, whether it is replayed from a checkpoint or
+    // from the tail.
+    for (uint64_t bad : {uint64_t(10), uint64_t(200)}) {
+        Recording wrong = rec;
+        wrong.events[bad].pool_id = 99;
+        fault::detail::addCheckpoints(wrong);
+        std::unique_ptr<TrialRun> run = twoPools();
+        try {
+            fault::detail::crashRun(*run, o, wrong.events.size(), nullptr,
+                                    &wrong);
+            ADD_FAILURE() << "a missing pool must throw";
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("contract violated"), std::string::npos);
+            EXPECT_NE(what.find("event " + std::to_string(bad) + " "),
+                      std::string::npos)
+                << what;
+        }
+    }
 }
 
 } // namespace
