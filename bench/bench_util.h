@@ -1,12 +1,12 @@
 /**
  * @file
- * Shared plumbing for the paper-reproduction bench binaries: argument
- * parsing (--quick / --scale=N / --txns=N / --jobs=N / --stats-json=F /
- * --trace=D / --timeline=N), configuration builders, the parallel sweep entry point
- * every binary funnels its runs through (runAll), fixed-width table
- * printing that mirrors the paper's rows, and the machine-readable
- * JSON report every binary can emit (docs/OBSERVABILITY.md documents
- * the schema).
+ * Shared plumbing for the paper-reproduction bench binaries: one flag
+ * table (--quick / --scale=N / --txns=N / --jobs=N / --stats-json=F /
+ * --trace=D / --timeline=N; parsed by common/cli.h), configuration
+ * builders, the parallel sweep entry point every binary funnels its
+ * runs through (runAll), fixed-width table printing that mirrors the
+ * paper's rows, and the machine-readable JSON report every binary can
+ * emit (docs/OBSERVABILITY.md documents the schema).
  */
 #ifndef POAT_BENCH_BENCH_UTIL_H
 #define POAT_BENCH_BENCH_UTIL_H
@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/cpi.h"
 #include "common/json.h"
 #include "common/logging.h"
@@ -60,156 +60,89 @@ struct BenchArgs
     bool timeline_cores = false; ///< per-core timeline lanes
     bool contention = false;     ///< print per-run contention reports
 
-    static void
-    usage()
-    {
-        std::printf("options:\n"
-                    "  --quick           CI-sized runs (~10x faster)\n"
-                    "  --scale=N         microbenchmark op-count %%\n"
-                    "  --tpcc-scale=N    TPC-C cardinality %%\n"
-                    "  --txns=N          TPC-C transaction count\n"
-                    "  --no-tpcc         skip TPC-C rows\n"
-                    "  --seed=N          workload RNG seed (default 42)\n"
-                    "  --seeds=A,B,...   run every config once per seed\n"
-                    "                    and report mean +/- stddev error\n"
-                    "                    bars (tables use the first seed)\n"
-                    "  --cpi-stack       print each run's CPI stack --\n"
-                    "                    cycles charged per component\n"
-                    "  --jobs=N          concurrent runs (default: all\n"
-                    "                    cores; 1 = serial; results are\n"
-                    "                    identical at any N)\n"
-                    "  --stats-json=FILE write a JSON stats report\n"
-                    "  --trace=DIR       write each run's translation\n"
-                    "                    events as Chrome trace JSON,\n"
-                    "                    one <label>.json per run;\n"
-                    "                    observer-only, results\n"
-                    "                    identical\n"
-                    "  --trace-cache=DIR capture/replay instruction\n"
-                    "                    traces (poat-itrace): runs\n"
-                    "                    sharing a functional config\n"
-                    "                    execute the workload once and\n"
-                    "                    replay it for every machine\n"
-                    "                    variant; results identical\n"
-                    "  --timeline=N      sample an interval stats\n"
-                    "                    timeline every N cycles into\n"
-                    "                    one poat-timeline v2 file per\n"
-                    "                    run (convert: tools/\n"
-                    "                    timeline_dump); observer-only,\n"
-                    "                    results identical\n"
-                    "  --timeline-dir=D  timeline output directory\n"
-                    "                    (default: timelines)\n"
-                    "  --timeline-cores  add per-core blocked-reason\n"
-                    "                    gauges to multi-core runs'\n"
-                    "                    timelines (one Chrome lane per\n"
-                    "                    core); observer-only\n"
-                    "  --contention      print each multi-core run's\n"
-                    "                    contention report: top locks,\n"
-                    "                    aborts, blocked cycles, and\n"
-                    "                    the critical path (same data:\n"
-                    "                    tools/contention_report);\n"
-                    "                    reporting-only\n");
-    }
-
-    /** Print @p why and the usage text, then exit 2 (strict CLI). */
-    [[noreturn]] static void
-    usageError(const std::string &why)
-    {
-        std::fprintf(stderr, "%s\n", why.c_str());
-        usage();
-        std::exit(2);
-    }
-
     /**
-     * @p text as a decimal number no larger than @p max; anything else
-     * (empty, signed, trailing characters, out of range) is a usage
-     * error naming @p flag.
+     * The shared flag table; a usage error exits 2 and --help exits 0
+     * (the strict contract of common/cli.h).
      */
-    static uint64_t
-    number(const char *flag, const std::string &text,
-           uint64_t max = UINT64_MAX)
-    {
-        uint64_t v = 0;
-        const char *end = text.data() + text.size();
-        const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-        if (text.empty() || ec != std::errc() || ptr != end || v > max)
-            usageError(std::string(flag) + " needs a number up to " +
-                       std::to_string(max) + ", got '" + text + "'");
-        return v;
-    }
-
     static BenchArgs
     parse(int argc, char **argv)
     {
         BenchArgs a;
-        for (int i = 1; i < argc; ++i) {
-            const std::string s = argv[i];
-            if (s == "--quick") {
-                // CI-sized runs: same shapes, ~10x faster.
-                a.quick = true;
-                a.scale_pct = 20;
-                a.tpcc_scale_pct = 2;
-                a.tpcc_txns = 150;
-            } else if (s.rfind("--scale=", 0) == 0) {
-                a.scale_pct = static_cast<uint32_t>(
-                    number("--scale", s.substr(8), UINT32_MAX));
-            } else if (s.rfind("--tpcc-scale=", 0) == 0) {
-                a.tpcc_scale_pct = static_cast<uint32_t>(
-                    number("--tpcc-scale", s.substr(13), UINT32_MAX));
-            } else if (s.rfind("--txns=", 0) == 0) {
-                a.tpcc_txns = number("--txns", s.substr(7));
-            } else if (s == "--no-tpcc") {
-                a.include_tpcc = false;
-            } else if (s.rfind("--seed=", 0) == 0) {
-                a.seed = number("--seed", s.substr(7));
-            } else if (s.rfind("--seeds=", 0) == 0) {
-                a.seeds.clear();
-                std::string list = s.substr(8);
-                size_t pos = 0;
-                while (pos <= list.size()) {
-                    const size_t comma = list.find(',', pos);
-                    const std::string tok = list.substr(
-                        pos, comma == std::string::npos ? comma
-                                                        : comma - pos);
-                    if (!tok.empty())
-                        a.seeds.push_back(number("--seeds", tok));
-                    if (comma == std::string::npos)
-                        break;
-                    pos = comma + 1;
-                }
-                if (a.seeds.empty())
-                    usageError("--seeds needs a list");
-                a.seed = a.seeds[0];
-            } else if (s == "--cpi-stack") {
-                a.cpi_stack = true;
-            } else if (s.rfind("--jobs=", 0) == 0) {
-                a.jobs = static_cast<uint32_t>(
-                    number("--jobs", s.substr(7), UINT32_MAX));
-            } else if (s.rfind("--stats-json=", 0) == 0) {
-                a.stats_json = s.substr(13);
-            } else if (s.rfind("--trace=", 0) == 0) {
-                a.trace = s.substr(8);
-            } else if (s.rfind("--trace-cache=", 0) == 0) {
-                a.trace_cache = s.substr(14);
-            } else if (s.rfind("--timeline=", 0) == 0) {
-                a.timeline = number("--timeline", s.substr(11));
-                if (a.timeline == 0)
-                    usageError("--timeline needs a nonzero cycle interval");
-            } else if (s.rfind("--timeline-dir=", 0) == 0) {
-                a.timeline_dir = s.substr(15);
-            } else if (s == "--timeline-cores") {
-                a.timeline_cores = true;
-            } else if (s == "--contention") {
-                a.contention = true;
-            } else if (s == "--help") {
-                usage();
-                std::exit(0);
-            } else {
-                // Strict CLI contract shared with the tools: unknown
-                // flags and malformed values are usage errors, exit 2
-                // (bench_smoke checks).
-                usageError("unknown argument: " + s);
-            }
-        }
+        const std::string prog = argv[0];
+        const cli::Parser parser(
+            prog.substr(prog.find_last_of('/') + 1),
+            {
+                cli::Flag{"--quick", "", "CI-sized runs (~10x faster)",
+                          [&a](const std::string &) {
+                              // Same shapes, ~10x faster; later
+                              // sizing flags still override.
+                              a.quick = true;
+                              a.scale_pct = 20;
+                              a.tpcc_scale_pct = 2;
+                              a.tpcc_txns = 150;
+                          }},
+                cli::number("--scale", a.scale_pct,
+                            "microbenchmark op-count %"),
+                cli::number("--tpcc-scale", a.tpcc_scale_pct,
+                            "TPC-C cardinality %"),
+                cli::number("--txns", a.tpcc_txns,
+                            "TPC-C transaction count"),
+                cli::toggle("--no-tpcc", a.include_tpcc, false,
+                            "skip TPC-C rows"),
+                cli::number("--seed", a.seed,
+                            "workload RNG seed (default 42)"),
+                cli::Flag{"--seeds", "A,B,...",
+                          "run every config once per seed and report\n"
+                          "mean +/- stddev error bars (tables use the\n"
+                          "first seed)",
+                          [&a](const std::string &v) {
+                              a.seeds = cli::toNumberList("--seeds", v);
+                              a.seed = a.seeds[0];
+                          }},
+                cli::toggle("--cpi-stack", a.cpi_stack,
+                            "print each run's CPI stack -- cycles\n"
+                            "charged per component"),
+                cli::number("--jobs", a.jobs,
+                            "concurrent runs (default: all cores;\n"
+                            "1 = serial; results are identical at any N)"),
+                cli::text("--stats-json", "FILE", a.stats_json,
+                          "write a JSON stats report"),
+                cli::text("--trace", "DIR", a.trace,
+                          "write each run's translation events as\n"
+                          "Chrome trace JSON, one <label>.json per\n"
+                          "run; observer-only, results identical"),
+                cli::text("--trace-cache", "DIR", a.trace_cache,
+                          "capture/replay instruction traces\n"
+                          "(poat-itrace): runs sharing a functional\n"
+                          "config execute the workload once and replay\n"
+                          "it for every machine variant; results\n"
+                          "identical"),
+                cli::Flag{"--timeline", "N",
+                          "sample an interval stats timeline every N\n"
+                          "cycles into one poat-timeline v2 file per\n"
+                          "run (convert: tools/timeline_dump);\n"
+                          "observer-only, results identical",
+                          [&a](const std::string &v) {
+                              a.timeline = cli::toNumber("--timeline", v);
+                              if (a.timeline == 0)
+                                  throw std::invalid_argument(
+                                      "--timeline needs a nonzero "
+                                      "cycle interval");
+                          }},
+                cli::text("--timeline-dir", "D", a.timeline_dir,
+                          "timeline output directory (default:\n"
+                          "timelines)"),
+                cli::toggle("--timeline-cores", a.timeline_cores,
+                            "add per-core blocked-reason gauges to\n"
+                            "multi-core runs' timelines (one Chrome lane\n"
+                            "per core); observer-only"),
+                cli::toggle("--contention", a.contention,
+                            "print each multi-core run's contention\n"
+                            "report: top locks, aborts, blocked cycles,\n"
+                            "and the critical path (same data:\n"
+                            "tools/contention_report); reporting-only"),
+            });
+        parser.parse(argc, argv);
         return a;
     }
 };

@@ -4,14 +4,15 @@
  * BASE (software oid_direct) and OPT (hardware POLB/POT translation)
  * on the paper's Nehalem-class machine and print what the hardware
  * support buys — the experiment behind every bar of Figure 9, in
- * miniature.
+ * miniature. Bad usage exits 2 (the command-line contract of
+ * common/cli.h, README).
  */
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "common/cli.h"
 #include "driver/experiment.h"
 #include "driver/sweep.h"
 #include "pmem/runtime.h"
@@ -51,36 +52,32 @@ report(const char *label, const ExperimentResult &r)
     }
 }
 
-/** Print @p why and the usage text, then exit 2 (strict CLI). */
-[[noreturn]] void
-usageError(const std::string &why)
-{
-    std::fprintf(stderr, "%s\n", why.c_str());
-    std::printf("usage: simulate [WORKLOAD [--compare | --stats | "
-                "--stats-json]]\n"
-                "  WORKLOAD      one of LL BST SPS RBT BT B+T (default "
-                "B+T)\n"
-                "  --compare     BASE vs OPT designs (the default)\n"
-                "  --stats       counter dump of one OPT run\n"
-                "  --stats-json  the same, as hierarchical JSON\n");
-    std::exit(2);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const std::string workload = argc > 1 ? argv[1] : "B+T";
-    const std::string flag = argc > 2 ? argv[2] : "";
+    enum class Mode { Compare, Stats, StatsJson };
+    Mode mode = Mode::Compare;
+    std::string workload = "B+T";
+    const cli::Parser parser(
+        "simulate",
+        {
+            cli::toggle("--compare", mode, Mode::Compare,
+                        "BASE vs OPT designs (the default)"),
+            cli::toggle("--stats", mode, Mode::Stats,
+                        "counter dump of one OPT run"),
+            cli::toggle("--stats-json", mode, Mode::StatsJson,
+                        "the same, as hierarchical JSON"),
+        },
+        {{"WORKLOAD", workload, false,
+          "one of LL BST SPS RBT BT B+T (default B+T)"}});
+    parser.parse(argc, argv);
     const auto &names = workloads::microbenchNames();
     if (std::find(names.begin(), names.end(), workload) == names.end())
-        usageError("unknown workload: " + workload);
-    if (argc > 3 || (!flag.empty() && flag != "--compare" &&
-                     flag != "--stats" && flag != "--stats-json"))
-        usageError("unknown argument: " + std::string(argv[argc - 1]));
+        parser.usageError("unknown workload: " + workload);
 
-    if (flag == "--stats" || flag == "--stats-json") {
+    if (mode != Mode::Compare) {
         // Full Sniper-style counter dump of one OPT run — flat text, or
         // the hierarchical JSON form described in docs/OBSERVABILITY.md.
         sim::MachineConfig mc;
@@ -93,7 +90,7 @@ main(int argc, char **argv)
         wc.pattern = workloads::PoolPattern::Random;
         wc.scale_pct = 50;
         workloads::makeWorkload(workload, wc)->run(rt);
-        if (flag == "--stats-json") {
+        if (mode == Mode::StatsJson) {
             machine.dumpStatsJson(std::cout);
             std::cout << "\n";
         } else {

@@ -4,6 +4,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "common/cli.h"
 #include "driver/sweep.h"
 #include "fault/media.h"
 #include "fault/reorder.h"
@@ -610,112 +611,87 @@ explore(const ExploreOptions &opts)
     return report;
 }
 
+void
+parseEvictRatio(const std::string &text, ExploreOptions &opts)
+{
+    const std::vector<std::string> parts = cli::split(text, '/');
+    const auto num = cli::parseUnsigned(parts[0]);
+    const auto den =
+        parts.size() == 2 ? cli::parseUnsigned(parts[1]) : std::nullopt;
+    if (!num || !den || *den == 0 || *num > *den)
+        throw std::invalid_argument(
+            "bad eviction ratio '" + text +
+            "' (expected NUM/DEN with 0 <= NUM <= DEN, DEN > 0)");
+    opts.evict_num = *num;
+    opts.evict_den = *den;
+}
+
 std::vector<Failure>
 replayRepro(const std::string &repro, const ExploreOptions &base)
 {
-    std::vector<std::string> tok;
-    std::string cur;
-    for (char c : repro) {
-        if (c == ':') {
-            tok.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    tok.push_back(cur);
-
+    const std::vector<std::string> tok = cli::split(repro, ':');
     auto bad = [&]() -> std::invalid_argument {
         return std::invalid_argument(
             "bad reproducer '" + repro +
             "' (expected workload:steps:seed:k[:j | :dJ1,J2,..]"
             "[:rMASKS][:S][:tSEED][:nTHREADS][:mFAULT][:eNUM/DEN])");
     };
+    auto number = [&](const std::string &text,
+                      uint64_t max = UINT64_MAX) {
+        const auto v = cli::parseUnsigned(text, max);
+        if (!v)
+            throw bad();
+        return *v;
+    };
     if (tok.size() < 4)
         throw bad();
 
     ExploreOptions opts = base;
-    opts.workload = tok[0];
     uint64_t k;
     std::vector<uint64_t> stack;
     std::vector<uint8_t> drain;
     std::string media;
     try {
-        opts.steps = std::stoull(tok[1]);
-        opts.seed = std::stoull(tok[2]);
-        k = std::stoull(tok[3]);
+        opts.workload = tok[0];
+        opts.steps = number(tok[1]);
+        opts.seed = number(tok[2]);
+        k = number(tok[3]);
 
         // Optional tokens, in order: a bare numeric j or a ":dJ1,J2,.."
         // stack, then the prefixed drain-mask, Strict, scheduler-seed,
         // thread-count, media, and eviction tokens. A bare numeric
         // anywhere after the stack position is malformed.
         size_t pos = 4;
-        if (pos < tok.size() && !tok[pos].empty() &&
-            tok[pos][0] >= '0' && tok[pos][0] <= '9') {
-            stack.push_back(std::stoull(tok[pos]));
-            ++pos;
-        } else if (pos < tok.size() && tok[pos].size() > 1 &&
-                   tok[pos][0] == 'd') {
-            std::string item;
-            for (char c : tok[pos].substr(1) + ",") {
-                if (c == ',') {
-                    if (item.empty())
-                        throw bad();
-                    stack.push_back(std::stoull(item));
-                    item.clear();
-                } else {
-                    item += c;
-                }
-            }
-            ++pos;
-        }
-        if (pos < tok.size() && tok[pos].size() > 1 && tok[pos][0] == 'r') {
-            drain = decodeDrainMasks(tok[pos].substr(1));
-            ++pos;
-        }
+        auto tagged = [&](char c) {
+            return pos < tok.size() && !tok[pos].empty() &&
+                tok[pos][0] == c;
+        };
+        auto take = [&] { return tok[pos++].substr(1); };
+        if (pos < tok.size() && !tok[pos].empty() && tok[pos][0] >= '0' &&
+            tok[pos][0] <= '9')
+            stack.push_back(number(tok[pos++]));
+        else if (tagged('d'))
+            stack = cli::toNumberList("d", take());
+        if (tagged('r'))
+            drain = decodeDrainMasks(take());
         if (pos < tok.size() && tok[pos] == "S") {
             opts.strict = true;
             ++pos;
         }
-        if (pos < tok.size() && !tok[pos].empty() && tok[pos][0] == 't') {
-            const std::string ts = tok[pos].substr(1);
-            if (ts.empty())
-                throw bad();
-            opts.sched_seed = std::stoull(ts);
-            ++pos;
-        }
-        if (pos < tok.size() && !tok[pos].empty() && tok[pos][0] == 'n') {
-            const std::string nt = tok[pos].substr(1);
-            if (nt.empty())
-                throw bad();
-            const uint64_t n = std::stoull(nt);
-            if (n > UINT32_MAX)
-                throw bad();
-            opts.threads = static_cast<uint32_t>(n);
-            ++pos;
-        }
-        if (pos < tok.size() && !tok[pos].empty() && tok[pos][0] == 'm') {
-            media = tok[pos].substr(1);
+        if (tagged('t'))
+            opts.sched_seed = number(take());
+        if (tagged('n'))
+            opts.threads = static_cast<uint32_t>(number(take(), UINT32_MAX));
+        if (tagged('m')) {
+            media = take();
             if (media.empty())
                 throw bad();
-            ++pos;
         }
-        if (pos < tok.size() && !tok[pos].empty() && tok[pos][0] == 'e') {
-            const std::string ev = tok[pos].substr(1);
-            const size_t slash = ev.find('/');
-            if (slash == std::string::npos)
-                throw bad();
-            opts.evict_num = std::stoull(ev.substr(0, slash));
-            opts.evict_den = std::stoull(ev.substr(slash + 1));
-            if (opts.evict_den == 0)
-                throw bad();
-            ++pos;
-        }
+        if (tagged('e'))
+            parseEvictRatio(take(), opts);
         if (pos != tok.size())
             throw bad();
     } catch (const std::invalid_argument &) {
-        throw bad();
-    } catch (const std::out_of_range &) {
         throw bad();
     }
 

@@ -159,6 +159,14 @@ struct ExploreOptions
     uint64_t sched_seed = 0;
 };
 
+/**
+ * Set @p opts' eviction schedule from "NUM/DEN" (the --evict flag and
+ * the ":eNUM/DEN" reproducer token): strict decimals with
+ * 0 <= NUM <= DEN and DEN > 0.
+ * @throws std::invalid_argument on anything else.
+ */
+void parseEvictRatio(const std::string &text, ExploreOptions &opts);
+
 /** One invariant violation, with enough context to replay it. */
 struct Failure
 {

@@ -5,8 +5,10 @@
 #include <stdexcept>
 
 #include "common/bits.h"
+#include "common/cli.h"
 #include "driver/sweep.h"
 #include "fault/trial.h"
+#include "pmem/tx.h"
 
 namespace poat {
 namespace fault {
@@ -46,32 +48,15 @@ faultSeed(uint64_t seed, uint64_t k, uint64_t f)
 std::vector<uint64_t>
 parseSpec(const std::string &spec)
 {
-    auto bad = [&]() -> std::invalid_argument {
-        return std::invalid_argument("bad media fault spec '" + spec +
-                                     "' (expected F or F1+F2)");
-    };
+    const std::vector<std::string> items = cli::split(spec, '+');
     std::vector<uint64_t> out;
-    std::string cur;
-    for (char c : spec + "+") {
-        if (c == '+') {
-            if (cur.empty())
-                throw bad();
-            for (char d : cur) {
-                if (d < '0' || d > '9')
-                    throw bad();
-            }
-            try {
-                out.push_back(std::stoull(cur));
-            } catch (const std::exception &) {
-                throw bad();
-            }
-            cur.clear();
-        } else {
-            cur += c;
-        }
+    for (const std::string &item : items) {
+        const auto f = cli::parseUnsigned(item);
+        if (!f || items.size() > 2)
+            throw std::invalid_argument("bad media fault spec '" + spec +
+                                        "' (expected F or F1+F2)");
+        out.push_back(*f);
     }
-    if (out.empty() || out.size() > 2)
-        throw bad();
     return out;
 }
 
@@ -228,27 +213,32 @@ enumerateMediaSites(PoolRegistry &registry)
         sites.push_back({id, PoolHeader::kMirrorOff, sizeof(PoolHeader),
                          MediaStructure::Superblock, false});
 
-        sites.push_back({id, ph.log_off, sizeof(LogHeader),
-                         MediaStructure::LogHeader, false});
-        sites.push_back({id, ph.log_off + LogHeader::kMirrorLineOff,
-                         sizeof(LogHeader), MediaStructure::LogHeader,
-                         false});
+        // Every undo-log slot (one per engine worker): its header pair,
+        // then its published entries.
+        for (uint32_t s = 0; s < UndoLog::slotCount(ph); ++s) {
+            const uint32_t log_off = UndoLog::slotOffset(ph, s);
+            sites.push_back({id, log_off, sizeof(LogHeader),
+                             MediaStructure::LogHeader, false});
+            sites.push_back({id, log_off + LogHeader::kMirrorLineOff,
+                             sizeof(LogHeader), MediaStructure::LogHeader,
+                             false});
 
-        const LogHeader lh = pool.readAs<LogHeader>(ph.log_off);
-        uint32_t off = ph.log_off + LogHeader::kEntriesOff;
-        for (uint32_t i = 0; i < lh.num_entries; ++i) {
-            const LogEntryHeader eh = pool.readAs<LogEntryHeader>(off);
-            sites.push_back({id, off, sizeof(LogEntryHeader),
-                             MediaStructure::LogEntry, false});
-            if (eh.payload_size != 0) {
-                sites.push_back({id,
-                                 off + static_cast<uint32_t>(
-                                           sizeof(LogEntryHeader)),
-                                 eh.payload_size,
+            const LogHeader lh = pool.readAs<LogHeader>(log_off);
+            uint32_t off = log_off + LogHeader::kEntriesOff;
+            for (uint32_t i = 0; i < lh.num_entries; ++i) {
+                const LogEntryHeader eh = pool.readAs<LogEntryHeader>(off);
+                sites.push_back({id, off, sizeof(LogEntryHeader),
                                  MediaStructure::LogEntry, false});
+                if (eh.payload_size != 0) {
+                    sites.push_back({id,
+                                     off + static_cast<uint32_t>(
+                                               sizeof(LogEntryHeader)),
+                                     eh.payload_size,
+                                     MediaStructure::LogEntry, false});
+                }
+                off += sizeof(LogEntryHeader) +
+                    static_cast<uint32_t>(alignUp(eh.payload_size, 16));
             }
-            off += sizeof(LogEntryHeader) +
-                static_cast<uint32_t>(alignUp(eh.payload_size, 16));
         }
 
         const uint32_t heap_end = ph.heap_off + ph.heap_size;

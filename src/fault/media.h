@@ -26,10 +26,12 @@
  *
  * Fault-site enumeration. After the crash at k, the (uncorrupted)
  * durable image is walked and every checksummed structure becomes a
- * site, in a fixed order: superblock primary and mirror, log-header
- * primary and mirror, then each published log entry (header site, then
- * payload site if the entry has one), then every heap block header, all
- * in pool-id order. The fault index space is two faults per site:
+ * site, in a fixed order: superblock primary and mirror; then, for each
+ * undo-log slot in slot order (one slot per engine worker), its
+ * log-header primary and mirror and each of its published log entries
+ * (header site, then payload site if the entry has one); then every
+ * heap block header, all in pool-id order. The fault index space is two
+ * faults per site:
  *
  *   f = 2 * i     — flip one seeded-random bit of site i;
  *   f = 2 * i + 1 — torn write: fill the intersection of one

@@ -76,8 +76,9 @@ struct PoolHeader
      * value every pool written before multi-slot logs existed carries —
      * decodes as one slot, so old images open unchanged. The field
      * sits after `crc` deliberately: it is outside the sealed region
-     * (its complement is its own integrity check), so single-slot
-     * pools stay byte- and checksum-identical to pre-slot ones.
+     * (its complement is its own integrity check, which valid()
+     * applies), so single-slot pools stay byte- and checksum-identical
+     * to pre-slot ones.
      */
     uint32_t pad;
 
@@ -118,13 +119,16 @@ struct PoolHeader
     bool crcValid() const { return crc == computeCrc(); }
     void seal() { crc = computeCrc(); }
     /**
-     * Full validity: sealed, magic, sized for @p image_size, and a heap
-     * and log region that lie inside the image past both header copies.
+     * Full validity: sealed, a slot count that passes its self-check
+     * (a copy whose count is damaged must not hand its geometry to the
+     * other copy), magic, sized for @p image_size, and a heap and log
+     * region that lie inside the image past both header copies.
      */
     bool
     valid(uint64_t image_size) const
     {
-        return crcValid() && magic == kMagic && pool_size == image_size &&
+        return crcValid() && pad == encodeLogSlots(decodeLogSlots(pad)) &&
+            magic == kMagic && pool_size == image_size &&
             heap_off >= kMirrorOff + sizeof(PoolHeader) &&
             uint64_t{heap_off} + heap_size <= log_off &&
             uint64_t{log_off} + log_size <= image_size;

@@ -51,7 +51,7 @@ still writes one parseable timeline per run, and that malformed
 numbers (--jobs=abc, --scale=x, a 20-digit --jobs, a signed
 --seed, an empty --txns), an empty --seeds list, --timeline=0, and an
 unknown simulate workload or flag each print a diagnostic plus the
-usage text and exit 2 instead of aborting.
+usage text on stderr and exit 2 instead of aborting.
 
 Usage: bench_smoke.py <fig9a_speedup_inorder> [<fig11_polb_size>
        [<crash_explore> [<timeline_dump> [<fig_cores>
@@ -515,6 +515,11 @@ def check_crash_explore(tool):
     print("OK: crash_explore smoke + strict CLI")
 
 
+def diagnostic(stderr):
+    """What a usage error prints on stderr before its usage text."""
+    return stderr.split("usage:")[0].strip()
+
+
 def check_usage_errors(fig9a, fig12, simulate, crash):
     """Malformed input is a usage error (exit 2), never an abort."""
     cases = [
@@ -533,16 +538,16 @@ def check_usage_errors(fig9a, fig12, simulate, crash):
         if proc.returncode != 2:
             fail("%s: exit %d, want 2\nstderr:\n%s"
                  % (" ".join(cmd), proc.returncode, proc.stderr))
-        if "options:" not in proc.stdout or not proc.stderr.strip():
+        if "options:" not in proc.stderr or not diagnostic(proc.stderr):
             fail("%s: no diagnostic plus usage text" % " ".join(cmd))
     for args, why in [(["NOPE"], "unknown workload"),
                       (["LL", "--bogus"], "unknown argument")]:
         proc = subprocess.run([simulate] + args, capture_output=True,
                               text=True, timeout=120)
-        if proc.returncode != 2 or why not in proc.stderr:
+        if proc.returncode != 2 or why not in diagnostic(proc.stderr):
             fail("simulate %s: exit %d, want 2 with %r\nstderr:\n%s"
                  % (" ".join(args), proc.returncode, why, proc.stderr))
-        if "usage:" not in proc.stdout:
+        if "usage:" not in proc.stderr:
             fail("simulate %s: no usage text" % " ".join(args))
     # Worker counts past the pools' 256 undo-log slots, or past 32
     # bits, are rejected before any pool exists (not truncated to a
@@ -556,11 +561,11 @@ def check_usage_errors(fig9a, fig12, simulate, crash):
     for args in crash_cases:
         proc = subprocess.run([crash] + args, capture_output=True,
                               text=True, timeout=120)
-        if proc.returncode != 2 or not proc.stderr.strip():
+        if proc.returncode != 2 or not diagnostic(proc.stderr):
             fail("crash_explore %s: exit %d, want 2 with a diagnostic"
                  "\nstderr:\n%s"
                  % (" ".join(args), proc.returncode, proc.stderr))
-        if "usage:" not in proc.stdout:
+        if "usage:" not in proc.stderr:
             fail("crash_explore %s: no usage text" % " ".join(args))
     print("OK: %d malformed inputs exit 2 with a diagnostic"
           % (len(cases) + 2 + len(crash_cases)))

@@ -285,6 +285,13 @@ TEST(Explore, MalformedReproThrows)
     EXPECT_THROW(fault::replayRepro("LL:x:2:3"), std::invalid_argument);
     EXPECT_THROW(fault::replayRepro("LL:5:2:3:4:5"),
                  std::invalid_argument);
+    // Every number is strict: no trailing characters, no sign.
+    for (const char *bad :
+         {"LL:2:1:0abc", "LL:2:-1:0", "LL:+2:1:0", "LL:2:1: 0",
+          "LHT:4:1:0:t-1", "LHT:4:1:0:t1:n-1", "LL:5:2:3:d1,-2",
+          "LL:5:2:3:d1,,2"})
+        EXPECT_THROW(fault::replayRepro(bad), std::invalid_argument)
+            << bad;
 }
 
 TEST(Explore, UnknownWorkloadThrows)

@@ -15,6 +15,7 @@
 #include "fault/media.h"
 #include "fault/injector.h"
 #include "pmem/runtime.h"
+#include "pmem/tx.h"
 #include "workloads/crash_support.h"
 
 namespace poat {
@@ -221,6 +222,80 @@ TEST(Media, SiteEnumerationCoversEveryStructureKind)
     }
 }
 
+TEST(Media, SiteEnumerationCoversEveryLogSlot)
+{
+    // A 2-worker LHT pool carves one undo-log slot per worker, and a
+    // crash mid-round can freeze both slots' transactions in flight.
+    // Every slot contributes its header pair and then its published
+    // entries, in slot order, before the heap's block headers.
+    auto freeze = [](PmemRuntime &rt, DurabilityHook *hook) {
+        auto driver = workloads::makeCrashDriver("LHT", 4, 1, 2, 1);
+        driver->setup(rt);
+        rt.registry().setDurabilityHook(hook);
+        for (uint64_t i = 0; i < 4; ++i)
+            driver->step(rt, i);
+        rt.registry().setDurabilityHook(nullptr);
+        rt.registry().crashAll();
+    };
+    RuntimeOptions ro;
+    ro.log_slots = 2;
+    fault::EventCounter counter;
+    {
+        PmemRuntime rt(ro);
+        freeze(rt, &counter);
+    }
+    ASSERT_GT(counter.total(), 0u);
+
+    size_t busy_slot1 = 0;
+    for (uint64_t k = 0; k <= counter.total(); ++k) {
+        PmemRuntime rt(ro);
+        fault::CrashAtEvent crash(k);
+        freeze(rt, &crash);
+        const std::vector<MediaSite> sites =
+            fault::enumerateMediaSites(rt.registry());
+        for (uint32_t id : rt.registry().openIds()) {
+            Pool &pool = rt.registry().get(id).pool;
+            const PoolHeader &ph = pool.header();
+            ASSERT_EQ(UndoLog::slotCount(ph), 2u);
+            // This pool's sites past its superblock pair, in order.
+            std::vector<MediaSite> mine;
+            for (const MediaSite &s : sites)
+                if (s.pool_id == id && s.kind != MediaStructure::Superblock)
+                    mine.push_back(s);
+            size_t at = 0;
+            for (uint32_t slot = 0; slot < 2; ++slot) {
+                const uint32_t off = UndoLog::slotOffset(ph, slot);
+                ASSERT_LT(at + 1, mine.size());
+                EXPECT_EQ(mine[at].kind, MediaStructure::LogHeader);
+                EXPECT_EQ(mine[at].off, off);
+                EXPECT_EQ(mine[at + 1].kind, MediaStructure::LogHeader);
+                EXPECT_EQ(mine[at + 1].off, off + LogHeader::kMirrorLineOff);
+                at += 2;
+                // One header site (plus a payload site) per entry, all
+                // inside this slot.
+                const LogHeader lh = pool.readAs<LogHeader>(off);
+                size_t entries = 0;
+                for (; at < mine.size() &&
+                     mine[at].kind == MediaStructure::LogEntry;
+                     ++at) {
+                    EXPECT_GE(mine[at].off, off + LogHeader::kEntriesOff);
+                    EXPECT_LE(mine[at].off + mine[at].len,
+                              off + UndoLog::slotSize(ph));
+                    entries += 1;
+                }
+                EXPECT_GE(entries, lh.num_entries) << "k=" << k;
+                EXPECT_LE(entries, 2 * lh.num_entries) << "k=" << k;
+                if (slot == 1 && lh.num_entries > 0)
+                    ++busy_slot1;
+            }
+            for (; at < mine.size(); ++at)
+                EXPECT_EQ(mine[at].kind, MediaStructure::BlockHeader);
+        }
+    }
+    // Some crash point froze slot 1 with entries the table now covers.
+    EXPECT_GT(busy_slot1, 0u);
+}
+
 TEST(Media, PublishExportsCounters)
 {
     StatsRegistry stats;
@@ -277,6 +352,16 @@ TEST(Media, MalformedReproThrows)
     EXPECT_THROW(fault::replayRepro("LL:5:2:3:e1"),
                  std::invalid_argument);
     EXPECT_THROW(fault::replayRepro("LL:5:2:3:e1/0"),
+                 std::invalid_argument);
+    // The eviction token shares --evict's NUM/DEN parser: strict
+    // numbers, 0 <= NUM <= DEN.
+    EXPECT_THROW(fault::replayRepro("LL:5:2:3:e1/-4"),
+                 std::invalid_argument);
+    EXPECT_THROW(fault::replayRepro("LL:5:2:3:e5/4"),
+                 std::invalid_argument);
+    EXPECT_THROW(fault::replayRepro("LL:5:2:3:e1/4x"),
+                 std::invalid_argument);
+    EXPECT_THROW(fault::replayRepro("LL:5:2:3:m-1"),
                  std::invalid_argument);
     // A fault index past the image's site space is an error, not UB.
     EXPECT_THROW(fault::replayRepro("LL:5:2:3:m99999999"),

@@ -73,12 +73,22 @@ TEST(HeaderChecksums, PoolHeaderEveryFieldFlipDetected)
 
 TEST(HeaderChecksums, PoolHeaderPadIsCoveredByTheMirrorNotTheCrc)
 {
-    // The trailing pad sits after the crc and is not summed; flips
-    // there are caught by the primary/mirror comparison instead (the
-    // scrub resyncs whichever copy differs from the authoritative one).
+    // The trailing pad sits after the crc and is not summed; a flip
+    // there fails the slot count's complement self-check instead, so
+    // full validity rejects the copy and the scrub repairs it from the
+    // other one.
     PoolHeader h = samplePoolHeader();
+    h.pad = PoolHeader::encodeLogSlots(4);
+    EXPECT_TRUE(h.valid(1 << 20));
+    for (uint32_t bit = 0; bit < 32; ++bit) {
+        PoolHeader f = h;
+        f.pad ^= 1u << bit;
+        EXPECT_TRUE(f.crcValid());
+        EXPECT_FALSE(f.valid(1 << 20)) << "bit " << bit;
+    }
+    h.pad = 0; // the single-slot (legacy) encoding
     h.pad ^= 1u;
-    EXPECT_TRUE(h.crcValid());
+    EXPECT_FALSE(h.valid(1 << 20));
 }
 
 TEST(HeaderChecksums, PoolHeaderFullValidityChecksMagicAndSize)

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <unordered_set>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "common/rng.h"
 #include "pmem/pool.h"
 #include "pmem/runtime.h"
+#include "pmem/scrub.h"
 #include "workloads/harness.h"
 
 namespace poat {
@@ -181,6 +183,33 @@ TEST(Pool, ReopenRejectsSealedHeaderWithRegionsOutsideImage)
     std::memcpy(bytes.data(), &h, sizeof(h));
     std::memcpy(bytes.data() + PoolHeader::kMirrorOff, &h, sizeof(h));
     EXPECT_THROW(Pool("p", 1, PoolImage(bytes)), MediaError);
+}
+
+TEST(Pool, DamagedSlotCountIsRepairedFromTheMirror)
+{
+    // The slot count sits outside the superblock crc. A bit flip there
+    // must not win over the intact mirror: a 2-slot pool read as one
+    // slot would drop slot 1's in-flight transaction from scrub and
+    // recovery. Reopen and scrub both take the mirror's geometry.
+    Pool p("p", 1, 1 << 20, Pool::kDefaultLogSize, 2);
+    ASSERT_EQ(p.logSlots(), 2u);
+    uint32_t pad = p.header().pad ^ 1u;
+    p.corruptDurable(offsetof(PoolHeader, pad), &pad, sizeof(pad));
+    EXPECT_EQ(Pool("q", 1, p.durableImage()).logSlots(), 2u);
+
+    p.crash();
+    EXPECT_EQ(p.logSlots(), 1u) << "the damaged primary, before scrub";
+    scrubPool(p);
+    EXPECT_EQ(p.logSlots(), 2u);
+    PoolHeader mirror{};
+    p.readRaw(PoolHeader::kMirrorOff, &mirror, sizeof(mirror));
+    EXPECT_EQ(PoolHeader::decodeLogSlots(mirror.pad), 2u);
+
+    // With the mirror gone too, no copy can vouch for the geometry.
+    uint8_t junk = 0xff;
+    p.corruptDurable(offsetof(PoolHeader, pad), &pad, sizeof(pad));
+    p.corruptDurable(PoolHeader::kMirrorOff, &junk, 1);
+    EXPECT_THROW(Pool("r", 1, p.durableImage()), MediaError);
 }
 
 TEST(Pool, VaddrAndOidHelpers)

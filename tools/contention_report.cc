@@ -13,7 +13,7 @@
  * contention stats and are skipped. --json emits the same data as a
  * machine-readable array. Exit status: 0 on success (even when no run
  * has contention stats — it reports that), 1 on unreadable input,
- * 2 on bad usage.
+ * 2 on bad usage (the command-line contract of common/cli.h, README).
  */
 #include <cstdio>
 #include <fstream>
@@ -21,61 +21,26 @@
 #include <sstream>
 #include <string>
 
+#include "common/cli.h"
 #include "report/contention.h"
 
 using namespace poat;
-
-namespace {
-
-void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: contention_report [--json] [--run=LABEL] [-o FILE] "
-        "REPORT.json\n"
-        "  --json       machine-readable output (JSON array)\n"
-        "  --run=LABEL  only the run with this label\n"
-        "  -o FILE      write there instead of stdout\n");
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     bool json = false;
     std::string file, out, only;
-    for (int i = 1; i < argc; ++i) {
-        const std::string s = argv[i];
-        if (s == "--json") {
-            json = true;
-        } else if (s.rfind("--run=", 0) == 0) {
-            only = s.substr(6);
-        } else if (s == "-o") {
-            if (++i == argc) {
-                usage();
-                return 2;
-            }
-            out = argv[i];
-        } else if (s == "--help") {
-            usage();
-            return 0;
-        } else if (!s.empty() && s[0] == '-') {
-            std::fprintf(stderr, "unknown argument: %s\n", s.c_str());
-            usage();
-            return 2;
-        } else if (file.empty()) {
-            file = s;
-        } else {
-            usage();
-            return 2;
-        }
-    }
-    if (file.empty()) {
-        usage();
-        return 2;
-    }
+    const cli::Parser parser(
+        "contention_report",
+        {
+            cli::toggle("--json", json,
+                        "machine-readable output (JSON array)"),
+            cli::text("--run", "LABEL", only, "only the run with this label"),
+            cli::text("-o", "FILE", out, "write there instead of stdout"),
+        },
+        {{"REPORT.json", file}});
+    parser.parse(argc, argv);
 
     std::vector<report::ContentionRun> runs;
     try {

@@ -8,7 +8,11 @@
  * checks), and decodes the undo-log state — the debugging view an
  * operator wants when a persistent heap misbehaves.
  *
- * Usage: pool_inspect <image-file> [--blocks]
+ *   pool_inspect [--blocks] IMAGE
+ *
+ * Exit status: 0 on success, 1 on an unreadable, malformed or
+ * media-faulted image, 2 on bad usage (the command-line contract of
+ * common/cli.h, README).
  */
 #include <algorithm>
 #include <cstdio>
@@ -16,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "pmem/alloc.h"
 #include "pmem/pool.h"
 #include "pmem/tx.h"
@@ -65,15 +70,16 @@ logStateName(uint32_t state)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        std::fprintf(stderr, "usage: %s <pool-image> [--blocks]\n",
-                     argv[0]);
-        return 1;
-    }
-    const bool show_blocks =
-        argc > 2 && std::string(argv[2]) == "--blocks";
+    bool show_blocks = false;
+    std::string path;
+    const cli::Parser parser(
+        "pool_inspect",
+        {cli::toggle("--blocks", show_blocks,
+                     "also walk and print the heap's block chain")},
+        {{"IMAGE", path}});
+    parser.parse(argc, argv);
 
-    std::vector<uint8_t> image = readFile(argv[1]);
+    std::vector<uint8_t> image = readFile(path.c_str());
     if (image.size() < sizeof(PoolHeader)) {
         std::fprintf(stderr, "file too small to be a pool image\n");
         return 1;
@@ -85,7 +91,8 @@ main(int argc, char **argv)
         return 1;
     }
 
-    std::printf("pool image: %s (%zu bytes)\n", argv[1], image.size());
+    std::printf("pool image: %s (%zu bytes)\n", path.c_str(),
+                image.size());
     std::printf("  version    %u\n", h.version);
     std::printf("  superblock %s\n",
                 h.crcValid() ? "crc ok" : "CRC MISMATCH");

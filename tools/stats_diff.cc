@@ -4,43 +4,26 @@
  *
  *   stats_diff [options] BASELINE.json CANDIDATE.json
  *
- *   --tolerance=T     default relative band (default 0.05 = 5%)
- *   --tol=PREFIX=T    band for metric paths starting with PREFIX
- *                     (longest matching prefix wins; repeatable)
- *   --ignore-missing  tolerate metrics present on only one side
- *   --max-report=N    print at most N offending metrics (default 20)
- *
  * Every numeric leaf present in both reports is compared under a
- * symmetric relative deviation |a-b| / max(|a|,|b|); strings must
- * match exactly. Exit status: 0 all metrics within band, 1 any
- * regression or structural mismatch, 2 bad usage or unreadable input.
- * CI runs this against the committed golden (bench/golden/) and
- * between nightly BENCH_<date>.json snapshots; see
+ * symmetric relative deviation |a-b| / max(|a|,|b|); strings must match
+ * exactly (--help lists the tolerance options). Exit status: 0 all
+ * metrics within band, 1 any regression or structural mismatch, 2 bad
+ * usage (the command-line contract of common/cli.h, README) or
+ * unreadable input. CI runs this against the committed golden
+ * (bench/golden/) and between nightly BENCH_<date>.json snapshots; see
  * docs/OBSERVABILITY.md.
  */
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "common/cli.h"
 #include "report/stats_diff.h"
 
 using namespace poat;
 
 namespace {
-
-void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: stats_diff [options] BASELINE.json CANDIDATE.json\n"
-        "  --tolerance=T     default relative band (default 0.05)\n"
-        "  --tol=PREFIX=T    per-prefix band, longest prefix wins\n"
-        "  --ignore-missing  tolerate one-sided metrics\n"
-        "  --max-report=N    cap printed offenders (default 20)\n");
-}
 
 std::string
 slurp(const std::string &path)
@@ -62,45 +45,32 @@ main(int argc, char **argv)
     size_t max_report = 20;
     std::string baseline, candidate;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string s = argv[i];
-        if (s.rfind("--tolerance=", 0) == 0) {
-            opt.tolerance = std::strtod(s.c_str() + 12, nullptr);
-        } else if (s.rfind("--tol=", 0) == 0) {
-            const std::string spec = s.substr(6);
-            const size_t eq = spec.rfind('=');
-            if (eq == std::string::npos || eq == 0) {
-                std::fprintf(stderr, "bad --tol spec: %s\n", s.c_str());
-                usage();
-                return 2;
-            }
-            opt.overrides.emplace_back(
-                spec.substr(0, eq),
-                std::strtod(spec.c_str() + eq + 1, nullptr));
-        } else if (s == "--ignore-missing") {
-            opt.ignore_missing = true;
-        } else if (s.rfind("--max-report=", 0) == 0) {
-            max_report = std::strtoull(s.c_str() + 13, nullptr, 10);
-        } else if (s == "--help") {
-            usage();
-            return 0;
-        } else if (!s.empty() && s[0] == '-') {
-            std::fprintf(stderr, "unknown argument: %s\n", s.c_str());
-            usage();
-            return 2;
-        } else if (baseline.empty()) {
-            baseline = s;
-        } else if (candidate.empty()) {
-            candidate = s;
-        } else {
-            usage();
-            return 2;
-        }
-    }
-    if (candidate.empty()) {
-        usage();
-        return 2;
-    }
+    const cli::Parser parser(
+        "stats_diff",
+        {
+            cli::real("--tolerance", opt.tolerance,
+                      "default relative band (default 0.05 = 5%)"),
+            cli::Flag{"--tol", "PREFIX=T",
+                      "band for metric paths starting with PREFIX\n"
+                      "(longest matching prefix wins; repeatable)",
+                      [&opt](const std::string &spec) {
+                          const size_t eq = spec.rfind('=');
+                          if (eq == std::string::npos || eq == 0)
+                              throw std::invalid_argument(
+                                  "--tol needs PREFIX=T, got '" + spec +
+                                  "'");
+                          opt.overrides.emplace_back(
+                              spec.substr(0, eq),
+                              cli::toReal("--tol",
+                                          spec.substr(eq + 1)));
+                      }},
+            cli::toggle("--ignore-missing", opt.ignore_missing,
+                        "tolerate metrics present on only one side"),
+            cli::number("--max-report", max_report,
+                        "print at most N offending metrics (default 20)"),
+        },
+        {{"BASELINE.json", baseline}, {"CANDIDATE.json", candidate}});
+    parser.parse(argc, argv);
 
     report::FlatJson a, b;
     try {

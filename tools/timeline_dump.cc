@@ -9,35 +9,23 @@
  * per sample (end_cycle plus every counter delta and gauge value),
  * --json the full document, and --chrome a Chrome-trace counter-event
  * array ("ph":"C") loadable in chrome://tracing or Perfetto — CPI-stack
- * components merge into one stacked track per stack.
+ * components merge into one stacked track per stack. Exit status: 0 on
+ * success, 1 on unreadable input or a failed write, 2 on bad usage (the
+ * command-line contract of common/cli.h, README).
  */
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
 
+#include "common/cli.h"
 #include "telemetry/timeline.h"
 
 using namespace poat;
 
 namespace {
-
-void
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: timeline_dump [--csv|--json|--chrome] "
-                 "[-o FILE] FILE.poattl\n"
-                 "  --csv     one row per sample: end_cycle, counter\n"
-                 "            deltas, gauge values\n"
-                 "  --json    the full document (schema + samples)\n"
-                 "  --chrome  Chrome-trace counter events (\"ph\":\"C\")\n"
-                 "  -o FILE   write there instead of stdout\n"
-                 "  (no format flag: print a summary)\n");
-}
 
 void
 summarize(const telemetry::TimelineReader &tl, const std::string &file)
@@ -69,38 +57,20 @@ main(int argc, char **argv)
     enum class Format { Summary, Csv, Json, Chrome };
     Format fmt = Format::Summary;
     std::string file, out;
-    for (int i = 1; i < argc; ++i) {
-        const std::string s = argv[i];
-        if (s == "--csv") {
-            fmt = Format::Csv;
-        } else if (s == "--json") {
-            fmt = Format::Json;
-        } else if (s == "--chrome") {
-            fmt = Format::Chrome;
-        } else if (s == "-o") {
-            if (++i == argc) {
-                usage();
-                return 2;
-            }
-            out = argv[i];
-        } else if (s == "--help") {
-            usage();
-            return 0;
-        } else if (!s.empty() && s[0] == '-') {
-            std::fprintf(stderr, "unknown argument: %s\n", s.c_str());
-            usage();
-            return 2;
-        } else if (file.empty()) {
-            file = s;
-        } else {
-            usage();
-            return 2;
-        }
-    }
-    if (file.empty()) {
-        usage();
-        return 2;
-    }
+    const cli::Parser parser(
+        "timeline_dump",
+        {
+            cli::toggle("--csv", fmt, Format::Csv,
+                        "one row per sample: end_cycle, counter deltas,\n"
+                        "gauge values (no format flag: a summary)"),
+            cli::toggle("--json", fmt, Format::Json,
+                        "the full document (schema + samples)"),
+            cli::toggle("--chrome", fmt, Format::Chrome,
+                        "Chrome-trace counter events (\"ph\":\"C\")"),
+            cli::text("-o", "FILE", out, "write there instead of stdout"),
+        },
+        {{"FILE.poattl", file}});
+    parser.parse(argc, argv);
 
     try {
         const telemetry::TimelineReader tl(file);

@@ -9,15 +9,16 @@
  * with --head=N — the first N records in a readable one-per-line form.
  * Dep operands print as canonical load sequence numbers, exactly as
  * they are stored in the file (0 = no dependence). A note prints its
- * operands in record order (an OpName its op and name).
+ * operands in record order (an OpName its op and name). Exit status: 0
+ * on success, 1 on an unreadable trace, 2 on bad usage (the
+ * command-line contract of common/cli.h, README).
  */
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "common/cli.h"
 #include "trace_io/itrace.h"
 
 using namespace poat;
@@ -202,14 +203,6 @@ class DumpSink : public TraceSink
     uint64_t loads_ = 0;
 };
 
-void
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: trace_dump [--head=N] FILE.itrace\n"
-                 "  --head=N  also print the first N records\n");
-}
-
 } // namespace
 
 int
@@ -217,28 +210,11 @@ main(int argc, char **argv)
 {
     uint64_t head = 0;
     std::string file;
-    for (int i = 1; i < argc; ++i) {
-        const std::string s = argv[i];
-        if (s.rfind("--head=", 0) == 0) {
-            head = std::strtoull(s.c_str() + 7, nullptr, 10);
-        } else if (s == "--help") {
-            usage();
-            return 0;
-        } else if (!s.empty() && s[0] == '-') {
-            std::fprintf(stderr, "unknown argument: %s\n", s.c_str());
-            usage();
-            return 2;
-        } else if (file.empty()) {
-            file = s;
-        } else {
-            usage();
-            return 2;
-        }
-    }
-    if (file.empty()) {
-        usage();
-        return 2;
-    }
+    const cli::Parser parser(
+        "trace_dump",
+        {cli::number("--head", head, "also print the first N records")},
+        {{"FILE.itrace", file}});
+    parser.parse(argc, argv);
 
     try {
         const trace_io::TraceReplayer trace(file);
