@@ -81,12 +81,18 @@ defaultSweepJobs()
     return hw ? hw : 1;
 }
 
+unsigned
+sweepWorkers(unsigned jobs, size_t tasks)
+{
+    const size_t want = jobs ? jobs : defaultSweepJobs();
+    return static_cast<unsigned>(std::min<size_t>(
+        {want, std::max<size_t>(tasks, 1), size_t{kMaxSweepJobs}}));
+}
+
 void
 runTasks(size_t count, unsigned jobs, const std::function<void(size_t)> &fn)
 {
-    jobs = jobs ? jobs : defaultSweepJobs();
-    jobs = static_cast<unsigned>(
-        std::min<size_t>(jobs, std::max<size_t>(count, 1)));
+    jobs = sweepWorkers(jobs, count);
 
     if (jobs <= 1) {
         for (size_t i = 0; i < count; ++i)
@@ -138,9 +144,7 @@ runSweep(const std::vector<ExperimentConfig> &configs,
     std::vector<ExperimentResult> results;
     results.reserve(n);
 
-    unsigned jobs = opts.jobs ? opts.jobs : defaultSweepJobs();
-    jobs = static_cast<unsigned>(
-        std::min<size_t>(jobs, std::max<size_t>(n, 1)));
+    const unsigned jobs = sweepWorkers(opts.jobs, n);
 
     if (jobs <= 1) {
         // Inline serial path: byte-identical to a runExperiment loop.

@@ -31,6 +31,7 @@
 #ifndef POAT_DRIVER_SWEEP_H
 #define POAT_DRIVER_SWEEP_H
 
+#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -45,7 +46,8 @@ struct SweepOptions
     /**
      * Worker threads; 0 = std::thread::hardware_concurrency(). 1 runs
      * everything inline on the calling thread (serial semantics with no
-     * pool). The pool never exceeds the number of configs.
+     * pool). The pool never exceeds the number of configs or
+     * kMaxSweepJobs (sweepWorkers).
      */
     unsigned jobs = 0;
 
@@ -75,12 +77,29 @@ runSweep(const std::vector<ExperimentConfig> &configs,
 unsigned defaultSweepJobs();
 
 /**
+ * Ceiling on a sweep's worker threads: the bound every worker count in
+ * poat already has (PoolHeader::kMaxLogSlots, one undo-log slot per
+ * engine worker). A larger --jobs gains nothing on any real host and
+ * must not ask the OS for one thread per task.
+ */
+inline constexpr unsigned kMaxSweepJobs = 256;
+
+/**
+ * Worker threads a fan-out of @p tasks runs on: @p jobs, with 0
+ * resolved to defaultSweepJobs(), clamped to the task count (at least
+ * 1) and to kMaxSweepJobs. Results are submission-ordered, so the
+ * clamp never changes a sweep's output.
+ */
+unsigned sweepWorkers(unsigned jobs, size_t tasks);
+
+/**
  * Generic fan-out over the sweep thread pool: invoke fn(i) for every
  * i in [0, count), up to @p jobs at a time (0 = hardware concurrency;
  * 1 = inline on the calling thread). Tasks must be hermetic, exactly
  * like sweep configs. Exception behavior matches runSweep: after the
  * pool drains, the exception from the lowest-index failing task is
  * rethrown. The crash-point fault explorer fans its trials out here.
+ * The pool has sweepWorkers(jobs, count) threads.
  */
 void runTasks(size_t count, unsigned jobs,
               const std::function<void(size_t)> &fn);

@@ -35,8 +35,10 @@ PoolImage::operator=(const PoolImage &other)
 }
 
 void
-PoolImage::read(uint64_t off, void *dst, size_t n) const
+PoolImage::readSpan(uint64_t off, void *dst, size_t n) const
 {
+    POAT_ASSERT(n == 0 || off % kPageSize + n > kPageSize,
+                "a page-local read takes the inline path");
     auto *out = static_cast<uint8_t *>(dst);
     while (n > 0) {
         const uint64_t in_page = off % kPageSize;
@@ -52,8 +54,12 @@ PoolImage::read(uint64_t off, void *dst, size_t n) const
 }
 
 void
-PoolImage::write(uint64_t off, const void *src, size_t n)
+PoolImage::writeSpan(uint64_t off, const void *src, size_t n)
 {
+    POAT_ASSERT(n == 0 || off % kPageSize + n > kPageSize ||
+                    !pages_[off / kPageSize],
+                "a page-local write into a resident page takes the "
+                "inline path");
     const auto *in = static_cast<const uint8_t *>(src);
     while (n > 0) {
         const uint64_t in_page = off % kPageSize;
@@ -193,14 +199,6 @@ Pool::writeRaw(uint32_t off, const void *src, size_t n)
         dirty_.insert(line);
         staged_.erase(line); // a new store re-dirties a staged line
     }
-}
-
-void
-Pool::readRaw(uint32_t off, void *dst, size_t n) const
-{
-    POAT_ASSERT(static_cast<uint64_t>(off) + n <= data_.size(),
-                "pool read out of range");
-    data_.read(off, dst, n);
 }
 
 void

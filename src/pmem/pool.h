@@ -221,6 +221,13 @@ class DurabilityHook
  * allocated on its first write and reads as zero while absent, so an
  * image costs memory and copy time in proportion to the pages ever
  * written, not to its size. Copies are deep.
+ *
+ * Page-local case. Almost every access — an 8-byte field, a 16-byte
+ * header, a 64-byte line — lies inside one page. read() and write()
+ * are inline and serve such an access with one memcpy (a read of an
+ * absent page is one memset; a write takes this path only into a
+ * resident page). Accesses that straddle a page boundary, and writes
+ * that must first allocate a page, go to the out-of-line page loop.
  */
 class PoolImage
 {
@@ -240,10 +247,33 @@ class PoolImage
     uint64_t size() const { return size_; }
 
     /** Copy [off, off+n) out; absent pages read as zero. */
-    void read(uint64_t off, void *dst, size_t n) const;
+    void
+    read(uint64_t off, void *dst, size_t n) const
+    {
+        const uint64_t in_page = off % kPageSize;
+        if (n != 0 && in_page + n <= kPageSize) {
+            if (const uint8_t *p = pages_[off / kPageSize].get())
+                std::memcpy(dst, p + in_page, n);
+            else
+                std::memset(dst, 0, n);
+            return;
+        }
+        readSpan(off, dst, n);
+    }
 
     /** Copy @p n bytes in at @p off, allocating absent pages. */
-    void write(uint64_t off, const void *src, size_t n);
+    void
+    write(uint64_t off, const void *src, size_t n)
+    {
+        const uint64_t in_page = off % kPageSize;
+        if (n != 0 && in_page + n <= kPageSize) {
+            if (uint8_t *p = pages_[off / kPageSize].get()) {
+                std::memcpy(p + in_page, src, n);
+                return;
+            }
+        }
+        writeSpan(off, src, n);
+    }
 
     /** The kPageSize bytes of the page holding @p off; null if absent. */
     const uint8_t *
@@ -256,6 +286,15 @@ class PoolImage
     std::vector<uint8_t> dense() const;
 
   private:
+    /** read() of an access that crosses a page boundary (or is empty). */
+    void readSpan(uint64_t off, void *dst, size_t n) const;
+
+    /**
+     * write() of an access that crosses a page boundary, is empty, or
+     * touches an absent page first.
+     */
+    void writeSpan(uint64_t off, const void *src, size_t n);
+
     uint64_t size_ = 0;
     std::vector<std::unique_ptr<uint8_t[]>> pages_;
 };
@@ -326,7 +365,14 @@ class Pool
     /// @name Raw access (volatile image; marks dirty lines)
     /// @{
     void writeRaw(uint32_t off, const void *src, size_t n);
-    void readRaw(uint32_t off, void *dst, size_t n) const;
+
+    void
+    readRaw(uint32_t off, void *dst, size_t n) const
+    {
+        POAT_ASSERT(static_cast<uint64_t>(off) + n <= data_.size(),
+                    "pool read out of range");
+        data_.read(off, dst, n);
+    }
 
     template <typename T>
     T

@@ -6,23 +6,28 @@
 
 namespace poat {
 
+void
+PoolRegistry::attach(OpenPool &op)
+{
+    op.pool.setVbase(space_.mapRandom(op.pool.size()));
+    op.pool.setDurabilityHook(hook_);
+    op.pool.setDurabilityPolicy(policy_);
+    op.pool.setChecksumCounters(&counters_);
+}
+
 OpenPool &
 PoolRegistry::create(const std::string &name, uint64_t size,
                      uint32_t log_size, uint32_t log_slots)
 {
     if (idByName_.count(name))
         POAT_FATAL("pool_create: name already exists");
-    const uint32_t id = nextId_++;
+    const uint32_t id = takeId();
     auto op = std::make_unique<OpenPool>(name, id, size, log_size,
                                          log_slots);
-    op->pool.setVbase(space_.mapRandom(op->pool.size()));
-    op->pool.setDurabilityHook(hook_);
-    op->pool.setDurabilityPolicy(policy_);
-    op->pool.setChecksumCounters(&counters_);
+    attach(*op);
     idByName_[name] = id;
-    auto &ref = *op;
     open_[id] = std::move(op);
-    return ref;
+    return *open_[id];
 }
 
 OpenPool &
@@ -32,61 +37,33 @@ PoolRegistry::open(const std::string &name)
     if (it == idByName_.end())
         POAT_FATAL("pool_open: unknown pool name");
     const uint32_t id = it->second;
-    if (open_.count(id))
+    if (find(id))
         POAT_FATAL("pool_open: pool is already open");
     auto disk_it = disk_.find(name);
     POAT_ASSERT(disk_it != disk_.end(), "pool known but image missing");
 
     auto op = std::make_unique<OpenPool>(name, id, disk_it->second);
-    op->pool.setVbase(space_.mapRandom(op->pool.size()));
-    op->pool.setDurabilityHook(hook_);
-    op->pool.setDurabilityPolicy(policy_);
-    op->pool.setChecksumCounters(&counters_);
+    attach(*op);
     lastScrub_ = op->open_scrub;
     op->forEachLog([](UndoLog &log) { log.recover(); });
     disk_.erase(disk_it);
-    auto &ref = *op;
     open_[id] = std::move(op);
-    return ref;
+    return *open_[id];
 }
 
 void
 PoolRegistry::close(uint32_t pool_id)
 {
-    auto it = open_.find(pool_id);
-    if (it == open_.end())
-        POAT_FATAL("pool_close: pool is not open");
-    OpenPool &op = *it->second;
-    POAT_ASSERT(!op.anyLogActive(), "pool_close with a live transaction");
-    // Close semantics mirror closing a file: dirty cache lines are
-    // written back before the mapping goes away.
-    op.pool.persistAll();
-    disk_.insert_or_assign(op.pool.name(), op.pool.durableImage());
-    space_.unmap(op.pool.vbase());
-    open_.erase(it);
-}
-
-OpenPool *
-PoolRegistry::find(uint32_t pool_id)
-{
-    auto it = open_.find(pool_id);
-    return it == open_.end() ? nullptr : it->second.get();
-}
-
-const OpenPool *
-PoolRegistry::find(uint32_t pool_id) const
-{
-    auto it = open_.find(pool_id);
-    return it == open_.end() ? nullptr : it->second.get();
-}
-
-OpenPool &
-PoolRegistry::get(uint32_t pool_id)
-{
     OpenPool *op = find(pool_id);
     if (!op)
-        POAT_FATAL("access to a pool that is not open");
-    return *op;
+        POAT_FATAL("pool_close: pool is not open");
+    POAT_ASSERT(!op->anyLogActive(), "pool_close with a live transaction");
+    // Close semantics mirror closing a file: dirty cache lines are
+    // written back before the mapping goes away.
+    op->pool.persistAll();
+    disk_.insert_or_assign(op->pool.name(), op->pool.durableImage());
+    space_.unmap(op->pool.vbase());
+    open_[pool_id].reset();
 }
 
 void
@@ -94,8 +71,10 @@ PoolRegistry::exportPool(const std::string &name, const std::string &path)
 {
     std::vector<uint8_t> image;
     auto id_it = idByName_.find(name);
-    if (id_it != idByName_.end() && open_.count(id_it->second)) {
-        image = open_.at(id_it->second)->pool.durableImage().dense();
+    const OpenPool *op =
+        id_it == idByName_.end() ? nullptr : find(id_it->second);
+    if (op) {
+        image = op->pool.durableImage().dense();
     } else if (auto it = disk_.find(name); it != disk_.end()) {
         image = it->second.dense();
     } else {
@@ -152,7 +131,7 @@ PoolRegistry::importPool(const std::string &name, const std::string &path)
     // the pool are offsets relative to *its own* id, which external
     // references must re-derive anyway (same contract as NVML pools
     // moved between systems).
-    idByName_[name] = nextId_++;
+    idByName_[name] = takeId();
     disk_.insert_or_assign(name, PoolImage(image));
 }
 
@@ -162,12 +141,13 @@ PoolRegistry::crashAll()
     // Pool-id order so machine-wide crash and recovery emit their
     // durability events in a reproducible sequence (the crash-point
     // explorer indexes events by position in this stream).
-    for (uint32_t id : openIds()) {
-        OpenPool &op = *open_.at(id);
-        op.pool.crash();
+    for (const auto &op : open_) {
+        if (!op)
+            continue;
+        op->pool.crash();
         // No allocator rescan here: the post-crash image may carry
         // media faults, and only recoverAll's scrub pass may read it.
-        op.forEachLog([](UndoLog &log) { log.markCrashed(); });
+        op->forEachLog([](UndoLog &log) { log.markCrashed(); });
     }
 }
 
@@ -175,17 +155,18 @@ void
 PoolRegistry::recoverAll()
 {
     lastScrub_ = ScrubStats{};
-    for (uint32_t id : openIds()) {
-        OpenPool &op = *open_.at(id);
+    for (const auto &op : open_) {
+        if (!op)
+            continue;
         // Order matters: scrub repairs (or diagnoses) media faults
         // first, the allocator rescan then trusts every block header,
         // and undo replay finally trusts the log entries.
-        lastScrub_.merge(scrubPool(op.pool));
-        op.alloc.rescan();
+        lastScrub_.merge(scrubPool(op->pool));
+        op->alloc.rescan();
         // Each slot recovers independently: a crash can freeze several
         // concurrent transactions mid-flight, some active (undo), some
         // committing (redo of deferred frees), in the same pool.
-        op.forEachLog([](UndoLog &log) { log.recover(); });
+        op->forEachLog([](UndoLog &log) { log.recover(); });
     }
 }
 
@@ -193,26 +174,35 @@ void
 PoolRegistry::setDurabilityHook(DurabilityHook *hook)
 {
     hook_ = hook;
-    for (auto &kv : open_)
-        kv.second->pool.setDurabilityHook(hook);
+    for (const auto &op : open_)
+        if (op)
+            op->pool.setDurabilityHook(hook);
 }
 
 void
 PoolRegistry::setDurabilityPolicy(DurabilityPolicy policy)
 {
     policy_ = policy;
-    for (auto &kv : open_)
-        kv.second->pool.setDurabilityPolicy(policy);
+    for (const auto &op : open_)
+        if (op)
+            op->pool.setDurabilityPolicy(policy);
+}
+
+size_t
+PoolRegistry::openCount() const
+{
+    return static_cast<size_t>(
+        std::count_if(open_.begin(), open_.end(),
+                      [](const auto &op) { return op != nullptr; }));
 }
 
 std::vector<uint32_t>
 PoolRegistry::openIds() const
 {
     std::vector<uint32_t> ids;
-    ids.reserve(open_.size());
-    for (const auto &kv : open_)
-        ids.push_back(kv.first);
-    std::sort(ids.begin(), ids.end());
+    for (uint32_t id = 0; id < open_.size(); ++id)
+        if (open_[id])
+            ids.push_back(id);
     return ids;
 }
 

@@ -9,6 +9,14 @@
  * undo log. Reopening a pool runs the allocator's self-healing scan and
  * undo-log recovery, so a crash-then-open cycle lands on a consistent
  * image.
+ *
+ * Id-indexed table. Pool ids are dense and never reused: they count up
+ * from 1, one per create() or importPool(). Open pools therefore live
+ * in a vector indexed by id, whose slot is empty while the pool is
+ * closed (or imported and not yet opened) and slot 0 stays empty for
+ * OID_NULL. Resolving an ObjectID's pool — find()/get(), on every
+ * persistent access — is an index and a null check, and walking the
+ * table visits open pools in ascending id order.
  */
 #ifndef POAT_PMEM_REGISTRY_H
 #define POAT_PMEM_REGISTRY_H
@@ -145,11 +153,27 @@ class PoolRegistry
     void close(uint32_t pool_id);
 
     /** Look up an open pool by id; nullptr if not open. */
-    OpenPool *find(uint32_t pool_id);
-    const OpenPool *find(uint32_t pool_id) const;
+    OpenPool *
+    find(uint32_t pool_id)
+    {
+        return pool_id < open_.size() ? open_[pool_id].get() : nullptr;
+    }
+
+    const OpenPool *
+    find(uint32_t pool_id) const
+    {
+        return pool_id < open_.size() ? open_[pool_id].get() : nullptr;
+    }
 
     /** Look up an open pool by id; fatal if not open. */
-    OpenPool &get(uint32_t pool_id);
+    OpenPool &
+    get(uint32_t pool_id)
+    {
+        OpenPool *op = find(pool_id);
+        if (!op)
+            POAT_FATAL("access to a pool that is not open");
+        return *op;
+    }
 
     /**
      * Write a pool's durable image to @p path (the pool may be open or
@@ -202,20 +226,35 @@ class PoolRegistry
     void setDurabilityPolicy(DurabilityPolicy policy);
     DurabilityPolicy durabilityPolicy() const { return policy_; }
 
-    size_t openCount() const { return open_.size(); }
+    size_t openCount() const;
     AddressSpace &addressSpace() { return space_; }
 
-    /** Ids of all currently open pools (sorted). */
+    /** Ids of all currently open pools (ascending). */
     std::vector<uint32_t> openIds() const;
 
   private:
+    /** Take the next pool id; its table slot starts empty. */
+    uint32_t
+    takeId()
+    {
+        open_.emplace_back();
+        return static_cast<uint32_t>(open_.size() - 1);
+    }
+
+    /** Map a freshly constructed pool and wire it to the registry. */
+    void attach(OpenPool &op);
+
     AddressSpace space_;
-    uint32_t nextId_ = 1;
     ScrubStats lastScrub_{};      ///< merged over the last recoverAll
     ChecksumCounters counters_{}; ///< shared by every pool we open
     DurabilityHook *hook_ = nullptr; ///< installed on every pool
     DurabilityPolicy policy_ = DurabilityPolicy::Eager;
-    std::unordered_map<uint32_t, std::unique_ptr<OpenPool>> open_;
+    /**
+     * Open pools indexed by id (see file comment); null while closed.
+     * Its size is the next id to assign; slot 0 (OID_NULL) stays null.
+     */
+    std::vector<std::unique_ptr<OpenPool>> open_ =
+        std::vector<std::unique_ptr<OpenPool>>(1);
     std::unordered_map<std::string, uint32_t> idByName_;
     std::unordered_map<std::string, PoolImage> disk_;
 };

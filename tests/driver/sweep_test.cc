@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -237,6 +238,25 @@ TEST(Sweep, EmptyBatchAndDefaultJobs)
     for (size_t i = 0; i < res.size(); ++i)
         expectBitIdentical(res[i], runExperiment(cfgs[i]),
                            "auto-jobs config " + std::to_string(i));
+}
+
+TEST(Sweep, WorkerCountIsClampedToTasksAndCeiling)
+{
+    // 0 resolves to the host default, itself clamped to the ceiling.
+    const unsigned host = std::min(defaultSweepJobs(), kMaxSweepJobs);
+    EXPECT_EQ(sweepWorkers(0, 100000), host);
+    EXPECT_EQ(sweepWorkers(0, 1), 1u);
+    // Never more workers than tasks, and at least one.
+    EXPECT_EQ(sweepWorkers(8, 3), 3u);
+    EXPECT_EQ(sweepWorkers(8, 0), 1u);
+    EXPECT_EQ(sweepWorkers(1, 100000), 1u);
+    EXPECT_EQ(sweepWorkers(7, 100000), 7u);
+    // Never more than the ceiling, however large --jobs is.
+    EXPECT_EQ(sweepWorkers(kMaxSweepJobs, 100000), kMaxSweepJobs);
+    EXPECT_EQ(sweepWorkers(kMaxSweepJobs + 1, 100000), kMaxSweepJobs);
+    EXPECT_EQ(sweepWorkers(4294967295u, 100000), kMaxSweepJobs);
+    EXPECT_EQ(sweepWorkers(4294967295u, 5), 5u);
+    EXPECT_EQ(kMaxSweepJobs, 256u);
 }
 
 TEST(Sweep, PerRunTracersRecordConcurrently)

@@ -1,11 +1,15 @@
 /** @file Tests for file-backed pool export/import. */
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "pmem/registry.h"
 #include "pmem/runtime.h"
 
 namespace poat {
@@ -207,6 +211,90 @@ TEST(ExportImport, ImportOfTruncatedImageThrowsMediaError)
     expectImportRejected({image.begin(), image.begin() + 100}, "100 bytes");
     expectImportRejected({image.begin(), image.begin() + 8192}, "8 KB");
     expectImportRejected({}, "empty file");
+}
+
+/** Run tools/pool_inspect on @p image: its stdout, then its exit code. */
+std::pair<std::string, int>
+poolInspect(const std::string &image)
+{
+    const std::string cmd =
+        std::string(POAT_POOL_INSPECT) + " '" + image + "'";
+    std::FILE *p = popen(cmd.c_str(), "r");
+    std::string out;
+    if (!p)
+        return {out, -1};
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), p)) > 0)
+        out.append(buf, n);
+    const int status = pclose(p);
+    return {out, WIFEXITED(status) ? WEXITSTATUS(status) : -1};
+}
+
+/** pool_inspect's text for one undo-log slot (see tools/pool_inspect). */
+std::string
+slotSection(const std::string &name, const UndoLog &log, const char *state)
+{
+    std::string s = name + ": " + state + "\n  entries    " +
+        std::to_string(log.entryCount()) + " (" +
+        std::to_string(log.usedBytes()) + " bytes used)\n";
+    for (const auto &rec : log.records()) {
+        const char *kind = rec.type == LogEntryHeader::kData ? "data "
+            : rec.type == LogEntryHeader::kAlloc             ? "alloc"
+                                                             : "free ";
+        s += std::string("    ") + kind + " target=" +
+            std::to_string(rec.target_off) +
+            " size=" + std::to_string(rec.size) + "\n";
+    }
+    return s;
+}
+
+TEST(ExportImport, PoolInspectDecodesEveryLogSlot)
+{
+    // A 2-slot pool (one slot per engine worker) exported while slot 1
+    // holds an open transaction and slot 0 is idle: the inspector
+    // prints both slots, in order, each with its state and records.
+    const std::string path = tmpPath("poat_two_slots.pool");
+    PoolRegistry r;
+    OpenPool &p = r.create("two", 1 << 20, Pool::kDefaultLogSize, 2);
+    const uint32_t a = p.alloc.alloc(64);
+    const uint32_t b = p.alloc.alloc(32);
+    UndoLog &tx = p.logSlot(1);
+    tx.begin();
+    tx.addRange(a, 24);
+    tx.logFree(b);
+    r.exportPool("two", path);
+    ASSERT_EQ(tx.entryCount(), 2u);
+
+    const auto [out, code] = poolInspect(path);
+    EXPECT_EQ(code, 0) << out;
+    const std::string want =
+        slotSection("undo log slot 0", p.logSlot(0), "idle") +
+        slotSection("undo log slot 1", tx,
+                    "ACTIVE (undo pending on recovery)");
+    EXPECT_NE(out.find(want), std::string::npos) << out;
+    EXPECT_NE(want.find("data  target=" + std::to_string(a) + " size=24"),
+              std::string::npos);
+    EXPECT_NE(want.find("free  target=" + std::to_string(b)),
+              std::string::npos);
+    EXPECT_EQ(out.find("undo log:"), std::string::npos) << out;
+    std::remove(path.c_str());
+
+    // A single-slot pool keeps the classic one-section layout.
+    const std::string path1 = tmpPath("poat_one_log.pool");
+    PoolRegistry r1;
+    OpenPool &q = r1.create("one", 1 << 20);
+    q.log.begin();
+    q.log.addRange(q.alloc.alloc(16), 8);
+    r1.exportPool("one", path1);
+    const auto [out1, code1] = poolInspect(path1);
+    EXPECT_EQ(code1, 0) << out1;
+    EXPECT_NE(out1.find(slotSection("undo log", q.log,
+                                    "ACTIVE (undo pending on recovery)")),
+              std::string::npos)
+        << out1;
+    EXPECT_EQ(out1.find("undo log slot"), std::string::npos) << out1;
+    std::remove(path1.c_str());
 }
 
 } // namespace

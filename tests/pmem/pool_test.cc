@@ -4,8 +4,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "pmem/pool.h"
@@ -434,6 +436,63 @@ struct DenseModel
     TearingRecorder hook;
 };
 
+/**
+ * A 1-64 byte access placed where PoolImage's page-local case and its
+ * page loop meet: ending exactly at a page end, starting at a page's
+ * last byte, straddling a page boundary, or inside one page. Half the
+ * time the page is one whose successor is absent (so a straddle reads
+ * into an absent page) or, for the in-page kind, an absent page itself
+ * (so a write is a first touch).
+ */
+std::pair<uint32_t, uint32_t>
+pageEdgeAccess(Rng &rng, const Pool &pool)
+{
+    const uint32_t size = static_cast<uint32_t>(pool.size());
+    const uint32_t pages = (size + kPageSize - 1) / kPageSize;
+    std::vector<uint32_t> edges, absent;
+    for (uint32_t p = 0; p < pages; ++p) {
+        if (!pool.pageResident(p * kPageSize))
+            absent.push_back(p);
+        else if (p + 1 < pages && !pool.pageResident((p + 1) * kPageSize))
+            edges.push_back(p);
+    }
+    const uint64_t kind = rng.below(4);
+    const std::vector<uint32_t> &bias = kind == 3 ? absent : edges;
+    const uint32_t page = !bias.empty() && rng.chance(1, 2)
+        ? bias[rng.below(bias.size())]
+        : static_cast<uint32_t>(rng.below(pages));
+    const uint32_t start = page * kPageSize;
+    const uint32_t end = std::min<uint32_t>(start + kPageSize, size);
+    uint32_t n = static_cast<uint32_t>(rng.range(1, 64));
+    uint32_t off;
+    switch (kind) {
+      case 0: // ends exactly at the page end
+        off = end - n;
+        break;
+      case 1: // starts at the page's last byte
+        off = end - 1;
+        break;
+      case 2: // straddles the boundary at a random split
+        off = end - static_cast<uint32_t>(rng.range(1, n));
+        break;
+      default: // inside the page
+        off = start + static_cast<uint32_t>(rng.below(end - start - n + 1));
+        break;
+    }
+    return {off, std::min(n, size - off)};
+}
+
+/** Which page-edge cases a differential run exercised (see below). */
+struct EdgeCoverage
+{
+    size_t read_at_page_end = 0;   ///< single-page read ending at its end
+    size_t read_from_last_byte = 0; ///< straddle from a page's last byte
+    size_t read_into_absent = 0;   ///< resident page into an absent one
+    size_t write_at_page_end = 0;  ///< page-local write ending at its end
+    size_t write_first_touch = 0;  ///< page-local write to an absent page
+    size_t write_straddle = 0;     ///< write across a page boundary
+};
+
 void
 runDifferential(DurabilityPolicy policy, uint64_t seed)
 {
@@ -448,12 +507,14 @@ runDifferential(DurabilityPolicy policy, uint64_t seed)
 
     Rng rng(seed * 7919 + 1);
     std::vector<uint8_t> bytes(512), seen(size);
+    EdgeCoverage cover;
     for (int step = 0; step < 600; ++step) {
         const uint64_t op = rng.below(100);
         if (op < 40) {
-            // Random range, a page-straddling range, or the last line.
+            // Random range, a page-straddling range, the last line, or
+            // a 1-64 byte access at a page edge.
             uint32_t off = 0, n = 0;
-            switch (rng.below(3)) {
+            switch (rng.below(4)) {
               case 0:
                 n = static_cast<uint32_t>(rng.range(1, 300));
                 off = static_cast<uint32_t>(rng.below(size - n + 1));
@@ -465,11 +526,20 @@ runDifferential(DurabilityPolicy policy, uint64_t seed)
                 n = static_cast<uint32_t>(rng.range(2, 200));
                 n = std::min(n, size - off);
                 break;
-              default:
+              case 2:
                 off = size - kLineSize +
                     static_cast<uint32_t>(rng.below(kLineSize));
                 n = size - off;
                 break;
+              default: {
+                std::tie(off, n) = pageEdgeAccess(rng, pool);
+                const uint32_t in_page = off % kPageSize;
+                cover.write_straddle += in_page + n > kPageSize;
+                cover.write_at_page_end += in_page + n == kPageSize;
+                cover.write_first_touch +=
+                    in_page + n <= kPageSize && !pool.pageResident(off);
+                break;
+              }
             }
             for (uint32_t b = 0; b < n; ++b)
                 bytes[b] = static_cast<uint8_t>(rng.next());
@@ -537,12 +607,39 @@ runDifferential(DurabilityPolicy policy, uint64_t seed)
         ASSERT_EQ(seen, model.data) << "working image, step " << step;
         ASSERT_EQ(pool.durableImage().dense(), model.durable)
             << "durable image, step " << step;
+        // Small reads at page edges, of both images.
+        for (int probe = 0; probe < 4; ++probe) {
+            const auto [off, n] = pageEdgeAccess(rng, pool);
+            const uint32_t in_page = off % kPageSize;
+            cover.read_at_page_end += in_page + n == kPageSize;
+            cover.read_from_last_byte +=
+                in_page == kPageSize - 1 && n > 1;
+            cover.read_into_absent += in_page + n > kPageSize &&
+                pool.pageResident(off) && !pool.pageResident(off + n - 1);
+            std::vector<uint8_t> got(n);
+            pool.readRaw(off, got.data(), n);
+            ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                                   model.data.begin() + off))
+                << "working read of " << n << " at " << off << ", step "
+                << step;
+            pool.readDurable(off, got.data(), n);
+            ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                                   model.durable.begin() + off))
+                << "durable read of " << n << " at " << off << ", step "
+                << step;
+        }
         ASSERT_EQ(hook.events, model.hook.events) << "step " << step;
         ASSERT_EQ(hook.drains, model.hook.drains) << "step " << step;
         ASSERT_EQ(pool.dirtyLineCount(), model.dirty.size());
         ASSERT_EQ(pool.stagedLines(), model.sorted(model.staged));
     }
     pool.setDurabilityHook(nullptr);
+    EXPECT_GT(cover.read_at_page_end, 0u);
+    EXPECT_GT(cover.read_from_last_byte, 0u);
+    EXPECT_GT(cover.read_into_absent, 0u);
+    EXPECT_GT(cover.write_at_page_end, 0u);
+    EXPECT_GT(cover.write_first_touch, 0u);
+    EXPECT_GT(cover.write_straddle, 0u);
 }
 
 TEST(Pool, PagedImagesMatchDenseModelEager)

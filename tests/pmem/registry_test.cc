@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "pmem/registry.h"
 
 namespace poat {
@@ -196,6 +200,138 @@ TEST(Registry, CloseWritesBackExactlyWhatAWholePoolWalkWould)
         EXPECT_EQ(closed.open("a").pool.durableImage().dense(),
                   w.durableImage().dense());
     }
+}
+
+/** Records the id of the pool behind every write-back, in order. */
+struct PoolOrderRecorder : DurabilityHook
+{
+    bool
+    onWriteBack(Pool &pool, uint32_t, WriteBackCause) override
+    {
+        if (ids.empty() || ids.back() != pool.id())
+            ids.push_back(pool.id());
+        return true;
+    }
+
+    std::vector<uint32_t> ids;
+};
+
+/**
+ * Random create/close/open/import sequences against a reference model:
+ * a std::map of open ids to names, plus the name of every id ever
+ * assigned. After each step find(), get(), openIds() and openCount()
+ * must agree with the model, for every id ever assigned and a few
+ * beyond; a machine-wide crash, with a transaction open in every open
+ * pool, must recover the pools in ascending id order.
+ */
+TEST(Registry, TableMatchesReferenceModel)
+{
+    const std::string path =
+        std::string(::testing::TempDir()) + "poat_registry_model.pool";
+    for (uint64_t seed : {1, 2, 3}) {
+        PoolRegistry r(seed);
+        Rng rng(seed * 104729);
+        std::map<uint32_t, std::string> open;  // model: id -> name
+        std::vector<std::string> name_of{""}; // every id ever assigned
+        std::vector<std::string> closed;      // names on "disk"
+
+        auto fresh_name = [&] {
+            std::string name = "p";
+            name += std::to_string(name_of.size());
+            return name;
+        };
+        auto check = [&](int step) {
+            const PoolRegistry &cr = r;
+            for (uint32_t id = 0; id < name_of.size() + 3; ++id) {
+                auto it = open.find(id);
+                OpenPool *op = r.find(id);
+                ASSERT_EQ(cr.find(id), op) << "step " << step;
+                if (it == open.end()) {
+                    ASSERT_EQ(op, nullptr)
+                        << "id " << id << " step " << step;
+                    continue;
+                }
+                ASSERT_NE(op, nullptr) << "id " << id << " step " << step;
+                ASSERT_EQ(&r.get(id), op);
+                ASSERT_EQ(op->pool.id(), id);
+                ASSERT_EQ(op->pool.name(), it->second);
+            }
+            std::vector<uint32_t> ids;
+            for (const auto &kv : open)
+                ids.push_back(kv.first);
+            ASSERT_EQ(r.openIds(), ids) << "step " << step;
+            ASSERT_EQ(r.openCount(), open.size()) << "step " << step;
+        };
+
+        for (int step = 0; step < 150; ++step) {
+            const uint64_t op = rng.below(100);
+            if (op < 30 || open.empty()) {
+                const std::string name = fresh_name();
+                OpenPool &p = r.create(name, Pool::kMinSize);
+                ASSERT_EQ(p.pool.id(), name_of.size());
+                open[p.pool.id()] = name;
+                name_of.push_back(name);
+            } else if (op < 55) {
+                auto it = std::next(open.begin(),
+                                    static_cast<long>(
+                                        rng.below(open.size())));
+                r.close(it->first);
+                closed.push_back(it->second);
+                open.erase(it);
+            } else if (op < 75 && !closed.empty()) {
+                const size_t pick = rng.below(closed.size());
+                const std::string name = closed[pick];
+                closed.erase(closed.begin() + static_cast<long>(pick));
+                const uint32_t id = static_cast<uint32_t>(
+                    std::find(name_of.begin(), name_of.end(), name) -
+                    name_of.begin());
+                ASSERT_EQ(r.open(name).pool.id(), id);
+                open[id] = name;
+            } else if (op < 88) {
+                // Import a copy of any known pool: it takes the next id
+                // and stays closed until opened.
+                const std::string src =
+                    name_of[1 + rng.below(name_of.size() - 1)];
+                r.exportPool(src, path);
+                const std::string name = fresh_name();
+                r.importPool(name, path);
+                name_of.push_back(name);
+                closed.push_back(name);
+            } else {
+                // A transaction in flight in every open pool, then a
+                // machine-wide crash: recovery rolls each one back.
+                std::map<uint32_t, uint32_t> cell;
+                for (const auto &kv : open) {
+                    OpenPool &p = r.get(kv.first);
+                    const uint32_t off = p.alloc.alloc(16);
+                    p.pool.writeAs<uint64_t>(off, kv.first);
+                    p.pool.persist(off, 8);
+                    p.log.begin();
+                    p.log.addRange(off, 8);
+                    p.pool.writeAs<uint64_t>(off, ~uint64_t{0});
+                    p.pool.persist(off, 8);
+                    cell[kv.first] = off;
+                }
+                PoolOrderRecorder order;
+                r.setDurabilityHook(&order);
+                r.crashAll();
+                r.recoverAll();
+                r.setDurabilityHook(nullptr);
+                std::vector<uint32_t> ids;
+                for (const auto &kv : open) {
+                    ids.push_back(kv.first);
+                    ASSERT_EQ(r.get(kv.first).pool.readAs<uint64_t>(
+                                  cell[kv.first]),
+                              kv.first);
+                }
+                ASSERT_EQ(order.ids, ids) << "step " << step;
+            }
+            check(step);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+    std::remove(path.c_str());
 }
 
 } // namespace

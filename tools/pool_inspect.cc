@@ -5,8 +5,8 @@
  * Reads a pool image exported with PoolRegistry::exportPool (the
  * on-media format itself) and prints its header, walks the allocator's
  * block chain (validating the same invariants the recovery scan
- * checks), and decodes the undo-log state — the debugging view an
- * operator wants when a persistent heap misbehaves.
+ * checks), and decodes the undo-log state of every log slot — the
+ * debugging view an operator wants when a persistent heap misbehaves.
  *
  *   pool_inspect [--blocks] IMAGE
  *
@@ -145,19 +145,28 @@ main(int argc, char **argv)
         }
     }
 
-    UndoLog log(pool, alloc);
-    LogHeader lh{};
-    pool.readRaw(h.log_off, &lh, sizeof(lh));
-    std::printf("undo log: %s%s\n", logStateName(lh.state),
-                lh.crcValid() ? "" : " [header CRC MISMATCH]");
-    std::printf("  entries    %u (%u bytes used)\n", lh.num_entries,
-                lh.used);
-    for (const auto &rec : log.records()) {
-        const char *kind = rec.type == LogEntryHeader::kData ? "data"
-            : rec.type == LogEntryHeader::kAlloc               ? "alloc"
-                                                               : "free";
-        std::printf("    %-5s target=%u size=%u\n", kind, rec.target_off,
-                    rec.size);
+    // One section per undo-log slot, in slot order. A multi-slot pool
+    // (one slot per engine worker) can hold an open transaction in any
+    // slot; a single-slot pool prints the classic "undo log" section.
+    const uint32_t slots = UndoLog::slotCount(pool.header());
+    for (uint32_t slot = 0; slot < slots; ++slot) {
+        UndoLog log(pool, alloc, slot);
+        LogHeader lh{};
+        pool.readRaw(log.headerOff(), &lh, sizeof(lh));
+        const std::string name = slots == 1
+            ? "undo log"
+            : "undo log slot " + std::to_string(slot);
+        std::printf("%s: %s%s\n", name.c_str(), logStateName(lh.state),
+                    lh.crcValid() ? "" : " [header CRC MISMATCH]");
+        std::printf("  entries    %u (%u bytes used)\n", lh.num_entries,
+                    lh.used);
+        for (const auto &rec : log.records()) {
+            const char *kind = rec.type == LogEntryHeader::kData ? "data"
+                : rec.type == LogEntryHeader::kAlloc             ? "alloc"
+                                                                 : "free";
+            std::printf("    %-5s target=%u size=%u\n", kind,
+                        rec.target_off, rec.size);
+        }
     }
     } catch (const MediaError &e) {
         std::printf("MEDIA FAULT: %s\n", e.what());
