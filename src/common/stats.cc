@@ -89,7 +89,8 @@ histogramJson(const Histogram &h)
             if (!first)
                 s += ", ";
             first = false;
-            s += "[" + std::to_string(Histogram::bucketLo(b)) + ", " +
+            s += '[';
+            s += std::to_string(Histogram::bucketLo(b)) + ", " +
                 std::to_string(Histogram::bucketHi(b)) + ", " +
                 std::to_string(h.bucketCount(b)) + "]";
         }

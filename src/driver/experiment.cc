@@ -24,19 +24,8 @@ namespace {
 
 ExperimentObserver g_observer;
 
-/** True for the workloads that run under the concurrent engine. */
-bool
-concurrentWorkload(const std::string &w)
-{
-    return w == "LHT" || w == "MTPCC";
-}
-
-/** Engine workers a config resolves to (0 = the default of 2). */
-uint32_t
-effectiveThreads(const ExperimentConfig &cfg)
-{
-    return cfg.threads != 0 ? cfg.threads : 2;
-}
+using workloads::engineWorkers;
+using workloads::isConcurrentWorkload;
 
 /**
  * Machine config a run actually uses: concurrent workloads need one
@@ -48,8 +37,8 @@ sim::MachineConfig
 machineConfigFor(const ExperimentConfig &cfg)
 {
     sim::MachineConfig mc = cfg.machine;
-    if (concurrentWorkload(cfg.workload))
-        mc.cores = std::max(mc.cores, effectiveThreads(cfg));
+    if (isConcurrentWorkload(cfg.workload))
+        mc.cores = std::max(mc.cores, engineWorkers(cfg.threads));
     return mc;
 }
 
@@ -83,8 +72,8 @@ configLabel(const ExperimentConfig &cfg)
         s += ".";
         s += workloads::patternName(cfg.pattern);
     }
-    if (concurrentWorkload(cfg.workload)) {
-        s += ".t" + std::to_string(effectiveThreads(cfg));
+    if (isConcurrentWorkload(cfg.workload)) {
+        s += ".t" + std::to_string(engineWorkers(cfg.threads));
         if (cfg.commit_window > 1)
             s += ".w" + std::to_string(cfg.commit_window);
     }
@@ -139,10 +128,10 @@ traceFingerprint(const ExperimentConfig &cfg)
         s += workloads::patternName(cfg.pattern);
         s += " scale=" + std::to_string(cfg.scale_pct);
     }
-    if (concurrentWorkload(cfg.workload)) {
+    if (isConcurrentWorkload(cfg.workload)) {
         // The interleaving shapes the instruction stream, so every
         // concurrency knob is functional.
-        s += " threads=" + std::to_string(effectiveThreads(cfg));
+        s += " threads=" + std::to_string(engineWorkers(cfg.threads));
         s += " tseed=" + std::to_string(cfg.sched_seed);
         s += " window=" + std::to_string(cfg.commit_window);
     }
@@ -174,8 +163,8 @@ traceCachePath(const ExperimentConfig &cfg)
         name += ".";
         name += workloads::patternName(cfg.pattern);
     }
-    if (concurrentWorkload(cfg.workload))
-        name += ".t" + std::to_string(effectiveThreads(cfg));
+    if (isConcurrentWorkload(cfg.workload))
+        name += ".t" + std::to_string(engineWorkers(cfg.threads));
     name += cfg.mode == TranslationMode::Software ? ".base" : ".opt";
     if (!cfg.transactions)
         name += ".ntx";
@@ -204,7 +193,7 @@ executeWorkload(const ExperimentConfig &cfg, PmemRuntime &rt,
     } else if (cfg.workload == "MTPCC") {
         workloads::tpcc::MtpccWorkload w(
             cfg.placement, cfg.tpcc_scale_pct, cfg.seed, cfg.tpcc_txns,
-            effectiveThreads(cfg), cfg.sched_seed, cfg.commit_window,
+            engineWorkers(cfg.threads), cfg.sched_seed, cfg.commit_window,
             cfg.transactions, cfg.tpcc_warehouses);
         const auto r = w.run(rt);
         res.workload_checksum = r.checksum;
@@ -216,7 +205,7 @@ executeWorkload(const ExperimentConfig &cfg, PmemRuntime &rt,
         wc.transactions = cfg.transactions;
         wc.seed = cfg.seed;
         wc.scale_pct = cfg.scale_pct;
-        workloads::LhtWorkload w(wc, effectiveThreads(cfg),
+        workloads::LhtWorkload w(wc, engineWorkers(cfg.threads),
                                  cfg.sched_seed, cfg.commit_window);
         const auto r = w.run(rt);
         res.workload_checksum = r.checksum;
@@ -249,8 +238,8 @@ runtimeOptions(const ExperimentConfig &cfg)
     ro.durability = cfg.transactions;
     ro.aslr_seed = cfg.seed ^ 0x517cc1b727220a95ull;
     ro.base_predictor = cfg.base_predictor;
-    if (concurrentWorkload(cfg.workload))
-        ro.log_slots = effectiveThreads(cfg); // one undo log per worker
+    if (isConcurrentWorkload(cfg.workload))
+        ro.log_slots = engineWorkers(cfg.threads); // one undo log per worker
     return ro;
 }
 
@@ -288,7 +277,7 @@ fillFunctionalProfile(const ExperimentConfig &cfg, const PmemRuntime &rt,
 
     // Concurrency outcome (deterministic, hence functional): exported
     // here so replayed runs restore it from the trace sidecar.
-    if (concurrentWorkload(cfg.workload)) {
+    if (isConcurrentWorkload(cfg.workload)) {
         const concurrent::EngineStats &e = res.engine;
         prof.counter("engine.commits") = e.commits;
         prof.counter("engine.aborts") = e.aborts;

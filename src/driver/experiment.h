@@ -48,8 +48,9 @@ struct ExperimentConfig
     /// @{
     /**
      * Engine workers (= simulated cores; the machine config's core
-     * count is raised to this if lower). 0 = the workloads' default
-     * (2). Sequential workloads ignore all three knobs.
+     * count is raised to this if lower). 0 =
+     * workloads::kDefaultEngineWorkers (2). Sequential workloads
+     * ignore all three knobs.
      */
     uint32_t threads = 0;
     uint64_t sched_seed = 0;    ///< scheduler interleaving seed (tSEED)

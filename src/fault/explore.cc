@@ -491,14 +491,17 @@ Failure::repro() const
         s += ":" + std::to_string(stack[0]); // legacy one-level spelling
     } else if (stack.size() > 1) {
         s += ":d";
-        for (size_t i = 0; i < stack.size(); ++i)
-            s += (i ? "," : "") + std::to_string(stack[i]);
+        for (size_t i = 0; i < stack.size(); ++i) {
+            if (i != 0)
+                s += ',';
+            s += std::to_string(stack[i]);
+        }
     }
     if (!drain.empty())
         s += ":r" + drain;
     if (strict)
         s += ":S";
-    if (workloads::isConcurrentCrashWorkload(workload)) {
+    if (workloads::isConcurrentWorkload(workload)) {
         s += ":t" + std::to_string(sched_seed);
         if (threads != 0)
             s += ":n" + std::to_string(threads);

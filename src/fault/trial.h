@@ -24,6 +24,7 @@
 #include "fault/reorder.h"
 #include "pmem/runtime.h"
 #include "workloads/crash_support.h"
+#include "workloads/harness.h"
 
 namespace poat {
 namespace fault {
@@ -53,15 +54,14 @@ evictSeed(const ExploreOptions &opts)
 
 /**
  * Runtime options for one trial: concurrent workloads need one undo-log
- * slot per engine worker (the drivers default to 2 when opts.threads is
- * 0, so the slot count must match that default).
+ * slot per engine worker, resolved as their drivers resolve it.
  */
 inline RuntimeOptions
 trialRuntimeOptions(const ExploreOptions &opts)
 {
     RuntimeOptions ro;
-    if (workloads::isConcurrentCrashWorkload(opts.workload))
-        ro.log_slots = opts.threads != 0 ? opts.threads : 2;
+    if (workloads::isConcurrentWorkload(opts.workload))
+        ro.log_slots = workloads::engineWorkers(opts.threads);
     return ro;
 }
 

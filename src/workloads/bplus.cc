@@ -17,6 +17,34 @@
 namespace poat {
 namespace workloads {
 
+namespace {
+
+/**
+ * One B+T operation: look @p key up in @p tree; erase it on a hit,
+ * insert it (with value key * 1000 + 7) on a miss, in one transaction
+ * when @p transactions is set. The benchmark and the crash driver both
+ * run it. @return true on a hit.
+ */
+bool
+eraseOrInsert(PmemRuntime &rt, BPlusTree &tree, uint64_t key,
+              bool transactions)
+{
+    const auto hit = tree.find(key);
+    rt.branchEvent(hit.has_value(), kPcFound);
+    rt.setOp(hit ? "erase" : "insert");
+    TxScope tx(rt, transactions);
+    if (hit) {
+        const bool erased = tree.erase(tx, key);
+        POAT_ASSERT(erased, "B+T erase of a found key failed");
+    } else {
+        const bool inserted = tree.insert(tx, key, key * 1000 + 7);
+        POAT_ASSERT(inserted, "B+T insert of a missing key failed");
+    }
+    return hit.has_value();
+}
+
+} // namespace
+
 BplusWorkload::BplusWorkload(const WorkloadConfig &cfg) : cfg_(cfg) {}
 
 WorkloadResult
@@ -36,19 +64,10 @@ BplusWorkload::run(PmemRuntime &rt)
         // Keys are offset by 1: key 0 is reserved as the scan floor.
         const uint64_t key = 1 + rng.below(key_range);
         ++res.operations;
-
-        const auto hit = tree.find(key);
-        rt.branchEvent(hit.has_value(), kPcFound);
-        rt.setOp(hit ? "erase" : "insert");
-        TxScope tx(rt, cfg_.transactions);
-        if (hit) {
-            const bool erased = tree.erase(tx, key);
-            POAT_ASSERT(erased, "B+T erase of a found key failed");
+        if (eraseOrInsert(rt, tree, key, cfg_.transactions)) {
             ++res.found;
             res.checksum += key * 31 + 1;
         } else {
-            const bool inserted = tree.insert(tx, key, key * 1000 + 7);
-            POAT_ASSERT(inserted, "B+T insert of a missing key failed");
             res.checksum += key * 7 + 3;
         }
     }
@@ -70,7 +89,7 @@ constexpr uint32_t kBpOffLeaf = 8;
 constexpr uint32_t kBpOffChildren = 64;
 constexpr uint32_t kBpOffNext = 112;
 
-/** B+T rephrased for crash-point exploration (see crash_support.h). */
+/** B+T stepped for crash-point exploration (see crash_support.h). */
 class BplusCrashDriver final : public CrashDriver
 {
   public:
@@ -91,17 +110,11 @@ class BplusCrashDriver final : public CrashDriver
     void
     step(PmemRuntime &rt, uint64_t) override
     {
-        BPlusTree tree(rt, anchor_, [this](uint64_t key) {
-            return pools_->poolForNew(key);
-        });
         const uint64_t key =
             1 + rng_.below(std::max<uint64_t>(steps_, 1));
-        const auto hit = tree.find(key);
-        TxScope tx(rt, true);
-        if (hit)
-            tree.erase(tx, key);
-        else
-            tree.insert(tx, key, key * 1000 + 7);
+        BPlusTree tree(rt, anchor_,
+                       [this](uint64_t k) { return pools_->poolForNew(k); });
+        eraseOrInsert(rt, tree, key, true);
     }
 
     bool

@@ -32,6 +32,114 @@ childOff(bool right)
     return right ? kOffRight : kOffLeft;
 }
 
+/**
+ * One BST operation: search for @p key, tracking the parent link;
+ * remove its node paper-style on a hit (the maximum of the left
+ * subtree replaces it), insert a new leaf on a miss, in one transaction
+ * when @p transactions is set. The benchmark and the crash driver both
+ * run it. @return true on a hit.
+ */
+bool
+removeOrInsert(PmemRuntime &rt, ObjectID anchor, PoolSet &pools, int64_t key,
+               bool transactions)
+{
+    // Writes a child link (or the anchor when parent is null).
+    auto set_link = [&](TxScope &tx, ObjectID parent, bool right,
+                        uint64_t value) {
+        if (parent.isNull()) {
+            tx.addRange(anchor, 8);
+            rt.write<uint64_t>(rt.deref(anchor), 0, value);
+        } else {
+            tx.addRange(parent.plus(childOff(right)), 8);
+            rt.write<uint64_t>(rt.deref(parent), childOff(right), value);
+        }
+    };
+
+    // ---- search, tracking the parent link --------------------
+    ObjectID parent = OID_NULL;
+    bool parent_right = false;
+    ObjectID cur(rt.read<uint64_t>(rt.deref(anchor), 0));
+    uint64_t chase = rt.lastLoadTag();
+    bool found = false;
+    while (!cur.isNull()) {
+        rt.compute(kVisitCost);
+        ObjectRef c = rt.deref(cur, chase);
+        const int64_t k = rt.read<int64_t>(c, kOffKey);
+        found = (k == key);
+        rt.branchEvent(found, kPcFound, rt.lastLoadTag());
+        if (found)
+            break;
+        const bool right = key > k;
+        rt.branchEvent(right, kPcSearch);
+        const uint64_t next = rt.read<uint64_t>(c, childOff(right));
+        chase = rt.lastLoadTag();
+        parent = cur;
+        parent_right = right;
+        cur = ObjectID(next);
+    }
+
+    rt.setOp(found ? "remove" : "insert");
+    TxScope tx(rt, transactions);
+    if (!found) {
+        // ---- insert as the child we fell off of ---------------
+        const ObjectID n = tx.pmalloc(pools.poolForNew(key), kNodeSize);
+        tx.addRange(n, kNodeSize);
+        ObjectRef nr = rt.deref(n);
+        rt.write<int64_t>(nr, kOffKey, key);
+        rt.write<uint64_t>(nr, kOffLeft, 0);
+        rt.write<uint64_t>(nr, kOffRight, 0);
+        set_link(tx, parent, parent_right, n.raw);
+        rt.compute(kUpdateCost);
+        return false;
+    }
+
+    // ---- remove cur, paper-style ---------------------------------
+    ObjectRef c = rt.deref(cur);
+    const ObjectID left(rt.read<uint64_t>(c, kOffLeft));
+    const ObjectID right(rt.read<uint64_t>(c, kOffRight));
+
+    if (left.isNull()) {
+        // No left subtree: splice in the right child.
+        set_link(tx, parent, parent_right, right.raw);
+    } else {
+        // Find the maximum node of the left subtree and its parent.
+        ObjectID mparent = cur;
+        bool mp_right = false;
+        ObjectID m = left;
+        while (true) {
+            rt.compute(kVisitCost);
+            const uint64_t r = rt.read<uint64_t>(rt.deref(m), kOffRight);
+            rt.branchEvent(r != 0, kPcSearch, rt.lastLoadTag());
+            if (r == 0)
+                break;
+            mparent = m;
+            mp_right = true;
+            m = ObjectID(r);
+        }
+        // Detach m (it has no right child), splicing in its left.
+        const uint64_t mleft = rt.read<uint64_t>(rt.deref(m), kOffLeft);
+        if (mparent == cur) {
+            // m was cur's direct left child.
+            set_link(tx, mparent, false, mleft);
+        } else {
+            set_link(tx, mparent, mp_right, mleft);
+        }
+        // m replaces cur: adopt cur's children and parent link.
+        NodeLogger log(tx);
+        log.log(m, kNodeSize);
+        ObjectRef mr = rt.deref(m);
+        const uint64_t cur_left = rt.read<uint64_t>(rt.deref(cur), kOffLeft);
+        const uint64_t cur_right =
+            rt.read<uint64_t>(rt.deref(cur), kOffRight);
+        rt.write<uint64_t>(mr, kOffLeft, cur_left == m.raw ? 0 : cur_left);
+        rt.write<uint64_t>(mr, kOffRight, cur_right);
+        set_link(tx, parent, parent_right, m.raw);
+    }
+    tx.pfree(cur);
+    rt.compute(kUpdateCost);
+    return true;
+}
+
 } // namespace
 
 BstWorkload::BstWorkload(const WorkloadConfig &cfg) : cfg_(cfg) {}
@@ -48,114 +156,15 @@ BstWorkload::run(PmemRuntime &rt)
     const uint64_t ops = 5000ull * cfg_.scale_pct / 100;
     const uint64_t key_range = ops;
 
-    // Writes a child link (or the anchor when parent is null).
-    auto set_link = [&](TxScope &tx, ObjectID parent, bool right,
-                        uint64_t value) {
-        if (parent.isNull()) {
-            tx.addRange(anchor, 8);
-            rt.write<uint64_t>(rt.deref(anchor), 0, value);
-        } else {
-            tx.addRange(parent.plus(childOff(right)), 8);
-            rt.write<uint64_t>(rt.deref(parent), childOff(right), value);
-        }
-    };
-
     for (uint64_t op = 0; op < ops; ++op) {
         const int64_t key = static_cast<int64_t>(rng.below(key_range));
         ++res.operations;
-
-        // ---- search, tracking the parent link --------------------
-        ObjectID parent = OID_NULL;
-        bool parent_right = false;
-        ObjectID cur(rt.read<uint64_t>(rt.deref(anchor), 0));
-        uint64_t chase = rt.lastLoadTag();
-        bool found = false;
-        while (!cur.isNull()) {
-            rt.compute(kVisitCost);
-            ObjectRef c = rt.deref(cur, chase);
-            const int64_t k = rt.read<int64_t>(c, kOffKey);
-            found = (k == key);
-            rt.branchEvent(found, kPcFound, rt.lastLoadTag());
-            if (found)
-                break;
-            const bool right = key > k;
-            rt.branchEvent(right, kPcSearch);
-            const uint64_t next = rt.read<uint64_t>(c, childOff(right));
-            chase = rt.lastLoadTag();
-            parent = cur;
-            parent_right = right;
-            cur = ObjectID(next);
-        }
-
-        if (!found) {
-            // ---- insert as the child we fell off of ---------------
-            rt.setOp("insert");
-            TxScope tx(rt, cfg_.transactions);
-            const ObjectID n =
-                tx.pmalloc(pools.poolForNew(key), kNodeSize);
-            tx.addRange(n, kNodeSize);
-            ObjectRef nr = rt.deref(n);
-            rt.write<int64_t>(nr, kOffKey, key);
-            rt.write<uint64_t>(nr, kOffLeft, 0);
-            rt.write<uint64_t>(nr, kOffRight, 0);
-            set_link(tx, parent, parent_right, n.raw);
-            rt.compute(kUpdateCost);
-            res.checksum += static_cast<uint64_t>(key) * 7 + 3;
-            continue;
-        }
-
-        // ---- remove cur, paper-style ---------------------------------
-        rt.setOp("remove");
-        TxScope tx(rt, cfg_.transactions);
-        ObjectRef c = rt.deref(cur);
-        const ObjectID left(rt.read<uint64_t>(c, kOffLeft));
-        const ObjectID right(rt.read<uint64_t>(c, kOffRight));
-
-        if (left.isNull()) {
-            // No left subtree: splice in the right child.
-            set_link(tx, parent, parent_right, right.raw);
+        if (removeOrInsert(rt, anchor, pools, key, cfg_.transactions)) {
+            res.checksum += static_cast<uint64_t>(key) * 31 + 1;
+            ++res.found;
         } else {
-            // Find the maximum node of the left subtree and its parent.
-            ObjectID mparent = cur;
-            bool mp_right = false;
-            ObjectID m = left;
-            while (true) {
-                rt.compute(kVisitCost);
-                const uint64_t r =
-                    rt.read<uint64_t>(rt.deref(m), kOffRight);
-                rt.branchEvent(r != 0, kPcSearch, rt.lastLoadTag());
-                if (r == 0)
-                    break;
-                mparent = m;
-                mp_right = true;
-                m = ObjectID(r);
-            }
-            // Detach m (it has no right child), splicing in its left.
-            const uint64_t mleft =
-                rt.read<uint64_t>(rt.deref(m), kOffLeft);
-            if (mparent == cur) {
-                // m was cur's direct left child.
-                set_link(tx, mparent, false, mleft);
-            } else {
-                set_link(tx, mparent, mp_right, mleft);
-            }
-            // m replaces cur: adopt cur's children and parent link.
-            NodeLogger log(tx);
-            log.log(m, kNodeSize);
-            ObjectRef mr = rt.deref(m);
-            const uint64_t cur_left =
-                rt.read<uint64_t>(rt.deref(cur), kOffLeft);
-            const uint64_t cur_right =
-                rt.read<uint64_t>(rt.deref(cur), kOffRight);
-            rt.write<uint64_t>(mr, kOffLeft, cur_left == m.raw ? 0
-                                                               : cur_left);
-            rt.write<uint64_t>(mr, kOffRight, cur_right);
-            set_link(tx, parent, parent_right, m.raw);
+            res.checksum += static_cast<uint64_t>(key) * 7 + 3;
         }
-        tx.pfree(cur);
-        rt.compute(kUpdateCost);
-        res.checksum += static_cast<uint64_t>(key) * 31 + 1;
-        ++res.found;
     }
 
     // Fold an in-order traversal into the checksum (also validates the
@@ -194,7 +203,7 @@ BstWorkload::run(PmemRuntime &rt)
 
 namespace {
 
-/** BST rephrased for crash-point exploration (see crash_support.h). */
+/** BST stepped for crash-point exploration (see crash_support.h). */
 class BstCrashDriver final : public CrashDriver
 {
   public:
@@ -217,87 +226,7 @@ class BstCrashDriver final : public CrashDriver
     {
         const int64_t key =
             static_cast<int64_t>(rng_.below(std::max<uint64_t>(steps_, 1)));
-
-        auto set_link = [&](TxScope &tx, ObjectID parent, bool right,
-                            uint64_t value) {
-            if (parent.isNull()) {
-                tx.addRange(anchor_, 8);
-                rt.write<uint64_t>(rt.deref(anchor_), 0, value);
-            } else {
-                tx.addRange(parent.plus(childOff(right)), 8);
-                rt.write<uint64_t>(rt.deref(parent), childOff(right),
-                                   value);
-            }
-        };
-
-        ObjectID parent = OID_NULL;
-        bool parent_right = false;
-        ObjectID cur(rt.read<uint64_t>(rt.deref(anchor_), 0));
-        bool found = false;
-        while (!cur.isNull()) {
-            ObjectRef c = rt.deref(cur);
-            const int64_t k = rt.read<int64_t>(c, kOffKey);
-            found = (k == key);
-            if (found)
-                break;
-            const bool right = key > k;
-            parent = cur;
-            parent_right = right;
-            cur = ObjectID(rt.read<uint64_t>(c, childOff(right)));
-        }
-
-        if (!found) {
-            TxScope tx(rt, true);
-            const ObjectID n =
-                tx.pmalloc(pools_->poolForNew(key), kNodeSize);
-            tx.addRange(n, kNodeSize);
-            ObjectRef nr = rt.deref(n);
-            rt.write<int64_t>(nr, kOffKey, key);
-            rt.write<uint64_t>(nr, kOffLeft, 0);
-            rt.write<uint64_t>(nr, kOffRight, 0);
-            set_link(tx, parent, parent_right, n.raw);
-            return;
-        }
-
-        // Remove cur, paper-style (left-subtree maximum replaces it).
-        TxScope tx(rt, true);
-        ObjectRef c = rt.deref(cur);
-        const ObjectID left(rt.read<uint64_t>(c, kOffLeft));
-        const ObjectID right(rt.read<uint64_t>(c, kOffRight));
-        if (left.isNull()) {
-            set_link(tx, parent, parent_right, right.raw);
-        } else {
-            ObjectID mparent = cur;
-            bool mp_right = false;
-            ObjectID m = left;
-            while (true) {
-                const uint64_t r =
-                    rt.read<uint64_t>(rt.deref(m), kOffRight);
-                if (r == 0)
-                    break;
-                mparent = m;
-                mp_right = true;
-                m = ObjectID(r);
-            }
-            const uint64_t mleft =
-                rt.read<uint64_t>(rt.deref(m), kOffLeft);
-            if (mparent == cur)
-                set_link(tx, mparent, false, mleft);
-            else
-                set_link(tx, mparent, mp_right, mleft);
-            NodeLogger log(tx);
-            log.log(m, kNodeSize);
-            ObjectRef mr = rt.deref(m);
-            const uint64_t cur_left =
-                rt.read<uint64_t>(rt.deref(cur), kOffLeft);
-            const uint64_t cur_right =
-                rt.read<uint64_t>(rt.deref(cur), kOffRight);
-            rt.write<uint64_t>(mr, kOffLeft,
-                               cur_left == m.raw ? 0 : cur_left);
-            rt.write<uint64_t>(mr, kOffRight, cur_right);
-            set_link(tx, parent, parent_right, m.raw);
-        }
-        tx.pfree(cur);
+        removeOrInsert(rt, anchor_, *pools_, key, true);
     }
 
     bool

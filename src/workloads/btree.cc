@@ -156,6 +156,79 @@ struct BtOps
     }
 };
 
+/**
+ * One BT operation: search for @p key; on a miss, insert it in one
+ * transaction when @p transactions is set, splitting full nodes on the
+ * way down. A hit is read-only. The benchmark and the crash driver both
+ * run it. @return true on a hit.
+ */
+bool
+insertIfMissing(PmemRuntime &rt, ObjectID anchor, PoolSet &pools, int64_t key,
+                bool transactions)
+{
+    // ---- search -------------------------------------------------
+    ObjectID cur(rt.read<uint64_t>(rt.deref(anchor), 0));
+    uint64_t chase = rt.lastLoadTag();
+    bool found = false;
+    while (!cur.isNull() && !found) {
+        rt.compute(kVisitCost);
+        ObjectRef r = rt.deref(cur, chase);
+        const uint32_t n = static_cast<uint32_t>(rt.read<uint64_t>(r, kOffN));
+        const bool leaf = rt.read<uint64_t>(r, kOffLeaf) != 0;
+        uint32_t i = 0;
+        while (i < n) {
+            const int64_t k = rt.read<int64_t>(r, keyOff(i));
+            if (k == key) {
+                found = true;
+                rt.branchEvent(true, kPcFound);
+                break;
+            }
+            rt.branchEvent(key > k, kPcSearch);
+            if (key < k)
+                break;
+            ++i;
+        }
+        if (found)
+            break;
+        if (leaf)
+            break;
+        cur = ObjectID(rt.read<uint64_t>(r, childOff(i)));
+        chase = rt.lastLoadTag();
+    }
+
+    if (found)
+        return true;
+
+    // ---- insert ---------------------------------------------------
+    rt.setOp("insert");
+    TxScope tx(rt, transactions);
+    NodeLogger log(tx);
+    BtOps bt{rt, pools, tx, log};
+
+    ObjectID root(rt.read<uint64_t>(rt.deref(anchor), 0));
+    if (root.isNull()) {
+        const ObjectID n = bt.allocNode(key, true);
+        ObjectRef r = rt.deref(n);
+        rt.write<int64_t>(r, keyOff(0), key);
+        rt.write<uint64_t>(r, kOffN, 1);
+        tx.addRange(anchor, 8);
+        rt.write<uint64_t>(rt.deref(anchor), 0, n.raw);
+    } else {
+        const uint32_t rn = static_cast<uint32_t>(
+            rt.read<uint64_t>(rt.deref(root), kOffN));
+        if (rn == kMaxKeys) {
+            const ObjectID nr = bt.allocNode(key, false);
+            rt.write<uint64_t>(rt.deref(nr), childOff(0), root.raw);
+            bt.splitChild(nr, 0, key);
+            tx.addRange(anchor, 8);
+            rt.write<uint64_t>(rt.deref(anchor), 0, nr.raw);
+            root = nr;
+        }
+        bt.insertNonFull(root, key);
+    }
+    return false;
+}
+
 } // namespace
 
 BtreeWorkload::BtreeWorkload(const WorkloadConfig &cfg) : cfg_(cfg) {}
@@ -174,72 +247,12 @@ BtreeWorkload::run(PmemRuntime &rt)
     for (uint64_t op = 0; op < ops; ++op) {
         const int64_t key = static_cast<int64_t>(rng.below(key_range));
         ++res.operations;
-
-        // ---- search -------------------------------------------------
-        ObjectID cur(rt.read<uint64_t>(rt.deref(anchor), 0));
-        uint64_t chase = rt.lastLoadTag();
-        bool found = false;
-        while (!cur.isNull() && !found) {
-            rt.compute(kVisitCost);
-            ObjectRef r = rt.deref(cur, chase);
-            const uint32_t n =
-                static_cast<uint32_t>(rt.read<uint64_t>(r, kOffN));
-            const bool leaf = rt.read<uint64_t>(r, kOffLeaf) != 0;
-            uint32_t i = 0;
-            while (i < n) {
-                const int64_t k = rt.read<int64_t>(r, keyOff(i));
-                if (k == key) {
-                    found = true;
-                    rt.branchEvent(true, kPcFound);
-                    break;
-                }
-                rt.branchEvent(key > k, kPcSearch);
-                if (key < k)
-                    break;
-                ++i;
-            }
-            if (found)
-                break;
-            if (leaf)
-                break;
-            cur = ObjectID(rt.read<uint64_t>(r, childOff(i)));
-            chase = rt.lastLoadTag();
-        }
-
-        if (found) {
+        if (insertIfMissing(rt, anchor, pools, key, cfg_.transactions)) {
             ++res.found;
             res.checksum += static_cast<uint64_t>(key) * 31 + 1;
-            continue;
-        }
-
-        // ---- insert ---------------------------------------------------
-        rt.setOp("insert");
-        TxScope tx(rt, cfg_.transactions);
-        NodeLogger log(tx);
-        BtOps bt{rt, pools, tx, log};
-
-        ObjectID root(rt.read<uint64_t>(rt.deref(anchor), 0));
-        if (root.isNull()) {
-            const ObjectID n = bt.allocNode(key, true);
-            ObjectRef r = rt.deref(n);
-            rt.write<int64_t>(r, keyOff(0), key);
-            rt.write<uint64_t>(r, kOffN, 1);
-            tx.addRange(anchor, 8);
-            rt.write<uint64_t>(rt.deref(anchor), 0, n.raw);
         } else {
-            const uint32_t rn = static_cast<uint32_t>(
-                rt.read<uint64_t>(rt.deref(root), kOffN));
-            if (rn == kMaxKeys) {
-                const ObjectID nr = bt.allocNode(key, false);
-                rt.write<uint64_t>(rt.deref(nr), childOff(0), root.raw);
-                bt.splitChild(nr, 0, key);
-                tx.addRange(anchor, 8);
-                rt.write<uint64_t>(rt.deref(anchor), 0, nr.raw);
-                root = nr;
-            }
-            bt.insertNonFull(root, key);
+            res.checksum += static_cast<uint64_t>(key) * 7 + 3;
         }
-        res.checksum += static_cast<uint64_t>(key) * 7 + 3;
     }
 
     // Fold an in-order walk into the checksum; validates ordering.
@@ -277,7 +290,7 @@ BtreeWorkload::run(PmemRuntime &rt)
 
 namespace {
 
-/** BT rephrased for crash-point exploration (see crash_support.h). */
+/** BT stepped for crash-point exploration (see crash_support.h). */
 class BtreeCrashDriver final : public CrashDriver
 {
   public:
@@ -300,57 +313,7 @@ class BtreeCrashDriver final : public CrashDriver
     {
         const int64_t key =
             static_cast<int64_t>(rng_.below(std::max<uint64_t>(steps_, 1)));
-
-        // Search; a hit is a read-only step (no durability events).
-        ObjectID cur(rt.read<uint64_t>(rt.deref(anchor_), 0));
-        bool found = false;
-        while (!cur.isNull() && !found) {
-            ObjectRef r = rt.deref(cur);
-            const uint32_t n =
-                static_cast<uint32_t>(rt.read<uint64_t>(r, kOffN));
-            const bool leaf = rt.read<uint64_t>(r, kOffLeaf) != 0;
-            uint32_t i = 0;
-            while (i < n) {
-                const int64_t k = rt.read<int64_t>(r, keyOff(i));
-                if (k == key) {
-                    found = true;
-                    break;
-                }
-                if (key < k)
-                    break;
-                ++i;
-            }
-            if (found || leaf)
-                break;
-            cur = ObjectID(rt.read<uint64_t>(r, childOff(i)));
-        }
-        if (found)
-            return;
-
-        TxScope tx(rt, true);
-        NodeLogger log(tx);
-        BtOps bt{rt, *pools_, tx, log};
-        ObjectID root(rt.read<uint64_t>(rt.deref(anchor_), 0));
-        if (root.isNull()) {
-            const ObjectID n = bt.allocNode(key, true);
-            ObjectRef r = rt.deref(n);
-            rt.write<int64_t>(r, keyOff(0), key);
-            rt.write<uint64_t>(r, kOffN, 1);
-            tx.addRange(anchor_, 8);
-            rt.write<uint64_t>(rt.deref(anchor_), 0, n.raw);
-        } else {
-            const uint32_t rn = static_cast<uint32_t>(
-                rt.read<uint64_t>(rt.deref(root), kOffN));
-            if (rn == kMaxKeys) {
-                const ObjectID nr = bt.allocNode(key, false);
-                rt.write<uint64_t>(rt.deref(nr), childOff(0), root.raw);
-                bt.splitChild(nr, 0, key);
-                tx.addRange(anchor_, 8);
-                rt.write<uint64_t>(rt.deref(anchor_), 0, nr.raw);
-                root = nr;
-            }
-            bt.insertNonFull(root, key);
-        }
+        insertIfMissing(rt, anchor_, *pools_, key, true);
     }
 
     bool

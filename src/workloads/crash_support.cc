@@ -281,11 +281,5 @@ crashWorkloadNames()
     return names;
 }
 
-bool
-isConcurrentCrashWorkload(const std::string &abbr)
-{
-    return abbr == "LHT" || abbr == "MTPCC";
-}
-
 } // namespace workloads
 } // namespace poat

@@ -2,10 +2,17 @@
  * @file
  * Per-workload harnesses for crash-point fault injection.
  *
- * A CrashDriver rephrases one workload as setup + a sequence of steps,
- * where every step is exactly one transactional operation, and adds the
- * two things the fault explorer (src/fault/) needs and the benchmark
- * run() methods cannot provide:
+ * A CrashDriver runs one workload as setup + a sequence of steps, where
+ * every step is one operation of the workload (LHT, MTPCC: one round of
+ * one transaction per engine worker). The six microbenchmark drivers
+ * (LL, BST, SPS, RBT, BT, B+T) step the benchmark's own operation: each
+ * workload file has one function for one operation, which its run()
+ * loop calls once per operation and its driver's step() calls with
+ * transactions on, so the explorer checks recovery of the code the
+ * benchmarks measure. TPCC and MTPCC step TpccDb::runOne, the body of
+ * the benchmark's loop; LHT's rounds are the driver's own (one engine
+ * per round). Each driver adds the two things the fault explorer
+ * (src/fault/) needs and the benchmark run() methods cannot provide:
  *
  *  - verifyRecovered(): a structural verifier that replays a volatile
  *    model of the workload to a given step count and compares it with
@@ -40,13 +47,13 @@ class ConcurrentEngine;
 
 namespace workloads {
 
-/** One workload rephrased for crash-point exploration. */
+/** One workload stepped for crash-point exploration. */
 class CrashDriver
 {
   public:
     virtual ~CrashDriver() = default;
 
-    /** Abbreviation (LL, BST, SPS, RBT, BT, B+T, TPCC). */
+    /** Abbreviation (LL, BST, SPS, RBT, BT, B+T, TPCC, LHT, MTPCC). */
     virtual const char *name() const = 0;
 
     /**
@@ -133,7 +140,8 @@ bool oidPlausible(PmemRuntime &rt, ObjectID oid, uint32_t size);
 /**
  * Instantiate a crash driver by abbreviation.
  * @param threads worker threads for the concurrent drivers (LHT,
- *        MTPCC); 0 picks their default. Sequential drivers ignore it.
+ *        MTPCC); 0 picks kDefaultEngineWorkers (harness.h).
+ *        Sequential drivers ignore it.
  *        At most PoolHeader::kMaxLogSlots, for every driver.
  * @param sched_seed deterministic-scheduler interleaving seed (the
  *        `tSEED` reproducer token); sequential drivers ignore it.
@@ -148,9 +156,6 @@ std::unique_ptr<CrashDriver> makeCrashDriver(const std::string &abbr,
 /** All crash-explorable workloads: microbenchmarks + TPCC + the
  *  concurrent pair (LHT, MTPCC). */
 const std::vector<std::string> &crashWorkloadNames();
-
-/** True if @p abbr runs concurrent transactions (threads/tSEED apply). */
-bool isConcurrentCrashWorkload(const std::string &abbr);
 
 /// @name Per-workload factories (defined next to each workload)
 /// @{

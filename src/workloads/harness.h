@@ -237,6 +237,23 @@ std::unique_ptr<Workload> makeWorkload(const std::string &abbr,
 /** All six microbenchmark abbreviations, in the paper's table order. */
 const std::vector<std::string> &microbenchNames();
 
+/** True for the workloads that run under the concurrent engine. */
+inline bool
+isConcurrentWorkload(const std::string &abbr)
+{
+    return abbr == "LHT" || abbr == "MTPCC";
+}
+
+/** Engine workers a concurrent workload runs when asked for 0. */
+inline constexpr uint32_t kDefaultEngineWorkers = 2;
+
+/** Engine workers a requested count resolves to (0 = the default). */
+inline uint32_t
+engineWorkers(uint32_t threads)
+{
+    return threads != 0 ? threads : kDefaultEngineWorkers;
+}
+
 /// @name Workload compute-cost constants
 /// Synthetic ALU/branch weight of the data-structure logic around each
 /// persistent access; shared by all configurations of a benchmark, so

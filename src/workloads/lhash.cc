@@ -543,7 +543,7 @@ class LhtCrashDriver final : public CrashDriver
     LhtCrashDriver(uint64_t steps, uint64_t seed, uint32_t threads,
                    uint64_t sched_seed)
         : steps_(steps), seed_(seed),
-          threads_(threads == 0 ? 2 : threads), schedSeed_(sched_seed)
+          threads_(engineWorkers(threads)), schedSeed_(sched_seed)
     {
     }
 

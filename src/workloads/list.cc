@@ -22,6 +22,71 @@ constexpr uint32_t kNodeSize = 16;
 constexpr uint32_t kOffValue = 0;
 constexpr uint32_t kOffNext = 8;
 
+/**
+ * One LL operation: search for @p key from the head (paper Figure 4);
+ * remove its node on a hit, insert a new head node on a miss, in one
+ * transaction when @p transactions is set. The benchmark and the crash
+ * driver both run it. @return true on a hit.
+ */
+bool
+removeOrInsert(PmemRuntime &rt, ObjectID root, PoolSet &pools, int64_t key,
+               bool transactions)
+{
+    // ---- find: traverse from the head (paper Figure 4) ----------
+    ObjectRef rootRef = rt.deref(root);
+    ObjectID prev = OID_NULL;
+    ObjectID cur(rt.read<uint64_t>(rootRef, 0));
+    uint64_t chase_tag = rt.lastLoadTag();
+    bool found = false;
+    while (!cur.isNull()) {
+        rt.compute(kVisitCost);
+        ObjectRef c = rt.deref(cur, chase_tag);
+        const int64_t v = rt.read<int64_t>(c, kOffValue);
+        found = (v == key);
+        rt.branchEvent(found, kPcFound, rt.lastLoadTag());
+        if (found)
+            break;
+        const uint64_t next_raw = rt.read<uint64_t>(c, kOffNext);
+        chase_tag = rt.lastLoadTag();
+        prev = cur;
+        cur = ObjectID(next_raw);
+        rt.branchEvent(true, kPcSearch);
+    }
+
+    rt.setOp(found ? "remove" : "insert");
+    TxScope tx(rt, transactions);
+    if (found) {
+        // ---- remove cur: relink, then free --------------------
+        ObjectRef c = rt.deref(cur);
+        const uint64_t next_raw = rt.read<uint64_t>(c, kOffNext);
+        if (prev.isNull()) {
+            tx.addRange(root, 8);
+            rt.write<uint64_t>(rt.deref(root), 0, next_raw);
+        } else {
+            tx.addRange(prev.plus(kOffNext), 8);
+            rt.write<uint64_t>(rt.deref(prev), kOffNext, next_raw);
+        }
+        tx.pfree(cur);
+        rt.compute(kUpdateCost);
+    } else {
+        // ---- insert a new head node ----------------------------
+        const uint32_t pool = pools.poolForNew(key);
+        const ObjectID n = tx.pmalloc(pool, kNodeSize);
+        // Snapshot the fresh node so commit flushes its contents
+        // (tx_pmalloc'd data is flushed at tx_end, as in NVML).
+        tx.addRange(n, kNodeSize);
+        ObjectRef nr = rt.deref(n);
+        ObjectRef rr = rt.deref(root);
+        const uint64_t head_raw = rt.read<uint64_t>(rr, 0);
+        rt.write<int64_t>(nr, kOffValue, key);
+        rt.write<uint64_t>(nr, kOffNext, head_raw);
+        tx.addRange(root, 8);
+        rt.write<uint64_t>(rt.deref(root), 0, n.raw);
+        rt.compute(kUpdateCost);
+    }
+    return found;
+}
+
 } // namespace
 
 LinkedListWorkload::LinkedListWorkload(const WorkloadConfig &cfg)
@@ -44,62 +109,10 @@ LinkedListWorkload::run(PmemRuntime &rt)
     for (uint64_t op = 0; op < ops; ++op) {
         const int64_t key = static_cast<int64_t>(rng.below(key_range));
         ++res.operations;
-
-        // ---- find: traverse from the head (paper Figure 4) ----------
-        ObjectRef rootRef = rt.deref(root);
-        ObjectID prev = OID_NULL;
-        ObjectID cur(rt.read<uint64_t>(rootRef, 0));
-        uint64_t chase_tag = rt.lastLoadTag();
-        bool found = false;
-        while (!cur.isNull()) {
-            rt.compute(kVisitCost);
-            ObjectRef c = rt.deref(cur, chase_tag);
-            const int64_t v = rt.read<int64_t>(c, kOffValue);
-            found = (v == key);
-            rt.branchEvent(found, kPcFound, rt.lastLoadTag());
-            if (found)
-                break;
-            const uint64_t next_raw = rt.read<uint64_t>(c, kOffNext);
-            chase_tag = rt.lastLoadTag();
-            prev = cur;
-            cur = ObjectID(next_raw);
-            rt.branchEvent(true, kPcSearch);
-        }
-
-        if (found) {
-            // ---- remove cur: relink, then free --------------------
-            rt.setOp("remove");
-            TxScope tx(rt, cfg_.transactions);
-            ObjectRef c = rt.deref(cur);
-            const uint64_t next_raw = rt.read<uint64_t>(c, kOffNext);
-            if (prev.isNull()) {
-                tx.addRange(root, 8);
-                rt.write<uint64_t>(rt.deref(root), 0, next_raw);
-            } else {
-                tx.addRange(prev.plus(kOffNext), 8);
-                rt.write<uint64_t>(rt.deref(prev), kOffNext, next_raw);
-            }
-            tx.pfree(cur);
-            rt.compute(kUpdateCost);
+        if (removeOrInsert(rt, root, pools, key, cfg_.transactions)) {
             res.checksum += static_cast<uint64_t>(key) * 31 + 1;
             ++res.found;
         } else {
-            // ---- insert a new head node ----------------------------
-            rt.setOp("insert");
-            TxScope tx(rt, cfg_.transactions);
-            const uint32_t pool = pools.poolForNew(key);
-            const ObjectID n = tx.pmalloc(pool, kNodeSize);
-            // Snapshot the fresh node so commit flushes its contents
-            // (tx_pmalloc'd data is flushed at tx_end, as in NVML).
-            tx.addRange(n, kNodeSize);
-            ObjectRef nr = rt.deref(n);
-            ObjectRef rr = rt.deref(root);
-            const uint64_t head_raw = rt.read<uint64_t>(rr, 0);
-            rt.write<int64_t>(nr, kOffValue, key);
-            rt.write<uint64_t>(nr, kOffNext, head_raw);
-            tx.addRange(root, 8);
-            rt.write<uint64_t>(rt.deref(root), 0, n.raw);
-            rt.compute(kUpdateCost);
             res.checksum += static_cast<uint64_t>(key) * 7 + 3;
         }
     }
@@ -117,7 +130,7 @@ LinkedListWorkload::run(PmemRuntime &rt)
 
 namespace {
 
-/** LL rephrased for crash-point exploration (see crash_support.h). */
+/** LL stepped for crash-point exploration (see crash_support.h). */
 class ListCrashDriver final : public CrashDriver
 {
   public:
@@ -140,41 +153,7 @@ class ListCrashDriver final : public CrashDriver
     {
         const int64_t key =
             static_cast<int64_t>(rng_.below(std::max<uint64_t>(steps_, 1)));
-        ObjectID prev = OID_NULL;
-        ObjectID cur(rt.read<uint64_t>(rt.deref(root_), 0));
-        bool found = false;
-        while (!cur.isNull()) {
-            ObjectRef c = rt.deref(cur);
-            found = rt.read<int64_t>(c, kOffValue) == key;
-            if (found)
-                break;
-            prev = cur;
-            cur = ObjectID(rt.read<uint64_t>(c, kOffNext));
-        }
-
-        TxScope tx(rt, true);
-        if (found) {
-            const uint64_t next_raw =
-                rt.read<uint64_t>(rt.deref(cur), kOffNext);
-            if (prev.isNull()) {
-                tx.addRange(root_, 8);
-                rt.write<uint64_t>(rt.deref(root_), 0, next_raw);
-            } else {
-                tx.addRange(prev.plus(kOffNext), 8);
-                rt.write<uint64_t>(rt.deref(prev), kOffNext, next_raw);
-            }
-            tx.pfree(cur);
-        } else {
-            const ObjectID n =
-                tx.pmalloc(pools_->poolForNew(key), kNodeSize);
-            tx.addRange(n, kNodeSize);
-            ObjectRef nr = rt.deref(n);
-            const uint64_t head_raw = rt.read<uint64_t>(rt.deref(root_), 0);
-            rt.write<int64_t>(nr, kOffValue, key);
-            rt.write<uint64_t>(nr, kOffNext, head_raw);
-            tx.addRange(root_, 8);
-            rt.write<uint64_t>(rt.deref(root_), 0, n.raw);
-        }
+        removeOrInsert(rt, root_, *pools_, key, true);
     }
 
     bool

@@ -320,6 +320,68 @@ struct Rb
     }
 };
 
+/**
+ * One RBT operation: search for @p key; remove its node on a hit,
+ * insert a new red leaf on a miss, rebalancing either way, in one
+ * transaction when @p transactions is set. The benchmark and the crash
+ * driver both run it. @return true on a hit.
+ */
+bool
+removeOrInsert(PmemRuntime &rt, ObjectID anchor, PoolSet &pools, int64_t key,
+               bool transactions)
+{
+    // ---- search ------------------------------------------------
+    ObjectID cur(rt.read<uint64_t>(rt.deref(anchor), 0));
+    uint64_t chase = rt.lastLoadTag();
+    ObjectID parent = OID_NULL;
+    bool went_right = false;
+    bool found = false;
+    while (!cur.isNull()) {
+        rt.compute(kVisitCost);
+        ObjectRef r = rt.deref(cur, chase);
+        const int64_t k = rt.read<int64_t>(r, kOffKey);
+        found = (k == key);
+        rt.branchEvent(found, kPcFound, rt.lastLoadTag());
+        if (found)
+            break;
+        went_right = key > k;
+        rt.branchEvent(went_right, kPcSearch);
+        const uint64_t next =
+            rt.read<uint64_t>(r, went_right ? kOffRight : kOffLeft);
+        chase = rt.lastLoadTag();
+        parent = cur;
+        cur = ObjectID(next);
+    }
+
+    rt.setOp(found ? "remove" : "insert");
+    TxScope tx(rt, transactions);
+    NodeLogger log(tx);
+    Rb rb{rt, tx, log, anchor};
+
+    if (found) {
+        rb.erase(cur);
+    } else {
+        const ObjectID n = tx.pmalloc(pools.poolForNew(key), kNodeSize);
+        tx.addRange(n, kNodeSize);
+        ObjectRef nr = rt.deref(n);
+        rt.write<int64_t>(nr, kOffKey, key);
+        rt.write<uint64_t>(nr, kOffColor, kRed);
+        rt.write<uint64_t>(nr, kOffLeft, 0);
+        rt.write<uint64_t>(nr, kOffRight, 0);
+        rt.write<uint64_t>(nr, kOffParent, parent.raw);
+        if (parent.isNull()) {
+            rb.setRoot(n);
+        } else if (went_right) {
+            rb.setRight(parent, n);
+        } else {
+            rb.setLeft(parent, n);
+        }
+        rb.insertFixup(n);
+    }
+    rt.compute(kUpdateCost);
+    return found;
+}
+
 } // namespace
 
 RbtWorkload::RbtWorkload(const WorkloadConfig &cfg) : cfg_(cfg) {}
@@ -338,60 +400,12 @@ RbtWorkload::run(PmemRuntime &rt)
     for (uint64_t op = 0; op < ops; ++op) {
         const int64_t key = static_cast<int64_t>(rng.below(key_range));
         ++res.operations;
-
-        // ---- search ------------------------------------------------
-        ObjectID cur(rt.read<uint64_t>(rt.deref(anchor), 0));
-        uint64_t chase = rt.lastLoadTag();
-        ObjectID parent = OID_NULL;
-        bool went_right = false;
-        bool found = false;
-        while (!cur.isNull()) {
-            rt.compute(kVisitCost);
-            ObjectRef r = rt.deref(cur, chase);
-            const int64_t k = rt.read<int64_t>(r, kOffKey);
-            found = (k == key);
-            rt.branchEvent(found, kPcFound, rt.lastLoadTag());
-            if (found)
-                break;
-            went_right = key > k;
-            rt.branchEvent(went_right, kPcSearch);
-            const uint64_t next = rt.read<uint64_t>(
-                r, went_right ? kOffRight : kOffLeft);
-            chase = rt.lastLoadTag();
-            parent = cur;
-            cur = ObjectID(next);
-        }
-
-        rt.setOp(found ? "remove" : "insert");
-        TxScope tx(rt, cfg_.transactions);
-        NodeLogger log(tx);
-        Rb rb{rt, tx, log, anchor};
-
-        if (found) {
-            rb.erase(cur);
+        if (removeOrInsert(rt, anchor, pools, key, cfg_.transactions)) {
             ++res.found;
             res.checksum += static_cast<uint64_t>(key) * 31 + 1;
         } else {
-            const ObjectID n =
-                tx.pmalloc(pools.poolForNew(key), kNodeSize);
-            tx.addRange(n, kNodeSize);
-            ObjectRef nr = rt.deref(n);
-            rt.write<int64_t>(nr, kOffKey, key);
-            rt.write<uint64_t>(nr, kOffColor, kRed);
-            rt.write<uint64_t>(nr, kOffLeft, 0);
-            rt.write<uint64_t>(nr, kOffRight, 0);
-            rt.write<uint64_t>(nr, kOffParent, parent.raw);
-            if (parent.isNull()) {
-                rb.setRoot(n);
-            } else if (went_right) {
-                rb.setRight(parent, n);
-            } else {
-                rb.setLeft(parent, n);
-            }
-            rb.insertFixup(n);
             res.checksum += static_cast<uint64_t>(key) * 7 + 3;
         }
-        rt.compute(kUpdateCost);
     }
 
     // ---- final validation + checksum -------------------------------
@@ -437,7 +451,7 @@ RbtWorkload::run(PmemRuntime &rt)
 
 namespace {
 
-/** RBT rephrased for crash-point exploration (see crash_support.h). */
+/** RBT stepped for crash-point exploration (see crash_support.h). */
 class RbtCrashDriver final : public CrashDriver
 {
   public:
@@ -460,46 +474,7 @@ class RbtCrashDriver final : public CrashDriver
     {
         const int64_t key =
             static_cast<int64_t>(rng_.below(std::max<uint64_t>(steps_, 1)));
-
-        ObjectID cur(rt.read<uint64_t>(rt.deref(anchor_), 0));
-        ObjectID parent = OID_NULL;
-        bool went_right = false;
-        bool found = false;
-        while (!cur.isNull()) {
-            ObjectRef r = rt.deref(cur);
-            const int64_t k = rt.read<int64_t>(r, kOffKey);
-            found = (k == key);
-            if (found)
-                break;
-            went_right = key > k;
-            parent = cur;
-            cur = ObjectID(rt.read<uint64_t>(
-                r, went_right ? kOffRight : kOffLeft));
-        }
-
-        TxScope tx(rt, true);
-        NodeLogger log(tx);
-        Rb rb{rt, tx, log, anchor_};
-        if (found) {
-            rb.erase(cur);
-        } else {
-            const ObjectID n =
-                tx.pmalloc(pools_->poolForNew(key), kNodeSize);
-            tx.addRange(n, kNodeSize);
-            ObjectRef nr = rt.deref(n);
-            rt.write<int64_t>(nr, kOffKey, key);
-            rt.write<uint64_t>(nr, kOffColor, kRed);
-            rt.write<uint64_t>(nr, kOffLeft, 0);
-            rt.write<uint64_t>(nr, kOffRight, 0);
-            rt.write<uint64_t>(nr, kOffParent, parent.raw);
-            if (parent.isNull())
-                rb.setRoot(n);
-            else if (went_right)
-                rb.setRight(parent, n);
-            else
-                rb.setLeft(parent, n);
-            rb.insertFixup(n);
-        }
+        removeOrInsert(rt, anchor_, *pools_, key, true);
     }
 
     bool

@@ -27,8 +27,9 @@ namespace {
 constexpr uint32_t kStringBytes = 64;
 constexpr uint32_t kStrings = 512; // 512 * 64 B = 32 KB
 
-// The crash driver uses a smaller array: each crash trial replays the
-// whole workload, so setup cost is multiplied by the trial count.
+// The crash driver uses a smaller array: every crash trial runs setup()
+// again (steps are applied from one recording), so setup cost is
+// multiplied by the trial count.
 constexpr uint32_t kCrashStrings = 64;
 
 /** The initial contents of string @p i. */
@@ -37,6 +38,60 @@ initialString(uint32_t i, uint8_t buf[kStringBytes])
 {
     for (uint32_t b = 0; b < kStringBytes; ++b)
         buf[b] = static_cast<uint8_t>('a' + (i + b) % 26);
+}
+
+/**
+ * Fill the @p n-slot index table @p index with freshly allocated
+ * strings in their initial contents, persisting each string and then
+ * the table when @p persist is set. Non-transactional: the benchmark's
+ * and the crash driver's setup phase.
+ */
+void
+buildStrings(PmemRuntime &rt, PoolSet &pools, ObjectID index, uint32_t n,
+             bool persist)
+{
+    ObjectRef idx = rt.deref(index);
+    for (uint32_t i = 0; i < n; ++i) {
+        const ObjectID s = rt.pmalloc(pools.poolForNew(i), kStringBytes);
+        uint8_t buf[kStringBytes];
+        initialString(i, buf);
+        rt.writeBytes(rt.deref(s), 0, buf, kStringBytes);
+        if (persist)
+            rt.persist(s, kStringBytes);
+        rt.write<uint64_t>(idx, 8 * i, s.raw);
+    }
+    if (persist)
+        rt.persist(index, n * 8);
+}
+
+/**
+ * One SPS operation: swap the strings in slots @p a and @p b of the
+ * index table @p index, in one transaction when @p transactions is
+ * set. The benchmark and the crash driver both run it.
+ */
+void
+swapStrings(PmemRuntime &rt, ObjectID index, uint32_t a, uint32_t b,
+            bool transactions)
+{
+    rt.setOp("swap");
+    TxScope tx(rt, transactions);
+    ObjectRef idxr = rt.deref(index);
+    const ObjectID sa(rt.read<uint64_t>(idxr, 8 * a));
+    const uint64_t tag_a = rt.lastLoadTag();
+    const ObjectID sb(rt.read<uint64_t>(idxr, 8 * b));
+    const uint64_t tag_b = rt.lastLoadTag();
+
+    tx.addRange(sa, kStringBytes);
+    tx.addRange(sb, kStringBytes);
+
+    uint8_t bufa[kStringBytes], bufb[kStringBytes];
+    ObjectRef ra = rt.deref(sa, tag_a);
+    ObjectRef rb = rt.deref(sb, tag_b);
+    rt.readBytes(ra, 0, bufa, kStringBytes);
+    rt.readBytes(rb, 0, bufb, kStringBytes);
+    rt.writeBytes(ra, 0, bufb, kStringBytes);
+    rt.writeBytes(rb, 0, bufa, kStringBytes);
+    rt.compute(kUpdateCost);
 }
 
 } // namespace
@@ -49,22 +104,7 @@ SpsWorkload::run(PmemRuntime &rt)
     Rng rng(cfg_.seed);
     PoolSet pools(rt, cfg_.pattern, "sps");
     const ObjectID index = rt.poolRoot(pools.homePool(), kStrings * 8);
-
-    // ---- build the array -------------------------------------------
-    ObjectRef idx = rt.deref(index);
-    for (uint32_t i = 0; i < kStrings; ++i) {
-        const ObjectID s =
-            rt.pmalloc(pools.poolForNew(i), kStringBytes);
-        uint8_t buf[kStringBytes];
-        for (uint32_t b = 0; b < kStringBytes; ++b)
-            buf[b] = static_cast<uint8_t>('a' + (i + b) % 26);
-        rt.writeBytes(rt.deref(s), 0, buf, kStringBytes);
-        if (cfg_.transactions)
-            rt.persist(s, kStringBytes);
-        rt.write<uint64_t>(idx, 8 * i, s.raw);
-    }
-    if (cfg_.transactions)
-        rt.persist(index, kStrings * 8);
+    buildStrings(rt, pools, index, kStrings, cfg_.transactions);
 
     // ---- swaps -------------------------------------------------------
     WorkloadResult res;
@@ -75,31 +115,12 @@ SpsWorkload::run(PmemRuntime &rt)
         if (b == a)
             b = (b + 1) % kStrings;
         ++res.operations;
-
-        rt.setOp("swap");
-        TxScope tx(rt, cfg_.transactions);
-        ObjectRef idxr = rt.deref(index);
-        const ObjectID sa(rt.read<uint64_t>(idxr, 8 * a));
-        const uint64_t tag_a = rt.lastLoadTag();
-        const ObjectID sb(rt.read<uint64_t>(idxr, 8 * b));
-        const uint64_t tag_b = rt.lastLoadTag();
-
-        tx.addRange(sa, kStringBytes);
-        tx.addRange(sb, kStringBytes);
-
-        uint8_t bufa[kStringBytes], bufb[kStringBytes];
-        ObjectRef ra = rt.deref(sa, tag_a);
-        ObjectRef rb = rt.deref(sb, tag_b);
-        rt.readBytes(ra, 0, bufa, kStringBytes);
-        rt.readBytes(rb, 0, bufb, kStringBytes);
-        rt.writeBytes(ra, 0, bufb, kStringBytes);
-        rt.writeBytes(rb, 0, bufa, kStringBytes);
-        rt.compute(kUpdateCost);
+        swapStrings(rt, index, a, b, cfg_.transactions);
         res.checksum += a * 131 + b;
     }
 
     // Fold final contents into the checksum.
-    idx = rt.deref(index);
+    ObjectRef idx = rt.deref(index);
     for (uint32_t i = 0; i < kStrings; ++i) {
         const ObjectID s(rt.read<uint64_t>(idx, 8 * i));
         uint8_t buf[kStringBytes];
@@ -113,7 +134,7 @@ SpsWorkload::run(PmemRuntime &rt)
 
 namespace {
 
-/** SPS rephrased for crash-point exploration (see crash_support.h). */
+/** SPS stepped for crash-point exploration (see crash_support.h). */
 class SpsCrashDriver final : public CrashDriver
 {
   public:
@@ -129,17 +150,7 @@ class SpsCrashDriver final : public CrashDriver
     {
         pools_.emplace(rt, PoolPattern::All, "spsc", kCrashPoolBytes);
         index_ = rt.poolRoot(pools_->homePool(), kCrashStrings * 8);
-        ObjectRef idx = rt.deref(index_);
-        for (uint32_t i = 0; i < kCrashStrings; ++i) {
-            const ObjectID s =
-                rt.pmalloc(pools_->poolForNew(i), kStringBytes);
-            uint8_t buf[kStringBytes];
-            initialString(i, buf);
-            rt.writeBytes(rt.deref(s), 0, buf, kStringBytes);
-            rt.persist(s, kStringBytes);
-            rt.write<uint64_t>(idx, 8 * i, s.raw);
-        }
-        rt.persist(index_, kCrashStrings * 8);
+        buildStrings(rt, *pools_, index_, kCrashStrings, true);
     }
 
     void
@@ -149,20 +160,7 @@ class SpsCrashDriver final : public CrashDriver
         uint32_t b = static_cast<uint32_t>(rng_.below(kCrashStrings));
         if (b == a)
             b = (b + 1) % kCrashStrings;
-
-        TxScope tx(rt, true);
-        ObjectRef idxr = rt.deref(index_);
-        const ObjectID sa(rt.read<uint64_t>(idxr, 8 * a));
-        const ObjectID sb(rt.read<uint64_t>(idxr, 8 * b));
-        tx.addRange(sa, kStringBytes);
-        tx.addRange(sb, kStringBytes);
-        uint8_t bufa[kStringBytes], bufb[kStringBytes];
-        ObjectRef ra = rt.deref(sa);
-        ObjectRef rb = rt.deref(sb);
-        rt.readBytes(ra, 0, bufa, kStringBytes);
-        rt.readBytes(rb, 0, bufb, kStringBytes);
-        rt.writeBytes(ra, 0, bufb, kStringBytes);
-        rt.writeBytes(rb, 0, bufa, kStringBytes);
+        swapStrings(rt, index_, a, b, true);
     }
 
     bool

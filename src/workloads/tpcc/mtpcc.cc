@@ -84,7 +84,7 @@ class MtpccCrashDriver final : public CrashDriver
     MtpccCrashDriver(uint64_t steps, uint64_t seed, uint32_t threads,
                      uint64_t sched_seed)
         : steps_(steps), seed_(seed),
-          threads_(threads == 0 ? 2 : threads), schedSeed_(sched_seed)
+          threads_(engineWorkers(threads)), schedSeed_(sched_seed)
     {}
 
     const char *name() const override { return "MTPCC"; }

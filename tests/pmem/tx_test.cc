@@ -256,8 +256,14 @@ class TxCorruptLog : public ::testing::Test
         pool.persist(log_off, LogHeader::kEntriesOff);
     }
 
-    void writeEntry(uint32_t at, LogEntryHeader eh)
+    /** A sealed entry header; the fields not named here are 0. */
+    void writeEntry(uint32_t at, uint32_t type, uint32_t payload_size,
+                    uint32_t target_off)
     {
+        LogEntryHeader eh{};
+        eh.type = type;
+        eh.payload_size = payload_size;
+        eh.target_off = target_off;
         eh.seal();
         pool.writeRaw(at, &eh, sizeof(eh));
         pool.persist(at, sizeof(eh));
@@ -284,8 +290,7 @@ class TxCorruptLog : public ::testing::Test
 
 TEST_F(TxCorruptLog, CommittingWithGarbageEntryTypeFailsClearly)
 {
-    writeEntry(log_off + LogHeader::kEntriesOff,
-               LogEntryHeader{77, 16, 4096, 0});
+    writeEntry(log_off + LogHeader::kEntriesOff, 77, 16, 4096);
     writeLogHeader(LogHeader::kCommitting, 1,
                    sizeof(LogEntryHeader) + 16);
     const std::string msg = recoverError();
@@ -298,8 +303,8 @@ TEST_F(TxCorruptLog, CommittingWithTruncatedEntryFailsClearly)
     // One entry whose claimed payload runs past the end of the log
     // region: the walk must stop at the bounds check, not read off the
     // end.
-    writeEntry(log_off + LogHeader::kEntriesOff,
-               LogEntryHeader{LogEntryHeader::kData, 1u << 20, 4096, 0});
+    writeEntry(log_off + LogHeader::kEntriesOff, LogEntryHeader::kData,
+               1u << 20, 4096);
     writeLogHeader(LogHeader::kCommitting, 1, 64);
     const std::string msg = recoverError();
     EXPECT_NE(msg.find("corrupt undo log"), std::string::npos) << msg;
@@ -308,8 +313,8 @@ TEST_F(TxCorruptLog, CommittingWithTruncatedEntryFailsClearly)
 
 TEST_F(TxCorruptLog, ActiveWithEntryWalkUsedMismatchFailsClearly)
 {
-    writeEntry(log_off + LogHeader::kEntriesOff,
-               LogEntryHeader{LogEntryHeader::kFree, 0, 4096, 0});
+    writeEntry(log_off + LogHeader::kEntriesOff, LogEntryHeader::kFree, 0,
+               4096);
     writeLogHeader(LogHeader::kActive, 1, 999);
     const std::string msg = recoverError();
     EXPECT_NE(msg.find("corrupt undo log"), std::string::npos) << msg;
