@@ -22,7 +22,6 @@
 #ifndef POAT_SIM_CORE_INORDER_H
 #define POAT_SIM_CORE_INORDER_H
 
-#include <algorithm>
 #include <vector>
 
 #include "sim/config.h"
@@ -76,14 +75,22 @@ class InOrderCore : public CoreModel
         charge(CpiComponent::Base, 1);
         chargePre(costs);
         ++uops_;
-        // Claim the store-buffer slot that frees the earliest; if it is
-        // still draining, stall until it is free.
-        auto slot = std::min_element(storeBuf_.begin(), storeBuf_.end());
-        if (*slot > cycle_) {
-            charge(CpiComponent::Mem, *slot - cycle_);
-            cycle_ = *slot;
+        // Claim the store-buffer slot that frees the earliest (the first
+        // such slot on a tie); if it is still draining, stall until it
+        // is free. The scan selects without branching: drain times
+        // arrive in no order a predictor could learn.
+        size_t slot = 0;
+        uint64_t free_at = storeBuf_[0];
+        for (size_t i = 1; i < storeBuf_.size(); ++i) {
+            const uint64_t t = storeBuf_[i];
+            slot = t < free_at ? i : slot;
+            free_at = t < free_at ? t : free_at;
         }
-        *slot = cycle_ + costs.mem;
+        if (free_at > cycle_) {
+            charge(CpiComponent::Mem, free_at - cycle_);
+            cycle_ = free_at;
+        }
+        storeBuf_[slot] = cycle_ + costs.mem;
     }
 
     void

@@ -57,10 +57,13 @@ class OooCore : public CoreModel
     void
     alu(uint32_t count, uint64_t dep) override
     {
+        if (count == 0)
+            return;
+        // Only the first uop can wait on dep or a fetch redirect, or be
+        // charged anything but Base; the rest retire in aluTail().
         const Seg seg{CpiComponent::Base, 1};
-        for (uint32_t i = 0; i < count; ++i)
-            processUop(&seg, 1, i == 0 ? dep : kNone, kNone, Slot::None,
-                       CpiComponent::Base);
+        processUop(&seg, 1, dep, kNone, Slot::None, CpiComponent::Base);
+        aluTail(count - 1);
     }
 
     void
@@ -124,9 +127,10 @@ class OooCore : public CoreModel
     uint64_t cycles() const override { return lastCommit_; }
     uint64_t uopCount() const override { return seq_; }
 
-  private:
+  protected:
+    // Protected, not private, so a test can drive processUop per uop as
+    // the reference for aluTail.
     static constexpr uint64_t kNone = 0;
-    static constexpr uint32_t kWindow = 8192; ///< completion-ring slots
 
     enum class Slot : uint8_t { None, Load, Store };
 
@@ -135,6 +139,130 @@ class OooCore : public CoreModel
     {
         CpiComponent comp;
         uint32_t cycles;
+    };
+
+    /**
+     * Run one uop through dispatch/ready/complete/commit and attribute
+     * the commit-time advance. @p segs (time-ordered, @p nsegs of
+     * them) make up the execution latency; @p stall_comp is charged
+     * when a structural resource (ROB/LQ/SQ) delays dispatch.
+     */
+    uint64_t
+    processUop(const Seg *segs, uint32_t nsegs, uint64_t dep,
+               uint64_t dep2, Slot slot, CpiComponent stall_comp)
+    {
+        ++seq_;
+        robIdx_ = robIdx_ + 1 == robSize_ ? 0 : robIdx_ + 1;
+
+        const CpiComponent issue_comp = chargeComp(CpiComponent::Base);
+        CpiComponent pre_comp = issue_comp; ///< why dispatch waited
+        uint64_t pre_t = dispatch_.cycle;
+        auto consider = [&](uint64_t t, CpiComponent c) {
+            if (t > pre_t) {
+                pre_t = t;
+                pre_comp = c;
+            }
+        };
+
+        // Structural constraints: a ROB entry frees when the uop
+        // robSize_ back commits; LQ/SQ likewise.
+        uint64_t earliest = commitRing_[robIdx_];
+        consider(earliest, chargeComp(stall_comp));
+        if (slot == Slot::Load) {
+            const uint64_t t = loadRing_[lqIdx_];
+            earliest = std::max(earliest, t);
+            consider(t, chargeComp(stall_comp));
+        } else if (slot == Slot::Store) {
+            const uint64_t t = storeRing_[sqIdx_];
+            earliest = std::max(earliest, t);
+            consider(t, chargeComp(stall_comp));
+        }
+        earliest = std::max(earliest, serializePoint_);
+        consider(serializePoint_, CpiComponent::Fence);
+        consider(fetchAvail_, fetchAvailComp_);
+
+        uint32_t exec_latency = 0;
+        for (uint32_t i = 0; i < nsegs; ++i)
+            exec_latency += segs[i].cycles;
+
+        const uint64_t dispatch =
+            dispatch_.claim(std::max(earliest, fetchAvail_), width_);
+        const uint64_t c1 = depComplete(dep);
+        const uint64_t c2 = depComplete(dep2);
+        const uint64_t ready = std::max({dispatch, c1, c2});
+        const uint64_t complete = ready + exec_latency;
+        maxComplete_ = std::max(maxComplete_, complete);
+
+        const uint64_t commit = commit_.claim(complete, width_);
+
+        // ---- CPI attribution: the commit-time advance is this uop's
+        // exposed cost; walk its timeline backwards to name it.
+        uint64_t remaining = commit > lastCommit_ ? commit - lastCommit_
+                                                  : 0;
+        auto take = [&](uint64_t span, CpiComponent c) {
+            if (remaining == 0 || span == 0)
+                return;
+            const uint64_t t = std::min(span, remaining);
+            cpi_[c] += t;
+            remaining -= t;
+        };
+        take(commit - complete, issue_comp);
+        CpiComponent dominant = issue_comp;
+        uint32_t dominant_cycles = 0;
+        for (uint32_t i = nsegs; i-- > 0;) {
+            const CpiComponent c = chargeComp(segs[i].comp);
+            take(segs[i].cycles, c);
+            if (segs[i].cycles >= dominant_cycles) {
+                dominant_cycles = segs[i].cycles;
+                dominant = c;
+            }
+        }
+        if (ready > dispatch)
+            take(ready - dispatch, c1 >= c2 ? depComp(dep)
+                                            : depComp(dep2));
+        if (remaining)
+            cpi_[pre_comp] += remaining;
+
+        lastCommit_ = std::max(lastCommit_, commit);
+        commitRing_[robIdx_] = commit;
+        if (slot == Slot::Load) {
+            loadRing_[lqIdx_] = commit;
+            lqIdx_ = lqIdx_ + 1 == lqSize_ ? 0 : lqIdx_ + 1;
+        } else if (slot == Slot::Store) {
+            storeRing_[sqIdx_] = commit;
+            sqIdx_ = sqIdx_ + 1 == sqSize_ ? 0 : sqIdx_ + 1;
+        }
+        completions_[seq_ % kWindow] = {seq_, complete, dominant};
+        return complete;
+    }
+
+  private:
+    static constexpr uint32_t kWindow = 8192; ///< completion-ring slots
+
+    /**
+     * A width-limited in-order stage (dispatch or commit): the cycle it
+     * is filling and the slots of that cycle already taken.
+     */
+    struct Stage
+    {
+        uint64_t cycle = 0;
+        uint32_t slots = 0;
+
+        /** Take the first free slot at or after @p earliest. */
+        uint64_t
+        claim(uint64_t earliest, uint32_t width)
+        {
+            if (earliest > cycle) {
+                cycle = earliest;
+                slots = 0;
+            }
+            const uint64_t c = cycle;
+            if (++slots == width) {
+                ++cycle;
+                slots = 0;
+            }
+            return c;
+        }
     };
 
     struct Completion
@@ -193,128 +321,47 @@ class OooCore : public CoreModel
         }
     }
 
-    uint64_t
-    dispatchAt(uint64_t earliest)
-    {
-        uint64_t c = std::max({earliest, dispCycle_, fetchAvail_});
-        if (c > dispCycle_) {
-            dispCycle_ = c;
-            dispSlots_ = 0;
-        }
-        if (++dispSlots_ == width_) {
-            ++dispCycle_;
-            dispSlots_ = 0;
-        }
-        return c;
-    }
-
-    uint64_t
-    commitAt(uint64_t earliest)
-    {
-        uint64_t c = std::max(earliest, commitCycle_);
-        if (c > commitCycle_) {
-            commitCycle_ = c;
-            commitSlots_ = 0;
-        }
-        if (++commitSlots_ == width_) {
-            ++commitCycle_;
-            commitSlots_ = 0;
-        }
-        return c;
-    }
-
     /**
-     * Run one uop through dispatch/ready/complete/commit and attribute
-     * the commit-time advance. @p segs (time-ordered, @p nsegs of
-     * them) make up the execution latency; @p stall_comp is charged
-     * when a structural resource (ROB/LQ/SQ) delays dispatch.
+     * Retire the @p n uops of an ALU burst after its first. processUop
+     * would charge each one's whole commit-time advance to
+     * chargeComp(Base), so this loop only replays dispatch and commit
+     * against the ROB ring. That is exact because each of them has no
+     * dep and one Base cycle of latency, serializePoint_ is 0 outside
+     * fence(), and fetchAvail_ <= dispatch_.cycle once the first uop
+     * dispatched, so neither holds dispatch back. Every uop still
+     * writes its ROB and completion-ring entries: later uops wait on
+     * the first, and a dep tag can index the second (on a multi-core
+     * machine, a load tag from another core).
      */
-    uint64_t
-    processUop(const Seg *segs, uint32_t nsegs, uint64_t dep,
-               uint64_t dep2, Slot slot, CpiComponent stall_comp)
+    void
+    aluTail(uint32_t n)
     {
-        ++seq_;
-        robIdx_ = robIdx_ + 1 == robSize_ ? 0 : robIdx_ + 1;
-
-        const CpiComponent issue_comp = chargeComp(CpiComponent::Base);
-        CpiComponent pre_comp = issue_comp; ///< why dispatch waited
-        uint64_t pre_t = dispCycle_;
-        auto consider = [&](uint64_t t, CpiComponent c) {
-            if (t > pre_t) {
-                pre_t = t;
-                pre_comp = c;
-            }
-        };
-
-        // Structural constraints: a ROB entry frees when the uop
-        // robSize_ back commits; LQ/SQ likewise.
-        uint64_t earliest = commitRing_[robIdx_];
-        consider(earliest, chargeComp(stall_comp));
-        if (slot == Slot::Load) {
-            const uint64_t t = loadRing_[lqIdx_];
-            earliest = std::max(earliest, t);
-            consider(t, chargeComp(stall_comp));
-        } else if (slot == Slot::Store) {
-            const uint64_t t = storeRing_[sqIdx_];
-            earliest = std::max(earliest, t);
-            consider(t, chargeComp(stall_comp));
+        const CpiComponent comp = chargeComp(CpiComponent::Base);
+        // Work on copies: stores into the rings could otherwise alias
+        // the members and force a reload of each one per uop.
+        Stage dispatch = dispatch_, commit = commit_;
+        uint64_t seq = seq_;
+        uint32_t rob = robIdx_;
+        uint64_t *const ring = commitRing_.data();
+        Completion *const completions = completions_.data();
+        uint64_t complete = 0, committed = 0;
+        for (uint32_t i = 0; i < n; ++i) {
+            ++seq;
+            rob = rob + 1 == robSize_ ? 0 : rob + 1;
+            complete = dispatch.claim(ring[rob], width_) + 1;
+            committed = commit.claim(complete, width_);
+            ring[rob] = committed;
+            completions[seq % kWindow] = {seq, complete, comp};
         }
-        earliest = std::max(earliest, serializePoint_);
-        consider(serializePoint_, CpiComponent::Fence);
-        consider(fetchAvail_, fetchAvailComp_);
-
-        uint32_t exec_latency = 0;
-        for (uint32_t i = 0; i < nsegs; ++i)
-            exec_latency += segs[i].cycles;
-
-        const uint64_t dispatch = dispatchAt(earliest);
-        const uint64_t c1 = depComplete(dep);
-        const uint64_t c2 = depComplete(dep2);
-        const uint64_t ready = std::max({dispatch, c1, c2});
-        const uint64_t complete = ready + exec_latency;
+        dispatch_ = dispatch;
+        commit_ = commit;
+        seq_ = seq;
+        robIdx_ = rob;
         maxComplete_ = std::max(maxComplete_, complete);
-
-        const uint64_t commit = commitAt(complete);
-
-        // ---- CPI attribution: the commit-time advance is this uop's
-        // exposed cost; walk its timeline backwards to name it.
-        uint64_t remaining = commit > lastCommit_ ? commit - lastCommit_
-                                                  : 0;
-        auto take = [&](uint64_t span, CpiComponent c) {
-            if (remaining == 0 || span == 0)
-                return;
-            const uint64_t t = std::min(span, remaining);
-            cpi_[c] += t;
-            remaining -= t;
-        };
-        take(commit - complete, issue_comp);
-        CpiComponent dominant = issue_comp;
-        uint32_t dominant_cycles = 0;
-        for (uint32_t i = nsegs; i-- > 0;) {
-            const CpiComponent c = chargeComp(segs[i].comp);
-            take(segs[i].cycles, c);
-            if (segs[i].cycles >= dominant_cycles) {
-                dominant_cycles = segs[i].cycles;
-                dominant = c;
-            }
+        if (committed > lastCommit_) {
+            cpi_[comp] += committed - lastCommit_;
+            lastCommit_ = committed;
         }
-        if (ready > dispatch)
-            take(ready - dispatch, c1 >= c2 ? depComp(dep)
-                                            : depComp(dep2));
-        if (remaining)
-            cpi_[pre_comp] += remaining;
-
-        lastCommit_ = std::max(lastCommit_, commit);
-        commitRing_[robIdx_] = commit;
-        if (slot == Slot::Load) {
-            loadRing_[lqIdx_] = commit;
-            lqIdx_ = lqIdx_ + 1 == lqSize_ ? 0 : lqIdx_ + 1;
-        } else if (slot == Slot::Store) {
-            storeRing_[sqIdx_] = commit;
-            sqIdx_ = sqIdx_ + 1 == sqSize_ ? 0 : sqIdx_ + 1;
-        }
-        completions_[seq_ % kWindow] = {seq_, complete, dominant};
-        return complete;
     }
 
     uint32_t width_;
@@ -336,10 +383,8 @@ class OooCore : public CoreModel
     uint32_t sqIdx_ = 0;
     uint64_t fetchAvail_ = 0;
     CpiComponent fetchAvailComp_ = CpiComponent::Base;
-    uint64_t dispCycle_ = 0;
-    uint32_t dispSlots_ = 0;
-    uint64_t commitCycle_ = 0;
-    uint32_t commitSlots_ = 0;
+    Stage dispatch_;
+    Stage commit_;
     uint64_t maxComplete_ = 0;
     uint64_t serializePoint_ = 0;
     uint64_t lastCommit_ = 0;

@@ -12,8 +12,8 @@
 #ifndef POAT_SIM_VM_H
 #define POAT_SIM_VM_H
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "pmem/addrspace.h"
@@ -22,21 +22,24 @@
 namespace poat {
 namespace sim {
 
-/** Demand-paged page table: vpn -> pfn, filling frames on first use. */
+/**
+ * Demand-paged page table: vpn -> pfn, filling frames on first use.
+ * The map is a flat open-addressing table (linear probing, load factor
+ * at most 1/2) keyed by vpn + 1, so a zero key marks an empty slot.
+ */
 class PageTable
 {
   public:
+    PageTable() : table_(kInitialSlots), shift_(64 - kInitialBits) {}
+
     /** Physical frame of @p vaddr's page, allocating on first touch. */
     uint64_t
     translate(uint64_t vaddr)
     {
         const uint64_t vpn = vaddr / kPageSize;
         if (vpn != lastVpn_) {
-            auto [it, inserted] = map_.try_emplace(vpn, nextFrame_);
-            if (inserted)
-                ++nextFrame_;
             lastVpn_ = vpn;
-            lastFrame_ = it->second;
+            lastFrame_ = frameOfPage(vpn);
         }
         return lastFrame_ * kPageSize + vaddr % kPageSize;
     }
@@ -48,11 +51,64 @@ class PageTable
         return translate(vaddr) / kPageSize;
     }
 
-    size_t mappedPages() const { return map_.size(); }
+    size_t mappedPages() const { return pages_; }
 
   private:
-    std::unordered_map<uint64_t, uint64_t> map_;
-    uint64_t nextFrame_ = 1; // frame 0 unused so paddr 0 never appears
+    static constexpr unsigned kInitialBits = 10;
+    static constexpr size_t kInitialSlots = size_t{1} << kInitialBits;
+
+    struct Entry
+    {
+        uint64_t key = 0; ///< vpn + 1; 0 = empty
+        uint64_t frame = 0;
+    };
+
+    /** Fibonacci hashing: the top bits of the product mix every bit. */
+    size_t
+    home(uint64_t key) const
+    {
+        return (key * 0x9e3779b97f4a7c15ull) >> shift_;
+    }
+
+    /** Frame of page @p vpn; the next frame if it is new. */
+    uint64_t
+    frameOfPage(uint64_t vpn)
+    {
+        const uint64_t key = vpn + 1;
+        const size_t mask = table_.size() - 1;
+        size_t i = home(key);
+        for (; table_[i].key != 0; i = (i + 1) & mask) {
+            if (table_[i].key == key)
+                return table_[i].frame;
+        }
+        // Frame 0 stays unused, so paddr 0 never appears.
+        table_[i] = {key, ++pages_};
+        if (2 * pages_ > table_.size())
+            grow();
+        return pages_;
+    }
+
+    /** Double the table and re-place every entry. */
+    void
+    grow()
+    {
+        std::vector<Entry> old(table_.size() * 2);
+        old.swap(table_);
+        --shift_;
+        const size_t mask = table_.size() - 1;
+        for (const Entry &e : old) {
+            if (e.key == 0)
+                continue;
+            size_t i = home(e.key);
+            while (table_[i].key != 0)
+                i = (i + 1) & mask;
+            table_[i] = e;
+        }
+    }
+
+    std::vector<Entry> table_;
+    unsigned shift_;
+    uint64_t pages_ = 0;
     /**
      * Memo of the last translation (mappings never change once made).
      * All ones is no page's vpn, so the first lookup always misses.

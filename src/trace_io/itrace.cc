@@ -1,11 +1,11 @@
 #include "trace_io/itrace.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -81,9 +81,6 @@ badFile(const std::string &path, const std::string &why)
     throw std::runtime_error("poat-itrace: " + path + ": " + why);
 }
 
-/** Most varint operands of any record kind (LockWait). */
-constexpr size_t kMaxOperands = 4;
-
 [[noreturn]] void
 badVarint(const std::string &path, VarintStatus st)
 {
@@ -91,6 +88,13 @@ badVarint(const std::string &path, VarintStatus st)
                       ? "truncated varint in record region"
                       : "varint exceeds 64 bits");
 }
+
+/** Map the whole trace file privately, prefaulting it where possible. */
+#ifdef MAP_POPULATE
+constexpr int kMapFlags = MAP_PRIVATE | MAP_POPULATE;
+#else
+constexpr int kMapFlags = MAP_PRIVATE;
+#endif
 
 } // namespace
 
@@ -428,33 +432,36 @@ TraceRecorder::note(const Note &n)
 // --------------------------------------------------------------------
 // TraceReplayer
 
+void
+TraceReplayer::Unmap::operator()(const uint8_t *file) const noexcept
+{
+    ::munmap(const_cast<uint8_t *>(file), bytes);
+}
+
 TraceReplayer::TraceReplayer(const std::string &path) : path_(path)
 {
-    // One read into an uninitialized buffer; everything below validates
-    // and later decodes the file in place.
+    // One read-only mapping; everything below validates and later
+    // decodes the file in place. A file too short for a header is not
+    // mapped (mmap rejects length 0) and fails below.
     const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0)
         badFile(path, "cannot open trace file");
     struct stat st;
     bool ok = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
     const size_t size = ok ? static_cast<size_t>(st.st_size) : 0;
-    if (ok) {
-        file_ = std::make_unique_for_overwrite<uint8_t[]>(size);
-        for (size_t got = 0; ok && got < size;) {
-            const ssize_t r = ::read(fd, file_.get() + got, size - got);
-            if (r < 0 && errno == EINTR)
-                continue;
-            ok = r > 0;
-            got += ok ? static_cast<size_t>(r) : 0;
-        }
+    if (ok && size >= kHeaderSize) {
+        void *map = ::mmap(nullptr, size, PROT_READ, kMapFlags, fd, 0);
+        ok = map != MAP_FAILED;
+        if (ok)
+            file_ = {static_cast<const uint8_t *>(map), Unmap{size}};
     }
     ::close(fd);
     if (!ok)
         badFile(path, "cannot read trace file");
-    const uint8_t *file = file_.get();
-
     if (size < kHeaderSize)
         badFile(path, "truncated header");
+    const uint8_t *file = file_.get();
+
     if (std::memcmp(file, kMagic, sizeof(kMagic)) != 0)
         badFile(path, "not a poat-itrace file (bad magic)");
     const uint32_t version = getLe32(file + 8);
@@ -497,8 +504,12 @@ TraceReplayer::replayInto(TraceSink &sink) const
     size_t pos = 0;
     uint64_t events = 0;
 
+    // A load-like record takes at least 4 bytes (kind and 3 operands),
+    // so this reservation never grows. Growing by doubling would copy
+    // the table and touch fresh pages at every step, a measurable share
+    // of decoding a large multi-core trace.
     std::vector<uint64_t> tags;
-    tags.reserve(1024);
+    tags.reserve(n / 4 + 1);
     tags.push_back(kNoDep); // sequence number 0 = "no producer"
     auto dep = [&](uint64_t seq) -> uint64_t {
         if (seq >= tags.size())
@@ -507,53 +518,85 @@ TraceReplayer::replayInto(TraceSink &sink) const
     };
     auto u32 = [](uint64_t v) { return static_cast<uint32_t>(v); };
 
+    // The next operand. A one-byte operand is one load and compare while
+    // the region still has room for any varint; everything else takes
+    // readVarint. Inlined at every use, so each operand of each record
+    // kind has its own branch.
+    auto next = [&]() __attribute__((always_inline)) -> uint64_t {
+        if (n - pos >= kMaxVarintBytes && d[pos] < 0x80) [[likely]]
+            return d[pos++];
+        uint64_t v = 0;
+        const VarintStatus st = readVarint(d, n, &pos, &v);
+        if (st != VarintStatus::Ok) [[unlikely]]
+            badVarint(path_, st);
+        return v;
+    };
+
+    // Each typed kind decodes its operands in its own case, in file
+    // order, before any dep is resolved.
     while (pos < n) {
         const uint8_t kind = d[pos++];
         if (kind < kMinEventKind || kind > kMaxEventKind)
             badFile(path_, "unknown record kind " + std::to_string(kind) +
                                " at offset " + std::to_string(pos - 1));
-        // Decode the record's operands in one place, so the varint
-        // decoder is inlined once into this loop.
-        uint64_t op[kMaxOperands] = {};
-        for (uint8_t i = 0; i < kOperandCount[kind]; ++i) {
-            const VarintStatus st = readVarint(d, n, &pos, &op[i]);
-            if (st != VarintStatus::Ok) [[unlikely]]
-                badVarint(path_, st);
-        }
         switch (static_cast<EventKind>(kind)) {
-          case EventKind::Alu:
-            sink.alu(u32(op[0]), dep(op[1]));
+          case EventKind::Alu: {
+            const uint64_t count = next();
+            const uint64_t d1 = next();
+            sink.alu(u32(count), dep(d1));
             break;
-          case EventKind::Branch:
-            sink.branch(op[0] != 0, op[1], dep(op[2]));
+          }
+          case EventKind::Branch: {
+            const uint64_t taken = next();
+            const uint64_t pc = next();
+            const uint64_t d1 = next();
+            sink.branch(taken != 0, pc, dep(d1));
             break;
-          case EventKind::Load:
-            tags.push_back(sink.load(op[0], dep(op[1]), dep(op[2])));
+          }
+          case EventKind::Load: {
+            const uint64_t vaddr = next();
+            const uint64_t d1 = next();
+            const uint64_t d2 = next();
+            tags.push_back(sink.load(vaddr, dep(d1), dep(d2)));
             break;
-          case EventKind::Store:
-            sink.store(op[0], dep(op[1]));
+          }
+          case EventKind::Store: {
+            const uint64_t vaddr = next();
+            const uint64_t d1 = next();
+            sink.store(vaddr, dep(d1));
             break;
-          case EventKind::NvLoad:
-            tags.push_back(
-                sink.nvLoad(ObjectID(op[0]), dep(op[1]), dep(op[2])));
+          }
+          case EventKind::NvLoad: {
+            const uint64_t oid = next();
+            const uint64_t d1 = next();
+            const uint64_t d2 = next();
+            tags.push_back(sink.nvLoad(ObjectID(oid), dep(d1), dep(d2)));
             break;
-          case EventKind::NvStore:
-            sink.nvStore(ObjectID(op[0]), dep(op[1]));
+          }
+          case EventKind::NvStore: {
+            const uint64_t oid = next();
+            const uint64_t d1 = next();
+            sink.nvStore(ObjectID(oid), dep(d1));
             break;
+          }
           case EventKind::Clwb:
-            sink.clwb(op[0]);
+            sink.clwb(next());
             break;
           case EventKind::NvClwb:
-            sink.nvClwb(ObjectID(op[0]));
+            sink.nvClwb(ObjectID(next()));
             break;
           case EventKind::Fence:
             sink.fence();
             break;
-          case EventKind::PoolMapped:
-            sink.poolMapped(u32(op[0]), op[1], op[2]);
+          case EventKind::PoolMapped: {
+            const uint64_t id = next();
+            const uint64_t vbase = next();
+            const uint64_t size = next();
+            sink.poolMapped(u32(id), vbase, size);
             break;
+          }
           case EventKind::PoolUnmapped:
-            sink.poolUnmapped(u32(op[0]));
+            sink.poolUnmapped(u32(next()));
             break;
           case EventKind::SwTranslateBegin:
             sink.swTranslateBegin();
@@ -562,17 +605,18 @@ TraceReplayer::replayInto(TraceSink &sink) const
             sink.swTranslateEnd();
             break;
           case EventKind::CoreSwitch:
-            sink.coreSwitch(u32(op[0]));
+            sink.coreSwitch(u32(next()));
             break;
           default: { // a note: every kind from TxBegin on but CoreSwitch
-            Note note{static_cast<NoteKind>(kind),
-                      {op[0], op[1], op[2], op[3]}};
+            Note note{static_cast<NoteKind>(kind)};
+            for (uint8_t i = 0; i < kOperandCount[kind]; ++i)
+                note.arg[i] = next();
             if (note.kind == NoteKind::OpName) {
-                if (op[1] > n - pos)
+                if (note.arg[1] > n - pos)
                     badFile(path_, "truncated opName record");
                 note.name = {reinterpret_cast<const char *>(d + pos),
-                             static_cast<size_t>(op[1])};
-                pos += static_cast<size_t>(op[1]);
+                             static_cast<size_t>(note.arg[1])};
+                pos += static_cast<size_t>(note.arg[1]);
             }
             sink.note(note);
             break;

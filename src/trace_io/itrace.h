@@ -32,8 +32,8 @@
  * the same step over each of the region's trailing size % 8 bytes.
  * Every step is a bijection of the running hash, so any single
  * corrupted byte changes the result. The recorder hashes exactly those
- * words wherever its buffer flushes fall; the replayer validates the
- * hash once, over the file it read in a single pass, and decodes the
+ * words wherever its buffer flushes fall; the replayer maps the file
+ * read-only, validates the hash once over the mapping, and decodes the
  * records in place.
  *
  * Value tags are canonicalized: the workload-visible tag of the n-th
@@ -236,12 +236,21 @@ class TraceRecorder : public TraceSink
     bool finished_ = false;
 };
 
-/** Reader of a poat-itrace file. */
+/**
+ * Reader of a poat-itrace file.
+ *
+ * The replayer maps the file read-only instead of copying it, and
+ * holds the mapping until it is destroyed. That is safe because a
+ * trace file is published only by TraceRecorder::finish's atomic
+ * rename and is never truncated or rewritten in place: a later capture
+ * of the same path renames a new file over it, which leaves an
+ * existing mapping on the old one intact.
+ */
 class TraceReplayer
 {
   public:
     /**
-     * Read and validate @p path: magic, version, region bounds, and
+     * Map and validate @p path: magic, version, region bounds, and
      * the record hash. @throws std::runtime_error naming the file and
      * the defect on any mismatch.
      */
@@ -275,10 +284,17 @@ class TraceReplayer
                         const std::string &fingerprint) noexcept;
 
   private:
+    /** Deleter of file_: unmaps @p bytes from the mapping's start. */
+    struct Unmap
+    {
+        size_t bytes; // no initializer: file_ value-initializes it
+        void operator()(const uint8_t *file) const noexcept;
+    };
+
     std::string path_;
     std::string fingerprint_;
     std::string profile_;
-    std::unique_ptr<uint8_t[]> file_; ///< the whole file, as read
+    std::unique_ptr<const uint8_t, Unmap> file_; ///< the whole file, mapped
     const uint8_t *records_ = nullptr; ///< record region within file_
     size_t recordBytes_ = 0;
     uint64_t eventCount_ = 0;

@@ -1,6 +1,10 @@
 /** @file Timing-model tests for the in-order and OoO cores. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.h"
 #include "sim/config.h"
 #include "sim/core_inorder.h"
 #include "sim/core_ooo.h"
@@ -224,6 +228,157 @@ TEST(Ooo, BoundedByInOrderAboveAndCriticalPathBelow)
     }
     EXPECT_LE(oo.cycles(), io.cycles());
     EXPECT_GE(oo.cycles(), chain_latency); // serial load chain bound
+}
+
+/**
+ * The per-uop reference for OooCore's ALU bursts: every uop of a burst
+ * goes through processUop, as the first one does in OooCore itself.
+ */
+class PerUopOooCore : public OooCore
+{
+  public:
+    using OooCore::OooCore;
+
+    void
+    alu(uint32_t count, uint64_t dep) override
+    {
+        const Seg seg{CpiComponent::Base, 1};
+        for (uint32_t i = 0; i < count; ++i)
+            processUop(&seg, 1, i == 0 ? dep : kNone, kNone, Slot::None,
+                       CpiComponent::Base);
+    }
+};
+
+/** Random access costs: any mix of translation segments and levels. */
+AccessCosts
+randomCosts(Rng &rng)
+{
+    static constexpr uint32_t kMem[] = {3, 12, 40, 120};
+    static constexpr CpiComponent kLevel[] = {
+        CpiComponent::L1D, CpiComponent::L2, CpiComponent::L3,
+        CpiComponent::Mem};
+    AccessCosts c;
+    c.polb = rng.below(3) == 0 ? static_cast<uint32_t>(rng.below(4)) : 0;
+    c.pot = rng.below(4) == 0 ? static_cast<uint32_t>(rng.below(60)) : 0;
+    c.tlb = rng.below(5) == 0 ? static_cast<uint32_t>(rng.below(40)) : 0;
+    const size_t level = rng.below(4);
+    c.mem = kMem[level];
+    c.mem_comp = kLevel[level];
+    return c;
+}
+
+/**
+ * Differential check of the burst loop: OooCore and the per-uop
+ * reference, fed the same seeded stream over random core shapes, agree
+ * on cycles, uop count and every CPI component after every event. The
+ * stream has bursts longer than the ROB, bursts right after a fence or
+ * a mispredict and inside sw-translate regions, loads with deps, and
+ * deps on arbitrary tags (as a multi-core machine passes another
+ * core's load tags), which can name a burst's own uops.
+ */
+TEST(Ooo, AluBurstsMatchThePerUopReference)
+{
+    for (uint64_t seed = 1; seed <= 48; ++seed) {
+        Rng rng(seed);
+        MachineConfig conf;
+        conf.issue_width = 1 + static_cast<uint32_t>(rng.below(8));
+        conf.rob_size = 1 + static_cast<uint32_t>(rng.below(160));
+        conf.lq_size = 1 + static_cast<uint32_t>(rng.below(48));
+        conf.sq_size = 1 + static_cast<uint32_t>(rng.below(32));
+        OooCore fast(conf);
+        PerUopOooCore ref(conf);
+        std::vector<uint64_t> tags = {0};
+
+        auto dep = [&]() -> uint64_t {
+            switch (rng.below(4)) {
+              case 0:
+                return 0;
+              case 1: { // one of the last four loads
+                const size_t back = std::min<size_t>(tags.size(), 4);
+                return tags[tags.size() - 1 - rng.below(back)];
+              }
+              case 2: // any load so far
+                return tags[rng.below(tags.size())];
+              default: // any tag, another core's included
+                return 1 + rng.below(ref.uopCount() + 16);
+            }
+        };
+        auto burst = [&] {
+            uint32_t count;
+            switch (rng.below(4)) {
+              case 0: // longer than the ROB
+                count = conf.rob_size +
+                    static_cast<uint32_t>(rng.below(2 * conf.rob_size));
+                break;
+              case 1:
+                count = static_cast<uint32_t>(rng.below(3));
+                break;
+              default:
+                count = 1 + static_cast<uint32_t>(rng.below(24));
+            }
+            const uint64_t d = dep();
+            fast.alu(count, d);
+            ref.alu(count, d);
+        };
+
+        for (int step = 0; step < 2500; ++step) {
+            switch (rng.below(12)) {
+              case 0: case 1: case 2: case 3:
+                burst();
+                break;
+              case 4: case 5: {
+                const AccessCosts c = randomCosts(rng);
+                const uint64_t d1 = dep(), d2 = dep();
+                const uint64_t t = fast.load(c, d1, d2);
+                ASSERT_EQ(t, ref.load(c, d1, d2)) << "seed " << seed;
+                tags.push_back(t);
+                break;
+              }
+              case 6: {
+                const AccessCosts c = randomCosts(rng);
+                const uint64_t d = dep();
+                fast.store(c, d);
+                ref.store(c, d);
+                break;
+              }
+              case 7: {
+                const AccessCosts c = randomCosts(rng);
+                fast.clwb(c, 100);
+                ref.clwb(c, 100);
+                break;
+              }
+              case 8: { // a branch, then a burst behind any redirect
+                const bool mispredict = rng.below(2) == 0;
+                const uint64_t d = dep();
+                fast.branch(mispredict, d);
+                ref.branch(mispredict, d);
+                burst();
+                break;
+              }
+              case 9: // a fence, then a burst behind it
+                fast.fence();
+                ref.fence();
+                burst();
+                break;
+              default: { // enter or leave a sw-translate region
+                const bool on = rng.below(2) == 0;
+                fast.setSwTranslate(on);
+                ref.setSwTranslate(on);
+                break;
+              }
+            }
+            ASSERT_EQ(fast.cycles(), ref.cycles())
+                << "seed " << seed << " step " << step;
+            ASSERT_EQ(fast.uopCount(), ref.uopCount())
+                << "seed " << seed << " step " << step;
+            for (size_t i = 0; i < kCpiComponents; ++i) {
+                const auto c = static_cast<CpiComponent>(i);
+                ASSERT_EQ(fast.cpi()[c], ref.cpi()[c])
+                    << cpiComponentName(c) << ", seed " << seed
+                    << " step " << step;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -117,6 +117,12 @@ class JournalSink : public TraceSink
     void swTranslateEnd() override { add("swTranslateEnd"); }
 
     void
+    coreSwitch(uint32_t core) override
+    {
+        add("coreSwitch " + std::to_string(core));
+    }
+
+    void
     note(const Note &n) override
     {
         std::string s = "note " + std::to_string(static_cast<int>(n.kind));
@@ -556,6 +562,132 @@ TEST(Replayer, MalformedNoteRecordsThrow)
     // A kind byte past the last record kind.
     expectReplayError(rawTrace(std::string(1, '\x1b'), 1),
                       "unknown record kind 27");
+}
+
+TEST(Replayer, EmptyFileIsATruncatedHeader)
+{
+    expectReplayError(std::string(), "truncated header");
+}
+
+TEST(Replayer, DirectoryPathThrows)
+{
+    const std::string dir = tmpPath("dir");
+    std::filesystem::create_directories(dir);
+    EXPECT_THROW(TraceReplayer{dir}, std::runtime_error);
+    std::filesystem::remove(dir);
+}
+
+/** The typed (non-note) record kinds. */
+std::vector<EventKind>
+typedKinds()
+{
+    std::vector<EventKind> kinds;
+    for (uint8_t k = kMinEventKind; k <= kMaxEventKind; ++k)
+        if (k < uint8_t(EventKind::TxBegin) ||
+            k == uint8_t(EventKind::CoreSwitch))
+            kinds.push_back(static_cast<EventKind>(k));
+    return kinds;
+}
+
+/** One @p kind event with every operand @p v and every dep @p seq. */
+void
+emitKind(TraceSink &sink, EventKind kind, uint64_t v, uint64_t seq)
+{
+    const auto u32 = static_cast<uint32_t>(v);
+    switch (kind) {
+      case EventKind::Alu:
+        return sink.alu(u32, seq);
+      case EventKind::Branch:
+        return sink.branch(v & 1, v, seq);
+      case EventKind::Load:
+        sink.load(v, seq, seq);
+        return;
+      case EventKind::Store:
+        return sink.store(v, seq);
+      case EventKind::NvLoad:
+        sink.nvLoad(ObjectID(v), seq, seq);
+        return;
+      case EventKind::NvStore:
+        return sink.nvStore(ObjectID(v), seq);
+      case EventKind::Clwb:
+        return sink.clwb(v);
+      case EventKind::NvClwb:
+        return sink.nvClwb(ObjectID(v));
+      case EventKind::Fence:
+        return sink.fence();
+      case EventKind::PoolMapped:
+        return sink.poolMapped(u32, v, v);
+      case EventKind::PoolUnmapped:
+        return sink.poolUnmapped(u32);
+      case EventKind::SwTranslateBegin:
+        return sink.swTranslateBegin();
+      case EventKind::SwTranslateEnd:
+        return sink.swTranslateEnd();
+      case EventKind::CoreSwitch:
+        return sink.coreSwitch(u32);
+      default:
+        FAIL() << "not a typed kind: " << int(kind);
+    }
+}
+
+TEST(Replayer, EveryTypedKindRoundTripsAtEveryOperandWidth)
+{
+    // Operands of 1 to 10 bytes and deps of 1 and 2 bytes, each typed
+    // kind far from the record region's end (the one-byte fast path)
+    // and once as its last record (readVarint near the end).
+    static constexpr uint64_t kValues[] = {
+        0, 1, 127, 128, 16383, 16384, 0xffff'ffffull, 1ull << 35,
+        1ull << 63, ~0ull};
+    const std::vector<EventKind> kinds = typedKinds();
+    ASSERT_EQ(kinds.size(), 14u);
+    for (const EventKind last : kinds) {
+        auto scenario = [&](TraceSink &sink) {
+            for (int i = 0; i < 200; ++i)
+                sink.load(0x1000 + i, kNoDep, kNoDep);
+            for (const uint64_t v : kValues)
+                for (const uint64_t seq : {0, 1, 127, 128, 200})
+                    for (const EventKind k : kinds)
+                        emitKind(sink, k, v, seq);
+            emitKind(sink, last, ~0ull, 200);
+        };
+        const std::string path = tmpPath("kinds");
+        JournalSink live(1, 1);
+        scenario(live);
+        {
+            TraceRecorder rec(nullptr, path, "fpr");
+            scenario(rec);
+            rec.finish();
+        }
+        const TraceReplayer trace(path);
+        JournalSink replayed(1, 1);
+        trace.replayInto(replayed);
+        EXPECT_EQ(replayed.lines, live.lines)
+            << "last kind " << eventKindName(uint8_t(last));
+        std::remove(path.c_str());
+    }
+}
+
+TEST(Replayer, EveryTypedKindRejectsTruncatedAndOverlongOperands)
+{
+    for (const EventKind kind : typedKinds()) {
+        const uint8_t k = static_cast<uint8_t>(kind);
+        for (uint8_t bad = 0; bad < kOperandCount[k]; ++bad) {
+            SCOPED_TRACE(std::string(eventKindName(k)) + " operand " +
+                         std::to_string(bad));
+            std::string head(1, static_cast<char>(k));
+            head.append(bad, '\0'); // the operands before it
+            // The region ends inside the operand: readVarint's path.
+            expectReplayError(rawTrace(head + "\x80\x80", 1),
+                              "truncated varint in record region");
+            // Ten continuation bytes with more than ten bytes after
+            // them: the path that starts with the one-byte check.
+            expectReplayError(
+                rawTrace(head + std::string(kMaxVarintBytes, '\x80') +
+                             std::string(12, '\0'),
+                         1),
+                "varint exceeds 64 bits");
+        }
+    }
 }
 
 TEST(ItraceV6, RecordHashIsWordwiseFnv1a)
