@@ -4,9 +4,10 @@
  * table (--quick / --scale=N / --txns=N / --jobs=N / --stats-json=F /
  * --trace=D / --timeline=N; parsed by common/cli.h), configuration
  * builders, the parallel sweep entry point every binary funnels its
- * runs through (runAll), fixed-width table printing that mirrors the
- * paper's rows, and the machine-readable JSON report every binary can
- * emit (docs/OBSERVABILITY.md documents the schema).
+ * runs through (runAll, which also records each run into the JSON
+ * report), fixed-width table printing that mirrors the paper's rows,
+ * and the machine-readable JSON report every binary can emit
+ * (docs/OBSERVABILITY.md documents the schema).
  */
 #ifndef POAT_BENCH_BENCH_UTIL_H
 #define POAT_BENCH_BENCH_UTIL_H
@@ -19,10 +20,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -148,114 +149,53 @@ struct BenchArgs
 };
 
 /**
- * Thread-safe collector of finished runs for the JSON report.
- *
- * runSweep() notifies the experiment observer serially in submission
- * order, but the recorder is also safe under direct multi-threaded
- * runExperiment() use: record() takes a mutex, so the report's run
- * list is always well-formed (and, through a sweep, deterministically
- * ordered).
- */
-class BenchRecorder
-{
-  public:
-    struct Run
-    {
-        std::string label;
-        std::string config; ///< pre-rendered JSON object
-        uint64_t cycles;
-        uint64_t instructions;
-        double ipc;
-        StatsRegistry stats;
-    };
-
-    void
-    record(const driver::ExperimentConfig &cfg,
-           const driver::ExperimentResult &res)
-    {
-        Run r;
-        r.label = driver::configLabel(cfg);
-        r.config = configJson(cfg);
-        r.cycles = res.metrics.cycles;
-        r.instructions = res.metrics.instructions;
-        r.ipc = res.metrics.ipc();
-        r.stats = res.stats;
-        std::lock_guard<std::mutex> lock(mu_);
-        runs_.push_back(std::move(r));
-    }
-
-    /** Recorded runs, oldest first. Do not call during a sweep. */
-    const std::vector<Run> &runs() const { return runs_; }
-
-    static std::string
-    configJson(const driver::ExperimentConfig &cfg)
-    {
-        std::string s = "{";
-        s += "\"workload\": \"" + jsonEscape(cfg.workload) + "\"";
-        s += ", \"mode\": \"";
-        s += cfg.mode == TranslationMode::Software ? "software"
-                                                   : "hardware";
-        s += "\", \"core\": \"";
-        s += cfg.machine.core == sim::CoreType::InOrder ? "inorder"
-                                                        : "ooo";
-        s += "\", \"polb_design\": \"";
-        s += cfg.machine.polb_design == sim::PolbDesign::Pipelined
-            ? "pipelined"
-            : "parallel";
-        s += "\", \"polb_entries\": " +
-            std::to_string(cfg.machine.polb_entries);
-        s += ", \"ideal_translation\": ";
-        s += cfg.machine.ideal_translation ? "true" : "false";
-        s += ", \"transactions\": ";
-        s += cfg.transactions ? "true" : "false";
-        s += ", \"timing\": ";
-        s += cfg.timing ? "true" : "false";
-        s += ", \"scale_pct\": " + std::to_string(cfg.scale_pct);
-        s += ", \"seed\": " + std::to_string(cfg.seed);
-        s += "}";
-        return s;
-    }
-
-  private:
-    mutable std::mutex mu_;
-    std::vector<Run> runs_;
-};
-
-/**
  * Machine-readable results for one bench binary.
  *
- * Construction installs a driver-level observer (when --stats-json is
- * given) that records every runExperiment() call — label, config
- * summary, headline numbers, and the run's full hierarchical stats —
- * into a mutex-guarded BenchRecorder. write() emits the report;
- * benches add their headline metrics (speedup geomeans etc.) via
- * metric() first. The report also names the per-run output files
- * (runFileStem).
+ * runAll() hands record() every finished run, in submission order:
+ * label, config summary, headline numbers, and the run's full
+ * hierarchical stats. Runs are kept only when --stats-json is given.
+ * write() emits the report; benches add their headline metrics
+ * (speedup geomeans etc.) via metric() first. The report also names
+ * the per-run output files (runFileStem).
  */
 class JsonReport
 {
   public:
     JsonReport(std::string bench_name, const BenchArgs &args)
         : name_(std::move(bench_name)), args_(args)
-    {
-        if (!args_.stats_json.empty()) {
-            driver::setExperimentObserver(
-                [this](const driver::ExperimentConfig &cfg,
-                       const driver::ExperimentResult &res) {
-                    recorder_.record(cfg, res);
-                });
-        }
-    }
+    {}
 
-    ~JsonReport()
-    {
-        write();
-        if (!args_.stats_json.empty())
-            driver::setExperimentObserver(nullptr);
-    }
+    ~JsonReport() { write(); }
 
     JsonReport(const JsonReport &) = delete;
     JsonReport &operator=(const JsonReport &) = delete;
+
+    /** The bench's name, as the report and its diagnostics print it. */
+    const std::string &name() const { return name_; }
+
+    /** Append one finished run to the report's run list. */
+    void
+    record(const driver::ExperimentConfig &cfg,
+           const driver::ExperimentResult &res)
+    {
+        if (args_.stats_json.empty())
+            return;
+        std::ostringstream os;
+        os << "    {\n";
+        os << "      \"label\": \"" << jsonEscape(driver::configLabel(cfg))
+           << "\",\n";
+        os << "      \"config\": " << configJson(cfg) << ",\n";
+        os << "      \"cycles\": " << res.metrics.cycles << ",\n";
+        os << "      \"instructions\": " << res.metrics.instructions
+           << ",\n";
+        char ipc[32];
+        std::snprintf(ipc, sizeof(ipc), "%.6g", res.metrics.ipc());
+        os << "      \"ipc\": " << ipc << ",\n";
+        os << "      \"stats\": ";
+        res.stats.dumpJson(os, 6);
+        os << "\n    }";
+        runs_.push_back(os.str());
+    }
 
     /** Add one named headline metric to the report's summary block. */
     void
@@ -306,6 +246,35 @@ class JsonReport
     }
 
   private:
+    static std::string
+    configJson(const driver::ExperimentConfig &cfg)
+    {
+        std::string s = "{";
+        s += "\"workload\": \"" + jsonEscape(cfg.workload) + "\"";
+        s += ", \"mode\": \"";
+        s += cfg.mode == TranslationMode::Software ? "software"
+                                                   : "hardware";
+        s += "\", \"core\": \"";
+        s += cfg.machine.core == sim::CoreType::InOrder ? "inorder"
+                                                        : "ooo";
+        s += "\", \"polb_design\": \"";
+        s += cfg.machine.polb_design == sim::PolbDesign::Pipelined
+            ? "pipelined"
+            : "parallel";
+        s += "\", \"polb_entries\": " +
+            std::to_string(cfg.machine.polb_entries);
+        s += ", \"ideal_translation\": ";
+        s += cfg.machine.ideal_translation ? "true" : "false";
+        s += ", \"transactions\": ";
+        s += cfg.transactions ? "true" : "false";
+        s += ", \"timing\": ";
+        s += cfg.timing ? "true" : "false";
+        s += ", \"scale_pct\": " + std::to_string(cfg.scale_pct);
+        s += ", \"seed\": " + std::to_string(cfg.seed);
+        s += "}";
+        return s;
+    }
+
     void
     writeStats()
     {
@@ -315,7 +284,6 @@ class JsonReport
                          args_.stats_json.c_str());
             POAT_FATAL("cannot open --stats-json output file");
         }
-        const auto &runs = recorder_.runs();
         os << "{\n  \"bench\": \"" << jsonEscape(name_) << "\",\n";
         os << "  \"quick\": " << (args_.quick ? "true" : "false")
            << ",\n";
@@ -323,21 +291,8 @@ class JsonReport
         os << "  \"tpcc_scale_pct\": " << args_.tpcc_scale_pct << ",\n";
         os << "  \"tpcc_txns\": " << args_.tpcc_txns << ",\n";
         os << "  \"runs\": [";
-        for (size_t i = 0; i < runs.size(); ++i) {
-            const BenchRecorder::Run &r = runs[i];
-            os << (i ? ",\n" : "\n") << "    {\n";
-            os << "      \"label\": \"" << jsonEscape(r.label)
-               << "\",\n";
-            os << "      \"config\": " << r.config << ",\n";
-            os << "      \"cycles\": " << r.cycles << ",\n";
-            os << "      \"instructions\": " << r.instructions << ",\n";
-            char ipc[32];
-            std::snprintf(ipc, sizeof(ipc), "%.6g", r.ipc);
-            os << "      \"ipc\": " << ipc << ",\n";
-            os << "      \"stats\": ";
-            r.stats.dumpJson(os, 6);
-            os << "\n    }";
-        }
+        for (size_t i = 0; i < runs_.size(); ++i)
+            os << (i ? ",\n" : "\n") << runs_[i];
         os << "\n  ],\n";
         if (!bars_.empty()) {
             os << "  \"error_bars\": [";
@@ -370,13 +325,13 @@ class JsonReport
                << jsonEscape(metrics_[i].first) << "\": " << v;
         }
         os << (metrics_.empty() ? "" : "\n  ") << "}\n}\n";
-        std::printf("stats-json: wrote %zu runs to %s\n", runs.size(),
+        std::printf("stats-json: wrote %zu runs to %s\n", runs_.size(),
                     args_.stats_json.c_str());
     }
 
     std::string name_;
     BenchArgs args_;
-    BenchRecorder recorder_;
+    std::vector<std::string> runs_; ///< rendered JSON run objects
     std::vector<std::pair<std::string, double>> metrics_;
     std::vector<ErrorBar> bars_;
     std::set<std::string> stems_; ///< runFileStem names handed out
@@ -420,11 +375,13 @@ makeOutputDir(const std::string &dir, const char *flag)
 /**
  * Execute a batch of experiment configs through driver::runSweep with
  * the --jobs setting, returning results in submission order (identical
- * to a serial runExperiment loop at any job count). --timeline and
+ * to a serial runExperiment loop at any job count) and recording them,
+ * then any --seeds runs, into @p report in that order. --timeline and
  * --trace give every primary-seed run its own output file, named by
  * JsonReport::runFileStem. A live "sweep k/n" progress line goes to
  * stderr so long regenerations still show a heartbeat while the result
- * tables print all at once.
+ * tables print all at once. A run that fails (an output path it cannot
+ * write, say) prints "<bench>: <why>" on stderr and exits 1.
  */
 inline std::vector<driver::ExperimentResult>
 runAll(const BenchArgs &args, JsonReport &report,
@@ -455,19 +412,28 @@ runAll(const BenchArgs &args, JsonReport &report,
     }
     driver::SweepOptions so;
     so.jobs = args.jobs;
-    const bool tty = isatty(fileno(stderr));
-    so.progress = [tty](size_t i, size_t n,
-                        const driver::ExperimentConfig &,
-                        const driver::ExperimentResult &) {
-        if (!tty)
-            return;
-        std::fprintf(stderr, "\rsweep %zu/%zu", i + 1, n);
-        if (i + 1 == n)
-            std::fprintf(stderr, "\r          \r");
-        std::fflush(stderr);
+    if (isatty(fileno(stderr))) {
+        so.progress = [](size_t done, size_t n) {
+            std::fprintf(stderr, "\rsweep %zu/%zu", done, n);
+            if (done == n)
+                std::fprintf(stderr, "\r          \r");
+            std::fflush(stderr);
+        };
+    }
+    auto sweep = [&](const std::vector<driver::ExperimentConfig> &batch) {
+        std::vector<driver::ExperimentResult> res;
+        try {
+            res = driver::runSweep(batch, so);
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "%s: %s\n", report.name().c_str(),
+                         e.what());
+            std::exit(1);
+        }
+        for (size_t i = 0; i < batch.size(); ++i)
+            report.record(batch[i], res[i]);
+        return res;
     };
-    std::vector<driver::ExperimentResult> results =
-        driver::runSweep(configs, so);
+    std::vector<driver::ExperimentResult> results = sweep(configs);
 
     if (args.cpi_stack) {
         hr();
@@ -514,7 +480,7 @@ runAll(const BenchArgs &args, JsonReport &report,
                 c.timeline_path.clear();
                 extra.push_back(std::move(c));
             }
-        const auto extra_res = driver::runSweep(extra, so);
+        const auto extra_res = sweep(extra);
 
         hr();
         std::printf("error bars over %zu seeds (mean +/- stddev):\n",

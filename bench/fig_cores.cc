@@ -70,7 +70,7 @@ throughput(const driver::ExperimentResult &r, uint64_t setup_cycles)
 {
     if (r.metrics.cycles <= setup_cycles)
         return 0.0;
-    return 1e6 * static_cast<double>(r.engine.commits) /
+    return 1e6 * static_cast<double>(r.stats.get("engine.commits")) /
         static_cast<double>(r.metrics.cycles - setup_cycles);
 }
 
@@ -135,9 +135,9 @@ main(int argc, char **argv)
                         "%8llu | %7.2fx %7.2fx\n",
                         "", n, bthr, othr, bthr > 0 ? othr / bthr : 0.0,
                         static_cast<unsigned long long>(
-                            opt.engine.aborts),
+                            opt.stats.get("engine.aborts")),
                         static_cast<unsigned long long>(
-                            opt.engine.lock_waits),
+                            opt.stats.get("engine.lock.waits")),
                         bscal, oscal);
             const std::string tag = std::string(wl) + "_c" +
                 std::to_string(n);

@@ -22,8 +22,6 @@ namespace driver {
 
 namespace {
 
-ExperimentObserver g_observer;
-
 using workloads::engineWorkers;
 using workloads::isConcurrentWorkload;
 
@@ -43,12 +41,6 @@ machineConfigFor(const ExperimentConfig &cfg)
 }
 
 } // namespace
-
-void
-setExperimentObserver(ExperimentObserver obs)
-{
-    g_observer = std::move(obs);
-}
 
 std::string
 configLabel(const ExperimentConfig &cfg)
@@ -177,11 +169,16 @@ traceCachePath(const ExperimentConfig &cfg)
 
 namespace {
 
-/** Run the workload against @p rt and record its outcome. */
-void
+/**
+ * Run the workload against @p rt and record its outcome. Returns the
+ * engine's concurrency statistics (LHT/MTPCC; zero otherwise), which
+ * fillFunctionalProfile() exports as the run's "engine.*" counters.
+ */
+concurrent::EngineStats
 executeWorkload(const ExperimentConfig &cfg, PmemRuntime &rt,
                 ExperimentResult &res)
 {
+    concurrent::EngineStats engine{};
     if (cfg.workload == "TPCC") {
         workloads::tpcc::TpccWorkload w(cfg.placement,
                                         cfg.tpcc_scale_pct, cfg.seed,
@@ -198,7 +195,7 @@ executeWorkload(const ExperimentConfig &cfg, PmemRuntime &rt,
         const auto r = w.run(rt);
         res.workload_checksum = r.checksum;
         res.workload_operations = r.transactions;
-        res.engine = w.engineStats();
+        engine = w.engineStats();
     } else if (cfg.workload == "LHT") {
         workloads::WorkloadConfig wc;
         wc.pattern = cfg.pattern;
@@ -210,7 +207,7 @@ executeWorkload(const ExperimentConfig &cfg, PmemRuntime &rt,
         const auto r = w.run(rt);
         res.workload_checksum = r.checksum;
         res.workload_operations = r.operations;
-        res.engine = w.engineStats();
+        engine = w.engineStats();
     } else {
         // A config (not internal-invariant) error: throw rather than
         // POAT_FATAL so a sweep can propagate it to its caller.
@@ -228,6 +225,7 @@ executeWorkload(const ExperimentConfig &cfg, PmemRuntime &rt,
         res.workload_checksum = r.checksum;
         res.workload_operations = r.operations;
     }
+    return engine;
 }
 
 RuntimeOptions
@@ -245,13 +243,15 @@ runtimeOptions(const ExperimentConfig &cfg)
 
 /**
  * Snapshot the functional (machine-independent) outcome of a run: the
- * translator profile and the workload result, as result fields plus a
+ * translator profile, the workload result and the engine statistics
+ * @p e that executeWorkload() returned, as result fields plus a
  * standalone registry. This is everything a replayed run cannot
  * recompute — the trace capture serializes it as the file's profile
  * sidecar.
  */
 void
 fillFunctionalProfile(const ExperimentConfig &cfg, const PmemRuntime &rt,
+                      const concurrent::EngineStats &e,
                       ExperimentResult &res, StatsRegistry &prof)
 {
     res.translate_calls = rt.translator().calls();
@@ -278,7 +278,6 @@ fillFunctionalProfile(const ExperimentConfig &cfg, const PmemRuntime &rt,
     // Concurrency outcome (deterministic, hence functional): exported
     // here so replayed runs restore it from the trace sidecar.
     if (isConcurrentWorkload(cfg.workload)) {
-        const concurrent::EngineStats &e = res.engine;
         prof.counter("engine.commits") = e.commits;
         prof.counter("engine.aborts") = e.aborts;
         prof.counter("engine.retries") = e.retries;
@@ -544,9 +543,9 @@ runExperimentLive(const ExperimentConfig &cfg)
         // executing natively with its instruction accounting on.
         CountingTraceSink sink;
         PmemRuntime rt(runtimeOptions(cfg), &sink);
-        executeWorkload(cfg, rt, res);
+        const concurrent::EngineStats engine = executeWorkload(cfg, rt, res);
         StatsRegistry prof;
-        fillFunctionalProfile(cfg, rt, res, prof);
+        fillFunctionalProfile(cfg, rt, engine, res, prof);
         mergeRegistry(prof, res.stats);
         return res;
     }
@@ -555,7 +554,7 @@ runExperimentLive(const ExperimentConfig &cfg)
     RunObservers observers(cfg, machine);
     PmemRuntime rt(runtimeOptions(cfg), &machine);
     observers.addTimeline(&rt);
-    executeWorkload(cfg, rt, res);
+    const concurrent::EngineStats engine = executeWorkload(cfg, rt, res);
     observers.finish();
 
     res.metrics = machine.metrics();
@@ -565,7 +564,7 @@ runExperimentLive(const ExperimentConfig &cfg)
     // the software-translation profile and the workload outcome.
     res.stats = machine.stats();
     StatsRegistry prof;
-    fillFunctionalProfile(cfg, rt, res, prof);
+    fillFunctionalProfile(cfg, rt, engine, res, prof);
     mergeRegistry(prof, res.stats);
     return res;
 }
@@ -593,14 +592,14 @@ runExperimentCaptured(const ExperimentConfig &cfg,
     trace_io::TraceRecorder rec(&machine, path, traceFingerprint(cfg));
     PmemRuntime rt(runtimeOptions(cfg), &rec);
     observers.addTimeline(&rt);
-    executeWorkload(cfg, rt, res);
+    const concurrent::EngineStats engine = executeWorkload(cfg, rt, res);
     observers.finish();
 
     res.metrics = machine.metrics();
     res.cpi = machine.cpi();
     res.stats = machine.stats();
     StatsRegistry prof;
-    fillFunctionalProfile(cfg, rt, res, prof);
+    fillFunctionalProfile(cfg, rt, engine, res, prof);
     mergeRegistry(prof, res.stats);
 
     rec.setProfile(serializeProfile(res, prof));
@@ -638,16 +637,18 @@ runExperimentReplayed(const ExperimentConfig &cfg,
     return res;
 }
 
+} // namespace detail
+
 ExperimentResult
-runExperimentUnobserved(const ExperimentConfig &cfg)
+runExperiment(const ExperimentConfig &cfg)
 {
     if (!cfg.timing || cfg.trace_cache.empty())
-        return runExperimentLive(cfg);
+        return detail::runExperimentLive(cfg);
 
     const std::string path = traceCachePath(cfg);
     if (trace_io::TraceReplayer::matches(path, traceFingerprint(cfg))) {
         try {
-            return runExperimentReplayed(cfg, path);
+            return detail::runExperimentReplayed(cfg, path);
         } catch (const std::runtime_error &e) {
             // A cached trace that fails full validation (corruption,
             // torn write from a crashed capture) is not an error —
@@ -656,25 +657,7 @@ runExperimentUnobserved(const ExperimentConfig &cfg)
                          e.what());
         }
     }
-    return runExperimentCaptured(cfg, path);
-}
-
-void
-notifyExperimentObserver(const ExperimentConfig &cfg,
-                         const ExperimentResult &res)
-{
-    if (g_observer)
-        g_observer(cfg, res);
-}
-
-} // namespace detail
-
-ExperimentResult
-runExperiment(const ExperimentConfig &cfg)
-{
-    ExperimentResult res = detail::runExperimentUnobserved(cfg);
-    detail::notifyExperimentObserver(cfg, res);
-    return res;
+    return detail::runExperimentCaptured(cfg, path);
 }
 
 double

@@ -7,12 +7,14 @@
  * workload natively against a fresh PmemRuntime whose TraceSink is a
  * fresh sim::Machine, so BASE and OPT runs of the same seed perform
  * identical logical work and differ only in the translation machinery —
- * exactly the paper's Table 7 comparison.
+ * exactly the paper's Table 7 comparison. A run hands everything it
+ * measured back in its ExperimentResult; nothing is reported on the
+ * side, so callers (runSweep, the bench harness's JSON report) decide
+ * what to record and in which order.
  */
 #ifndef POAT_DRIVER_EXPERIMENT_H
 #define POAT_DRIVER_EXPERIMENT_H
 
-#include <functional>
 #include <string>
 
 #include "common/stats.h"
@@ -151,13 +153,6 @@ struct ExperimentResult
     uint64_t workload_checksum = 0;
     uint64_t workload_operations = 0;
 
-    /**
-     * Concurrency statistics (LHT/MTPCC live runs; zero otherwise).
-     * Also exported as "engine.*" counters in stats, which replayed
-     * runs restore from the trace sidecar.
-     */
-    concurrent::EngineStats engine{};
-
     /** Software-translation profile (BASE runs; Table 2). */
     uint64_t translate_calls = 0;
     uint64_t translate_misses = 0;
@@ -166,13 +161,21 @@ struct ExperimentResult
     /**
      * The run's full hierarchical statistics: every machine counter,
      * histogram, and formula ("polb.*", "pot.*", "cache.*", ...) plus
-     * the software-translation profile ("sw_translate.*") and the
-     * workload outcome ("workload.*"). See docs/OBSERVABILITY.md.
+     * the software-translation profile ("sw_translate.*"), the
+     * workload outcome ("workload.*") and, for LHT/MTPCC, the engine's
+     * concurrency outcome ("engine.*": commits, aborts, lock waits, ...;
+     * a replayed run restores them from the trace sidecar). See
+     * docs/OBSERVABILITY.md.
      */
     StatsRegistry stats;
 };
 
-/** Execute one experiment. */
+/**
+ * Execute one experiment. Honors cfg.trace_cache: a matching cached
+ * trace is replayed, otherwise the run executes live and captures one
+ * (an unreadable cached file is recaptured with a note on stderr, never
+ * an error).
+ */
 ExperimentResult runExperiment(const ExperimentConfig &cfg);
 
 /** Short human/machine label for a config: "LL.RANDOM.base.inorder". */
@@ -196,32 +199,7 @@ std::string traceFingerprint(const ExperimentConfig &cfg);
  */
 std::string traceCachePath(const ExperimentConfig &cfg);
 
-/**
- * Observer invoked with every finished runExperiment() call; the bench
- * harness's --stats-json collector. Pass nullptr to uninstall.
- *
- * Threading: runSweep() (driver/sweep.h) invokes the observer on the
- * calling thread in submission order, so an observer installed around
- * a sweep never runs concurrently with itself. Code that calls
- * runExperiment() directly from several threads must install an
- * observer that does its own locking. Do not install/uninstall while
- * runs are in flight.
- */
-using ExperimentObserver =
-    std::function<void(const ExperimentConfig &, const ExperimentResult &)>;
-void setExperimentObserver(ExperimentObserver obs);
-
 namespace detail {
-
-/**
- * runExperiment() minus the observer notification — the sweep executor
- * runs this on worker threads and replays the notifications serially,
- * in submission order, on its calling thread. Honors cfg.trace_cache:
- * a matching cached trace is replayed, otherwise the run executes live
- * and captures one (an unreadable cached file is recaptured with a
- * note on stderr, never an error).
- */
-ExperimentResult runExperimentUnobserved(const ExperimentConfig &cfg);
 
 /** The live path: native execution, no trace cache involvement. */
 ExperimentResult runExperimentLive(const ExperimentConfig &cfg);
@@ -242,10 +220,6 @@ ExperimentResult runExperimentCaptured(const ExperimentConfig &cfg,
  */
 ExperimentResult runExperimentReplayed(const ExperimentConfig &cfg,
                                        const std::string &path);
-
-/** Invoke the installed observer (if any) for a finished run. */
-void notifyExperimentObserver(const ExperimentConfig &cfg,
-                              const ExperimentResult &res);
 
 } // namespace detail
 

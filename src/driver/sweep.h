@@ -4,29 +4,27 @@
  *
  * Every bench binary replays dozens of independent (workload, pattern,
  * mode, machine) runs. Runs are hermetic by construction — each gets a
- * fresh PmemRuntime and a fresh sim::Machine, and all randomness is
- * seeded per run — so they can execute concurrently as long as the few
- * process-wide touch points (the experiment observer, and per-run
- * output files such as a Chrome trace or a timeline, which need
- * distinct paths) are kept per-run or serialized. runSweep() is that
- * fan-out: a fixed-size thread pool that preserves *serial semantics*:
+ * fresh PmemRuntime and a fresh sim::Machine, all randomness is seeded
+ * per run, and a run's telemetry travels only in its result — so they
+ * can execute concurrently as long as their per-run output files (a
+ * Chrome trace, a timeline) have distinct paths. runTasks() is the one
+ * fan-out: a fixed-size thread pool over task indices. runSweep() runs
+ * each config as one task and preserves *serial semantics*:
  *
  *  - results come back in submission order, whatever the completion
- *    order was;
- *  - the process-wide experiment observer (setExperimentObserver) and
- *    the per-sweep progress callback fire on the calling thread, in
- *    submission order — never concurrently;
+ *    order was; the caller records or prints them from there;
+ *  - with a trace cache, the first submission of each functional
+ *    fingerprint captures the trace and the group's later submissions
+ *    wait for that capture and replay it;
  *  - the first exception (by submission index) is rethrown on the
  *    calling thread after the pool has drained, exactly where a serial
  *    loop would have thrown it;
  *  - jobs = 1 runs inline on the calling thread with no pool at all,
  *    byte-identical to a hand-written runExperiment() loop.
  *
- * Because each run's telemetry is self-contained (the result carries
- * its own StatsRegistry, and each run owns its machine's observers),
- * a parallel sweep produces bit-identical ExperimentResults to a
- * serial one — tests/driver/sweep_test.cc proves this property on
- * randomized batches.
+ * A parallel sweep produces bit-identical ExperimentResults to a serial
+ * one — tests/driver/sweep_test.cc proves this property on randomized
+ * batches.
  */
 #ifndef POAT_DRIVER_SWEEP_H
 #define POAT_DRIVER_SWEEP_H
@@ -52,22 +50,20 @@ struct SweepOptions
     unsigned jobs = 0;
 
     /**
-     * Invoked on the calling thread, in submission order, once per
-     * finished run: (submission index, total, config, result). Fires
-     * after the process-wide experiment observer saw the same run.
+     * Invoked once per finished run, failed runs included, as
+     * (finished, total): finished counts 1, 2, ..., total. Calls are
+     * serialized under the sweep's lock but come from whichever thread
+     * finished the run, in completion order.
      */
-    std::function<void(size_t, size_t, const ExperimentConfig &,
-                       const ExperimentResult &)>
-        progress;
+    std::function<void(size_t, size_t)> progress;
 };
 
 /**
  * Run every config and return the results in submission order.
  *
- * Exception behavior matches a serial loop: if run i throws, runs
- * 0..i-1 are still observed (observer + progress) and the exception of
- * the *lowest* submission index is rethrown; later runs may have
- * executed but are never observed.
+ * Exception behavior matches a serial loop: if run i throws, the
+ * exception of the *lowest* failing submission index is rethrown once
+ * every started run has finished; no results are returned.
  */
 std::vector<ExperimentResult>
 runSweep(const std::vector<ExperimentConfig> &configs,
@@ -93,13 +89,14 @@ inline constexpr unsigned kMaxSweepJobs = 256;
 unsigned sweepWorkers(unsigned jobs, size_t tasks);
 
 /**
- * Generic fan-out over the sweep thread pool: invoke fn(i) for every
- * i in [0, count), up to @p jobs at a time (0 = hardware concurrency;
- * 1 = inline on the calling thread). Tasks must be hermetic, exactly
- * like sweep configs. Exception behavior matches runSweep: after the
- * pool drains, the exception from the lowest-index failing task is
- * rethrown. The crash-point fault explorer fans its trials out here.
- * The pool has sweepWorkers(jobs, count) threads.
+ * The sweep thread pool: invoke fn(i) for every i in [0, count), up to
+ * @p jobs at a time (0 = hardware concurrency; 1 = inline on the
+ * calling thread). Workers claim indices in increasing order, so a task
+ * may wait for a lower-index task that never waits itself (runSweep's
+ * replays wait for their capture). After the pool drains, the exception
+ * from the lowest-index failing task is rethrown. runSweep and the
+ * crash-point fault explorers fan out here. The pool has
+ * sweepWorkers(jobs, count) threads.
  */
 void runTasks(size_t count, unsigned jobs,
               const std::function<void(size_t)> &fn);

@@ -41,7 +41,7 @@ class StreamRecorder final : public DurabilityHook
         evictPass_ = evict_pass;
     }
 
-    bool
+    uint8_t
     onWriteBack(Pool &pool, uint32_t line, WriteBackCause cause) override
     {
         WriteBackEvent &e = out_.emplace_back();
@@ -140,13 +140,8 @@ CrashPoint
 crashByReexecution(TrialRun &run, const ExploreOptions &opts, uint64_t k,
                    const std::vector<uint8_t> *drain)
 {
-    CrashAtEvent prefix_hook(k);
-    CrashWithDrain drain_hook(k, drain != nullptr
-                                     ? *drain
-                                     : std::vector<uint8_t>{});
-    CrashHook &hook = drain != nullptr
-        ? static_cast<CrashHook &>(drain_hook)
-        : static_cast<CrashHook &>(prefix_hook);
+    CrashAtEvent hook(k, drain != nullptr ? *drain
+                                          : std::vector<uint8_t>{});
     run.rt.registry().setDurabilityHook(&hook);
     CrashPoint cp;
     cp.window = {opts.steps, opts.steps};

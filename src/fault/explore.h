@@ -39,10 +39,10 @@
  *     crashes; the historic one-level behaviour is depth = 1.
  *  4. Reorder states (opt-in, see fault/reorder.h): the recording
  *     groups the event stream into drain batches; each batch gets
- *     CrashWithDrain-image trials persisting proper subsets of the batch
- *     (exhaustive up to `drain_bound`, seeded-sampled beyond) plus
- *     torn-line states that persist only a prefix/suffix of one line's
- *     8-byte words. Under --strict the workload runs with the Strict
+ *     CrashAtEvent(b, masks)-image trials persisting proper subsets of
+ *     the batch (exhaustive up to `drain_bound`, seeded-sampled beyond)
+ *     plus torn-line states that persist only a prefix/suffix of one
+ *     line's 8-byte words. Under --strict the workload runs with the Strict
  *     durability policy so fences produce multi-line batches.
  *
  * Small runs explore exhaustively; large runs sample crash points with

@@ -8,7 +8,7 @@
 namespace poat {
 namespace fault {
 
-bool
+uint8_t
 DrainProbe::onWriteBack(Pool &pool, uint32_t line, WriteBackCause cause)
 {
     const uint64_t idx = total_++;
@@ -20,7 +20,7 @@ DrainProbe::onWriteBack(Pool &pool, uint32_t line, WriteBackCause cause)
             b.pool_id == pool.id()) {
             b.lines.push_back(line);
             --fenceLeft_;
-            return true;
+            return kFullLineMask;
         }
     }
     fenceLeft_ = 0;
@@ -30,7 +30,7 @@ DrainProbe::onWriteBack(Pool &pool, uint32_t line, WriteBackCause cause)
     b.pool_id = pool.id();
     b.cause = cause;
     batches_.push_back(std::move(b));
-    return true;
+    return kFullLineMask;
 }
 
 void

@@ -16,15 +16,16 @@
  *     DrainProbe, which groups the fence-retired ones into batches
  *     (Pool::fence announces each drain via onFenceDrainBegin; CLWB and
  *     eviction write-backs are singleton batches).
- *  2. For each batch [b, b+n) the explorer plans CrashWithDrain trials:
- *     every proper, non-empty subset of the batch when 2^n - 2 fits the
- *     exhaustive bound, a seeded sample of subsets otherwise, plus torn
- *     states — the drain stops mid-line at each batch position, with
- *     the interrupted line persisting only a proper prefix or suffix of
- *     its eight 8-byte words (the word-mask analogue of the media
- *     injector's torn-64B faults). A trial persists the recorded
- *     events before b whole and batch event b + i per its word mask:
- *     the image CrashWithDrain(b, masks) would freeze.
+ *  2. For each batch [b, b+n) the explorer plans CrashAtEvent(b, masks)
+ *     trials: every proper, non-empty subset of the batch when 2^n - 2
+ *     fits the exhaustive bound, a seeded sample of subsets otherwise,
+ *     plus torn states — the drain stops mid-line at each batch
+ *     position, with the interrupted line persisting only a proper
+ *     prefix or suffix of its eight 8-byte words (the word-mask
+ *     analogue of the media injector's torn-64B faults). A trial
+ *     persists the recorded events before b whole and batch event
+ *     b + i per its word mask: the image CrashAtEvent(b, masks) would
+ *     freeze.
  *
  * The empty subset equals CrashAtEvent(b) and the full subset equals
  * CrashAtEvent(b + n), so both are covered by the prefix trials and
@@ -67,8 +68,8 @@ struct DrainBatch
 class DrainProbe final : public DurabilityHook
 {
   public:
-    bool onWriteBack(Pool &pool, uint32_t line,
-                     WriteBackCause cause) override;
+    uint8_t onWriteBack(Pool &pool, uint32_t line,
+                        WriteBackCause cause) override;
     void onFenceDrainBegin(Pool &pool,
                            const std::vector<uint32_t> &pending) override;
 
@@ -92,7 +93,7 @@ class DrainProbe final : public DurabilityHook
 const std::vector<uint8_t> &tornWordMasks();
 
 /**
- * One planned reorder trial: CrashWithDrain(start, masks). torn is true
+ * One planned reorder trial: CrashAtEvent(start, masks). torn is true
  * when any mask is a partial line (for the fault.reorder.torn counter).
  */
 struct DrainPlan

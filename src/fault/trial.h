@@ -188,7 +188,7 @@ struct CrashPoint
  * Step one of a trial: crash @p run at event @p k and revert it to the
  * durable image (crashAll). Events before k persist whole; with
  * @p drain, event k + i persists the words of (*drain)[i] and every
- * event past the masks nothing — CrashAtEvent(k) or CrashWithDrain(k,
+ * event past the masks nothing — CrashAtEvent(k) or CrashAtEvent(k,
  * *drain) semantics. The image is built from @p rec (a checkpoint plus
  * a tail, see Recording) when it is non-null, else by re-executing the
  * workload under the crash hook (the reference path: --repro and the

@@ -210,7 +210,7 @@ Pool::writeBackLine(uint32_t line, WriteBackCause cause)
     // exactly.
     uint8_t mask = DurabilityHook::kFullLineMask;
     if (hook_ != nullptr) {
-        mask = hook_->onWriteBackWords(*this, line, cause);
+        mask = hook_->onWriteBack(*this, line, cause);
         if (mask == 0)
             return;
     }

@@ -160,20 +160,16 @@ class Pool;
  * Fault-injection hook on the durability path.
  *
  * Every 64-byte line write-back into the durable image — the only way
- * data ever becomes persistent — first consults the installed hook.
- * Returning true lets the write-back happen; returning false suppresses
- * the durable copy while all volatile bookkeeping (dirty/staged sets)
+ * data ever becomes persistent — first consults the installed hook,
+ * whose word mask says which of the line's eight 8-byte words reach
+ * media. kFullLineMask lets the write-back happen; 0 suppresses the
+ * durable copy while all volatile bookkeeping (dirty/staged sets)
  * proceeds unchanged, so the program's execution after a suppressed
- * write-back is bit-identical to an uninjected run. A crash-point
+ * write-back is bit-identical to an uninjected run; anything in
+ * between models a write-back torn by the power failure itself (the
+ * masked-out words keep their old durable contents). A crash-point
  * explorer uses this to freeze the durable image after the first k
  * events and then simulate power failure (see src/fault/).
- *
- * The word-granular entry point onWriteBackWords() refines the veto to
- * a bitmask over the line's eight 8-byte words, modeling a write-back
- * torn by the power failure itself: the masked-in words reach media,
- * the rest keep their old durable contents. The default implementation
- * delegates to onWriteBack(), so boolean hooks keep their exact
- * semantics (all words or none).
  */
 class DurabilityHook
 {
@@ -183,26 +179,19 @@ class DurabilityHook
 
     virtual ~DurabilityHook() = default;
 
-    /** Called before line @p line of @p pool is made durable. */
-    virtual bool onWriteBack(Pool &pool, uint32_t line,
-                             WriteBackCause cause) = 0;
-
     /**
-     * Word-granular veto: bit w of the returned mask persists bytes
-     * [8w, 8w+8) of the line. kFullLineMask is an ordinary write-back,
-     * 0 a full suppression, anything else a torn line. Pool calls only
-     * this entry point; the default routes to onWriteBack().
+     * Called before line @p line of @p pool is made durable: bit w of
+     * the returned mask persists bytes [8w, 8w+8) of the line. A hook
+     * that only observes returns kFullLineMask (not `true`, which
+     * would convert to the one-word mask 0x01).
      */
-    virtual uint8_t
-    onWriteBackWords(Pool &pool, uint32_t line, WriteBackCause cause)
-    {
-        return onWriteBack(pool, line, cause) ? kFullLineMask : 0;
-    }
+    virtual uint8_t onWriteBack(Pool &pool, uint32_t line,
+                                WriteBackCause cause) = 0;
 
     /**
      * Called by Pool::fence() under the Strict policy, before the first
      * write-back of a drain, with the full staged-line set about to be
-     * retired (sorted ascending). The onWriteBackWords() calls that
+     * retired (sorted ascending). The onWriteBack() calls that
      * follow — one per listed line, in the listed order, all with cause
      * Fence — are a single drain batch: hardware gives them no ordering
      * until the fence retires, so a real power failure mid-drain

@@ -9,9 +9,10 @@ pattern group), every record carries its config and hierarchical stats,
 and the summary block holds the headline geomeans. A second pass with
 --cpi-stack --seeds=42,43 validates the CPI stacks (components sum
 exactly to each run's cycles, both in the printed tables and in every
-recorded run's core.cpi stats) and the multi-seed error bars (one
+recorded run's core.cpi stats), the multi-seed error bars (one
 error_bars record per config with mean/stddev for every headline
-metric).
+metric), and the run list (the first seed's 72 runs in submission
+order, then the second seed's in the same order).
 
 When a fig11 binary is also given, exercises --trace-cache end to end:
 a cached --quick run must emit a stats report byte-for-byte identical
@@ -51,7 +52,10 @@ still writes one parseable timeline per run, and that malformed
 numbers (--jobs=abc, --scale=x, a 20-digit --jobs, a signed
 --seed, an empty --txns), an empty --seeds list, --timeline=0, and an
 unknown simulate workload or flag each print a diagnostic plus the
-usage text on stderr and exit 2 instead of aborting.
+usage text on stderr and exit 2 instead of aborting, and that an
+output path fig12 cannot write (--trace, --timeline-dir or
+--trace-cache naming a regular file) exits 1 with a diagnostic that
+names it.
 
 Usage: bench_smoke.py <fig9a_speedup_inorder> [<fig11_polb_size>
        [<crash_explore> [<timeline_dump> [<fig_cores>
@@ -80,6 +84,23 @@ def run_bench(cmd, timeout=1200):
             % (cmd[0], proc.returncode, proc.stdout, proc.stderr)
         )
     return proc
+
+
+def check_submission_order(labels):
+    """Submission order survives the parallel sweep: every group of
+    four fig9a labels is base, opt_pipelined, opt_parallel, opt_ideal
+    of one workload and pattern."""
+    suffixes = [".base", ".opt_pipelined", ".opt_parallel", ".opt_ideal"]
+    for i in range(0, len(labels), 4):
+        group = labels[i : i + 4]
+        prefix = group[0].rsplit(".base", 1)[0]
+        for label, suffix in zip(group, suffixes):
+            want = prefix + suffix + ".inorder"
+            if label != want:
+                fail(
+                    "run %d out of submission order: got %r, want %r"
+                    % (i, label, want)
+                )
 
 
 CPI_COMPONENTS = [
@@ -134,9 +155,25 @@ def check_cpi_and_seeds(bench):
                     % (b.get("label"), metric, m)
                 )
 
+    # The report lists the primary seed's runs in submission order,
+    # then the second seed's runs in the same order.
+    runs = report["runs"]
+    if len(runs) != 2 * n_configs:
+        fail("expected %d runs over 2 seeds, got %d"
+             % (2 * n_configs, len(runs)))
+    check_submission_order([r["label"] for r in runs[:n_configs]])
+    for i in range(n_configs):
+        first, second = runs[i], runs[n_configs + i]
+        if (first["label"] != second["label"]
+                or first["config"]["seed"] != 42
+                or second["config"]["seed"] != 43):
+            fail("run %d: seed runs out of order: %r seed %r, then %r "
+                 "seed %r" % (i, first["label"], first["config"]["seed"],
+                              second["label"], second["config"]["seed"]))
+
     # Every recorded run carries a CPI stack whose components sum
     # exactly to the run's total cycles.
-    for r in report["runs"]:
+    for r in runs:
         cpi = r["stats"].get("core", {}).get("cpi")
         if not isinstance(cpi, dict):
             fail("run %r has no core.cpi stack" % r["label"])
@@ -571,6 +608,27 @@ def check_usage_errors(fig9a, fig12, simulate, crash):
           % (len(cases) + 2 + len(crash_cases)))
 
 
+def check_unwritable_outputs(fig12):
+    """An output path that names an existing regular file is a run
+    error: exit 1 with a diagnostic naming it, never an abort."""
+    with tempfile.TemporaryDirectory() as tmp:
+        f = os.path.join(tmp, "F")
+        with open(f, "w") as out:
+            out.write("not a directory\n")
+        base = [fig12, "--quick", "--no-tpcc", "--jobs=2"]
+        for args in (["--trace=" + f],
+                     ["--timeline=100000", "--timeline-dir=" + f],
+                     ["--trace-cache=" + f]):
+            proc = subprocess.run(base + args, capture_output=True,
+                                  text=True, timeout=600)
+            if (proc.returncode != 1 or f not in proc.stderr
+                    or "terminate called" in proc.stderr):
+                fail("fig12 %s: exit %d, want 1 with a diagnostic naming "
+                     "%s\nstderr:\n%s"
+                     % (" ".join(args), proc.returncode, f, proc.stderr))
+    print("OK: 3 unwritable output paths exit 1 with a diagnostic")
+
+
 def main():
     if len(sys.argv) not in range(2, 10):
         fail("usage: bench_smoke.py <fig9a-binary> [<fig11-binary>"
@@ -608,20 +666,7 @@ def main():
         dupes = sorted({l for l in labels if labels.count(l) > 1})
         fail("duplicate run labels: %s" % dupes)
 
-    # Submission order survives the parallel sweep: every group of four
-    # is base, opt_pipelined, opt_parallel, opt_ideal of one workload
-    # and pattern.
-    for i in range(0, expected, 4):
-        group = labels[i : i + 4]
-        prefix = group[0].rsplit(".base", 1)[0]
-        suffixes = [".base", ".opt_pipelined", ".opt_parallel", ".opt_ideal"]
-        for label, suffix in zip(group, suffixes):
-            want = prefix + suffix + ".inorder"
-            if label != want:
-                fail(
-                    "run %d out of submission order: got %r, want %r"
-                    % (i, label, want)
-                )
+    check_submission_order(labels)
 
     for r in runs:
         for key in ("config", "cycles", "instructions", "ipc", "stats"):
@@ -659,6 +704,7 @@ def main():
     if len(sys.argv) >= 9:
         check_repeated_labels(sys.argv[7], sys.argv[4])
         check_usage_errors(bench, sys.argv[7], sys.argv[8], sys.argv[3])
+        check_unwritable_outputs(sys.argv[7])
 
 
 if __name__ == "__main__":

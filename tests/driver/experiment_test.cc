@@ -237,22 +237,6 @@ TEST(Telemetry, BaseRunsProfileTheSoftwareTranslator)
     EXPECT_NEAR(h->mean(), r.translate_insns_per_call, 1e-9);
 }
 
-TEST(Telemetry, ObserverSeesEveryRunWithItsLabel)
-{
-    std::vector<std::string> labels;
-    setExperimentObserver(
-        [&](const ExperimentConfig &cfg, const ExperimentResult &res) {
-            labels.push_back(configLabel(cfg));
-            EXPECT_GT(res.metrics.cycles, 0u);
-        });
-    runExperiment(base("LL", PoolPattern::All));
-    runExperiment(opt(base("LL", PoolPattern::All)));
-    setExperimentObserver(nullptr);
-    ASSERT_EQ(labels.size(), 2u);
-    EXPECT_EQ(labels[0], "LL.ALL.base.inorder");
-    EXPECT_EQ(labels[1], "LL.ALL.opt_pipelined.inorder");
-}
-
 TEST(Telemetry, ConfigLabelCoversTheVariantAxes)
 {
     auto c = base("BT", PoolPattern::Random, sim::CoreType::OutOfOrder,

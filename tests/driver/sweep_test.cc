@@ -2,20 +2,20 @@
  * @file
  * The parallel sweep's contract (driver/sweep.h): a sweep at any job
  * count is *observably identical* to a serial runExperiment() loop —
- * bit-identical results in submission order, observer and progress
- * callbacks serialized on the calling thread in submission order, and
- * serial exception semantics. The equivalence property is checked on a
- * randomized batch of configurations.
+ * bit-identical results in submission order, one progress call per
+ * finished run, serial exception semantics, and a trace cache whose
+ * captures gate their replays. The equivalence property is checked on
+ * a randomized batch of configurations.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "driver/sweep.h"
@@ -168,41 +168,21 @@ TEST(Sweep, ResultsComeBackInSubmissionOrder)
             << "submission order not preserved at " << i;
 }
 
-TEST(Sweep, ProgressFiresInOrderOnTheCallingThread)
+TEST(Sweep, ProgressCountsEveryRunOnce)
 {
     const auto cfgs = randomBatch(7, 6);
-    const auto caller = std::this_thread::get_id();
-    std::vector<size_t> indices;
+    std::vector<size_t> counts;
     SweepOptions so;
     so.jobs = 4;
-    so.progress = [&](size_t i, size_t n, const ExperimentConfig &,
-                      const ExperimentResult &r) {
-        EXPECT_EQ(std::this_thread::get_id(), caller);
-        EXPECT_EQ(n, cfgs.size());
-        EXPECT_GT(r.metrics.cycles, 0u);
-        indices.push_back(i);
+    so.progress = [&](size_t finished, size_t total) {
+        // Serialized under the sweep's lock: no guard needed here.
+        EXPECT_EQ(total, cfgs.size());
+        counts.push_back(finished);
     };
     runSweep(cfgs, so);
-    ASSERT_EQ(indices.size(), cfgs.size());
-    for (size_t i = 0; i < indices.size(); ++i)
-        EXPECT_EQ(indices[i], i);
-}
-
-TEST(Sweep, ObserverSeesRunsInSubmissionOrder)
-{
-    const auto cfgs = randomBatch(99, 8);
-    std::vector<std::string> seen;
-    setExperimentObserver(
-        [&](const ExperimentConfig &cfg, const ExperimentResult &) {
-            seen.push_back(configLabel(cfg));
-        });
-    SweepOptions so;
-    so.jobs = 4;
-    runSweep(cfgs, so);
-    setExperimentObserver(nullptr);
-    ASSERT_EQ(seen.size(), cfgs.size());
-    for (size_t i = 0; i < cfgs.size(); ++i)
-        EXPECT_EQ(seen[i], configLabel(cfgs[i])) << i;
+    ASSERT_EQ(counts.size(), cfgs.size());
+    for (size_t i = 0; i < counts.size(); ++i)
+        EXPECT_EQ(counts[i], i + 1);
 }
 
 TEST(Sweep, FirstExceptionPropagatesWithSerialSemantics)
@@ -212,18 +192,96 @@ TEST(Sweep, FirstExceptionPropagatesWithSerialSemantics)
         c.scale_pct = 8;
         c.workload = "LL";
     }
-    cfgs[2].workload = "NOPE"; // throws std::invalid_argument
-    std::vector<size_t> observed;
-    size_t count = 0;
-    setExperimentObserver([&](const ExperimentConfig &,
-                              const ExperimentResult &) { ++count; });
+    // Both throw std::invalid_argument; the lowest index must win,
+    // whichever finishes first.
+    cfgs[2].workload = "NOPE2";
+    cfgs[4].workload = "NOPE4";
     SweepOptions so;
     so.jobs = 4;
-    EXPECT_THROW(runSweep(cfgs, so), std::invalid_argument);
-    setExperimentObserver(nullptr);
-    // Exactly the pre-exception prefix was observed, like a serial loop.
-    EXPECT_EQ(count, 2u);
-    (void)observed;
+    try {
+        runSweep(cfgs, so);
+        FAIL() << "the sweep did not throw";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_EQ(std::string(e.what()), "unknown workload: NOPE2");
+    }
+}
+
+/** A fresh, empty directory for one test's trace cache. */
+std::string
+emptyCacheDir(const std::string &name)
+{
+    const std::string dir = testing::TempDir() + "sweep_test." + name;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+/** 3 workloads x 3 POLB sizes: three fingerprints, three runs each. */
+std::vector<ExperimentConfig>
+polbSizeBatch()
+{
+    std::vector<ExperimentConfig> cfgs;
+    for (const char *wl : {"LL", "BST", "SPS"}) {
+        for (const uint32_t entries : {8u, 32u, 128u}) {
+            ExperimentConfig c;
+            c.workload = wl;
+            c.pattern = PoolPattern::Random;
+            c.scale_pct = 8;
+            c.mode = TranslationMode::Hardware;
+            c.machine.polb_entries = entries;
+            cfgs.push_back(c);
+        }
+    }
+    return cfgs;
+}
+
+TEST(Sweep, FreshCacheGroupsCaptureOnceThenReplay)
+{
+    std::vector<ExperimentConfig> cfgs = polbSizeBatch();
+    std::vector<ExperimentResult> serial;
+    for (const ExperimentConfig &c : cfgs)
+        serial.push_back(runExperiment(c)); // uncached reference
+
+    const std::string cache = emptyCacheDir("fresh_cache");
+    for (ExperimentConfig &c : cfgs)
+        c.trace_cache = cache;
+    SweepOptions so;
+    so.jobs = 4;
+    const auto par = runSweep(cfgs, so);
+    ASSERT_EQ(par.size(), cfgs.size());
+    for (size_t i = 0; i < cfgs.size(); ++i)
+        expectBitIdentical(serial[i], par[i],
+                           "cached config " + std::to_string(i));
+
+    // One capture per fingerprint; the other six runs replayed it.
+    size_t traces = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(cache)) {
+        EXPECT_EQ(entry.path().extension(), ".itrace") << entry.path();
+        ++traces;
+    }
+    EXPECT_EQ(traces, 3u);
+}
+
+TEST(Sweep, FailedCaptureRethrowsWithoutHanging)
+{
+    // The cache directory lies under a regular file, so every capture
+    // fails; the replays gated on it must still run (live) instead of
+    // waiting forever, and the capture's error reaches the caller.
+    const std::string file = testing::TempDir() + "sweep_test.not_a_dir";
+    std::filesystem::remove_all(file);
+    std::ofstream(file) << "x";
+    std::vector<ExperimentConfig> cfgs;
+    for (ExperimentConfig c : polbSizeBatch()) {
+        if (c.workload == "SPS" || c.machine.polb_entries == 128)
+            continue; // 2 fingerprints x 2 runs
+        c.trace_cache = file + "/cache";
+        cfgs.push_back(c);
+    }
+    ASSERT_EQ(cfgs.size(), 4u);
+    SweepOptions so;
+    so.jobs = 4;
+    EXPECT_THROW(runSweep(cfgs, so), std::runtime_error);
+    std::filesystem::remove(file);
 }
 
 TEST(Sweep, EmptyBatchAndDefaultJobs)

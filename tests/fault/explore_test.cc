@@ -10,6 +10,7 @@
 #include "common/stats.h"
 #include "fault/explore.h"
 #include "fault/injector.h"
+#include "fault/reorder.h"
 #include "fault/trial.h"
 #include "pmem/runtime.h"
 #include "pmem/scrub.h"
@@ -74,6 +75,50 @@ TEST(Injector, CrashAtEventFreezesDurableState)
     EXPECT_EQ(pool.readAs<uint64_t>(4096), 1u);
     EXPECT_EQ(pool.readAs<uint64_t>(4160), 2u);
     EXPECT_EQ(pool.readAs<uint64_t>(4224), 0u);
+}
+
+/**
+ * The durable image after one write schedule under @p hook: an Eager
+ * CLWB, then a three-line Strict fence drain, every store landing past
+ * its line's first 8-byte word.
+ */
+std::vector<uint8_t>
+durableAfterMixedSchedule(DurabilityHook *hook)
+{
+    Pool pool("p", 1, 1 << 20);
+    pool.setDurabilityHook(hook);
+    pool.writeAs<uint64_t>(4096 + 24, 1);
+    pool.persist(4096, 64); // event 0: CLWB
+    pool.setDurabilityPolicy(DurabilityPolicy::Strict);
+    pool.writeAs<uint64_t>(8192 + 8, 2);
+    pool.writeAs<uint64_t>(8192 + 64 + 56, 3);
+    pool.writeAs<uint64_t>(8192 + 128 + 32, 4);
+    pool.persist(8192, 192); // events 1..3: one fence drain
+    pool.setDurabilityHook(nullptr);
+    pool.crash();
+    return pool.durableImage().dense();
+}
+
+TEST(Injector, NonVetoingHooksPersistWholeLines)
+{
+    // A hook that only observes must answer kFullLineMask. `return
+    // true` still compiles, but it is the mask 0x01: only each line's
+    // first word would reach media, and every store above would be lost.
+    const std::vector<uint8_t> plain = durableAfterMixedSchedule(nullptr);
+
+    fault::EventCounter counter;
+    EXPECT_EQ(durableAfterMixedSchedule(&counter), plain);
+    EXPECT_EQ(counter.total(), 4u);
+    EXPECT_EQ(counter.count(WriteBackCause::Fence), 3u);
+
+    fault::DrainProbe probe;
+    EXPECT_EQ(durableAfterMixedSchedule(&probe), plain);
+    EXPECT_EQ(probe.total(), 4u);
+
+    fault::CrashAtEvent past_the_end(4);
+    EXPECT_EQ(durableAfterMixedSchedule(&past_the_end), plain);
+    EXPECT_FALSE(past_the_end.fired());
+    EXPECT_EQ(past_the_end.observed(), 4u);
 }
 
 TEST(Explore, ExhaustiveLinkedListPassesAllInvariants)

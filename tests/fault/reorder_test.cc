@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the persistence-reordering crash-state machinery:
- * drain-batch probing, subset/torn-state planning, the CrashWithDrain
- * full-subset equivalence with prefix freezing, the profile-pass event
+ * drain-batch probing, subset/torn-state planning, the masked
+ * CrashAtEvent's full-subset equivalence with prefix freezing, the profile-pass event
  * contract, the reproducer drain/stack/strict tokens, and the committed
  * regression reproducers for the torn split-remainder header bug the
  * reorder explorer found.
@@ -86,10 +86,10 @@ TEST(Reorder, DrainProbeGroupsFenceBatches)
 class StagedCapture final : public DurabilityHook
 {
   public:
-    bool
+    uint8_t
     onWriteBack(Pool &, uint32_t, WriteBackCause) override
     {
-        return true;
+        return kFullLineMask;
     }
 
     void
@@ -155,21 +155,21 @@ durableAfterSchedule(Hook &hook)
 TEST(Reorder, FullSubsetDrainIsBitIdenticalToPrefixFreeze)
 {
     // Draining the full first batch and then crashing must equal the
-    // prefix freeze at the batch's end: CrashWithDrain(0, {ff,ff,ff})
+    // prefix freeze at the batch's end: CrashAtEvent(0, {ff,ff,ff})
     // == CrashAtEvent(3), bit for bit.
     fault::CrashAtEvent prefix(3);
-    fault::CrashWithDrain full(
+    fault::CrashAtEvent full(
         0, {DurabilityHook::kFullLineMask, DurabilityHook::kFullLineMask,
             DurabilityHook::kFullLineMask});
     EXPECT_EQ(durableAfterSchedule(prefix), durableAfterSchedule(full));
 
     // The empty subset equals the freeze at the batch's start.
     fault::CrashAtEvent before(0);
-    fault::CrashWithDrain none(0, {0, 0, 0});
+    fault::CrashAtEvent none(0, {0, 0, 0});
     EXPECT_EQ(durableAfterSchedule(before), durableAfterSchedule(none));
 
     // And a proper subset differs from both.
-    fault::CrashWithDrain partial(
+    fault::CrashAtEvent partial(
         0, {DurabilityHook::kFullLineMask, 0, 0});
     const std::vector<uint8_t> img = durableAfterSchedule(partial);
     EXPECT_NE(img, durableAfterSchedule(prefix));
@@ -179,7 +179,7 @@ TEST(Reorder, FullSubsetDrainIsBitIdenticalToPrefixFreeze)
 TEST(Reorder, TornDrainPersistsOnlyMaskedWords)
 {
     // Mask 0x01 persists words [0, 8) of the interrupted line only.
-    fault::CrashWithDrain torn(0, {0x01, 0, 0});
+    fault::CrashAtEvent torn(0, {0x01, 0, 0});
     Pool pool("p", 1, 1 << 20);
     pool.setDurabilityPolicy(DurabilityPolicy::Strict);
     pool.setDurabilityHook(&torn);

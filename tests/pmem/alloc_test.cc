@@ -457,14 +457,14 @@ referenceSweep(Pool &pool)
 class WriteBackLog final : public DurabilityHook
 {
   public:
-    bool
+    uint8_t
     onWriteBack(Pool &pool, uint32_t line, WriteBackCause) override
     {
         auto &[l, bytes] = events.emplace_back();
         l = line;
         pool.readRaw(line * static_cast<uint32_t>(kLineSize), bytes.data(),
                      kLineSize);
-        return true;
+        return kFullLineMask;
     }
 
     std::vector<std::pair<uint32_t, std::array<uint8_t, kLineSize>>>

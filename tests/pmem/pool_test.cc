@@ -316,14 +316,8 @@ class TearingRecorder : public DurabilityHook
         }
     }
 
-    bool
-    onWriteBack(Pool &, uint32_t line, WriteBackCause cause) override
-    {
-        return decide(line, cause) == kFullLineMask;
-    }
-
     uint8_t
-    onWriteBackWords(Pool &, uint32_t line, WriteBackCause cause) override
+    onWriteBack(Pool &, uint32_t line, WriteBackCause cause) override
     {
         return decide(line, cause);
     }

@@ -17,11 +17,11 @@ namespace {
 /** Records every write-back and drain announcement; vetoes nothing. */
 struct WriteBackRecorder : DurabilityHook
 {
-    bool
+    uint8_t
     onWriteBack(Pool &, uint32_t line, WriteBackCause cause) override
     {
         events.emplace_back(line, cause);
-        return true;
+        return kFullLineMask;
     }
 
     void
@@ -205,12 +205,12 @@ TEST(Registry, CloseWritesBackExactlyWhatAWholePoolWalkWould)
 /** Records the id of the pool behind every write-back, in order. */
 struct PoolOrderRecorder : DurabilityHook
 {
-    bool
+    uint8_t
     onWriteBack(Pool &pool, uint32_t, WriteBackCause) override
     {
         if (ids.empty() || ids.back() != pool.id())
             ids.push_back(pool.id());
-        return true;
+        return kFullLineMask;
     }
 
     std::vector<uint32_t> ids;
