@@ -33,7 +33,6 @@
 #include "common/cli.h"
 #include "common/cpi.h"
 #include "common/json.h"
-#include "common/logging.h"
 #include "driver/experiment.h"
 #include "driver/sweep.h"
 #include "report/contention.h"
@@ -149,6 +148,17 @@ struct BenchArgs
 };
 
 /**
+ * Print "<bench>: <why>" on stderr and exit 1: the status of a run
+ * error, such as an output path the bench cannot write.
+ */
+[[noreturn]] inline void
+exitRunError(const std::string &bench, const std::string &why)
+{
+    std::fprintf(stderr, "%s: %s\n", bench.c_str(), why.c_str());
+    std::exit(1);
+}
+
+/**
  * Machine-readable results for one bench binary.
  *
  * runAll() hands record() every finished run, in submission order:
@@ -161,9 +171,21 @@ struct BenchArgs
 class JsonReport
 {
   public:
+    /**
+     * Opens the --stats-json file at once, so an unwritable path is a
+     * run error (exit 1) before the first run rather than after the
+     * sweep.
+     */
     JsonReport(std::string bench_name, const BenchArgs &args)
         : name_(std::move(bench_name)), args_(args)
-    {}
+    {
+        if (args_.stats_json.empty())
+            return;
+        os_.open(args_.stats_json);
+        if (!os_)
+            exitRunError(name_, "cannot open " + args_.stats_json +
+                                    " for --stats-json");
+    }
 
     ~JsonReport() { write(); }
 
@@ -241,8 +263,10 @@ class JsonReport
         if (written_)
             return;
         written_ = true;
-        if (!args_.stats_json.empty())
-            writeStats();
+        if (!args_.stats_json.empty()) {
+            writeStats(os_);
+            os_.close();
+        }
     }
 
   private:
@@ -276,14 +300,8 @@ class JsonReport
     }
 
     void
-    writeStats()
+    writeStats(std::ostream &os) const
     {
-        std::ofstream os(args_.stats_json);
-        if (!os) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         args_.stats_json.c_str());
-            POAT_FATAL("cannot open --stats-json output file");
-        }
         os << "{\n  \"bench\": \"" << jsonEscape(name_) << "\",\n";
         os << "  \"quick\": " << (args_.quick ? "true" : "false")
            << ",\n";
@@ -331,6 +349,7 @@ class JsonReport
 
     std::string name_;
     BenchArgs args_;
+    std::ofstream os_; ///< the --stats-json file, open from construction
     std::vector<std::string> runs_; ///< rendered JSON run objects
     std::vector<std::pair<std::string, double>> metrics_;
     std::vector<ErrorBar> bars_;
@@ -361,15 +380,24 @@ printCpiStack(const std::string &label, const CpiStack &cpi)
                 static_cast<unsigned long long>(total));
 }
 
-/** Create the output directory @p dir of @p flag if it is missing. */
+/**
+ * Create the output directory @p dir of @p flag if it is missing. A
+ * path that cannot be created (its parent is missing, say) or that
+ * exists but is not a directory is a run error of @p bench (exit 1).
+ */
 inline void
-makeOutputDir(const std::string &dir, const char *flag)
+makeOutputDir(const std::string &bench, const std::string &dir,
+              const char *flag)
 {
     if (mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-        std::fprintf(stderr, "cannot create %s for %s\n", dir.c_str(),
-                     flag);
-        POAT_FATAL("cannot create an output directory");
+        const int err = errno;
+        exitRunError(bench, "cannot create " + dir + " for " + flag + ": " +
+                                std::strerror(err));
     }
+    struct stat st;
+    if (stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode))
+        exitRunError(bench, "cannot use " + dir + " for " + flag +
+                                ": not a directory");
 }
 
 /**
@@ -380,20 +408,23 @@ makeOutputDir(const std::string &dir, const char *flag)
  * --trace give every primary-seed run its own output file, named by
  * JsonReport::runFileStem. A live "sweep k/n" progress line goes to
  * stderr so long regenerations still show a heartbeat while the result
- * tables print all at once. A run that fails (an output path it cannot
- * write, say) prints "<bench>: <why>" on stderr and exits 1.
+ * tables print all at once. Every output directory is checked before
+ * the first run; one that cannot be used, and a run that fails, print
+ * "<bench>: <why>" on stderr and exit 1.
  */
 inline std::vector<driver::ExperimentResult>
 runAll(const BenchArgs &args, JsonReport &report,
        std::vector<driver::ExperimentConfig> configs)
 {
-    if (!args.trace_cache.empty())
+    if (!args.trace_cache.empty()) {
+        makeOutputDir(report.name(), args.trace_cache, "--trace-cache");
         for (auto &c : configs)
             c.trace_cache = args.trace_cache;
+    }
     if (args.timeline)
-        makeOutputDir(args.timeline_dir, "--timeline-dir");
+        makeOutputDir(report.name(), args.timeline_dir, "--timeline-dir");
     if (!args.trace.empty())
-        makeOutputDir(args.trace, "--trace");
+        makeOutputDir(report.name(), args.trace, "--trace");
     if (args.timeline || !args.trace.empty()) {
         // One poat-timeline v2 stream and one Chrome trace per
         // primary-seed run. Extra --seeds runs get neither (see below).
@@ -425,9 +456,7 @@ runAll(const BenchArgs &args, JsonReport &report,
         try {
             res = driver::runSweep(batch, so);
         } catch (const std::exception &e) {
-            std::fprintf(stderr, "%s: %s\n", report.name().c_str(),
-                         e.what());
-            std::exit(1);
+            exitRunError(report.name(), e.what());
         }
         for (size_t i = 0; i < batch.size(); ++i)
             report.record(batch[i], res[i]);

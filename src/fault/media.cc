@@ -205,7 +205,8 @@ enumerateMediaSites(PoolRegistry &registry)
 {
     std::vector<MediaSite> sites;
     for (uint32_t id : registry.openIds()) {
-        Pool &pool = registry.get(id).pool;
+        OpenPool &op = registry.get(id);
+        const Pool &pool = op.pool;
         const PoolHeader &ph = pool.header();
 
         sites.push_back({id, 0, sizeof(PoolHeader),
@@ -215,31 +216,25 @@ enumerateMediaSites(PoolRegistry &registry)
 
         // Every undo-log slot (one per engine worker): its header pair,
         // then its published entries.
-        for (uint32_t s = 0; s < UndoLog::slotCount(ph); ++s) {
-            const uint32_t log_off = UndoLog::slotOffset(ph, s);
+        op.forEachLog([&sites, id](const UndoLog &log) {
+            const uint32_t log_off = log.headerOff();
             sites.push_back({id, log_off, sizeof(LogHeader),
                              MediaStructure::LogHeader, false});
             sites.push_back({id, log_off + LogHeader::kMirrorLineOff,
                              sizeof(LogHeader), MediaStructure::LogHeader,
                              false});
-
-            const LogHeader lh = pool.readAs<LogHeader>(log_off);
-            uint32_t off = log_off + LogHeader::kEntriesOff;
-            for (uint32_t i = 0; i < lh.num_entries; ++i) {
-                const LogEntryHeader eh = pool.readAs<LogEntryHeader>(off);
-                sites.push_back({id, off, sizeof(LogEntryHeader),
+            for (const UndoLog::Record &r : log.records()) {
+                sites.push_back({id, r.entry_off, sizeof(LogEntryHeader),
                                  MediaStructure::LogEntry, false});
-                if (eh.payload_size != 0) {
+                if (r.size != 0) {
                     sites.push_back({id,
-                                     off + static_cast<uint32_t>(
-                                               sizeof(LogEntryHeader)),
-                                     eh.payload_size,
-                                     MediaStructure::LogEntry, false});
+                                     r.entry_off + static_cast<uint32_t>(
+                                                       sizeof(LogEntryHeader)),
+                                     r.size, MediaStructure::LogEntry,
+                                     false});
                 }
-                off += sizeof(LogEntryHeader) +
-                    static_cast<uint32_t>(alignUp(eh.payload_size, 16));
             }
-        }
+        });
 
         const uint32_t heap_end = ph.heap_off + ph.heap_size;
         uint32_t boff = ph.heap_off;

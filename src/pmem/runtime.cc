@@ -70,8 +70,9 @@ PmemRuntime::poolRoot(uint32_t pool_id, uint32_t size)
 {
     OpenPool &op = registry_.get(pool_id);
     sink_->alu(costs::kPoolRoot);
-    // The library reads the root descriptor from the pool header, which
-    // it addresses directly through its own mapping.
+    // The library reaches the pool header, and zeroes a fresh root,
+    // through its own mapping in both modes: these plain accesses do
+    // not go through the BASE/OPT emitters.
     sink_->load(op.pool.vbase() + offsetof(PoolHeader, root_off));
 
     PoolHeader h = op.pool.header();
@@ -116,33 +117,21 @@ void
 PmemRuntime::emitAllocatorTouches(OpenPool &op)
 {
     // Each touched header is a read-modify-write the allocator performs
-    // through its own mapping (Software mode) or through nv instructions
-    // (Hardware mode, paper section 3.3).
-    const bool hw = opts_.mode == TranslationMode::Hardware;
+    // through its own mapping (BASE) or through nv instructions (OPT,
+    // paper section 3.3).
+    const std::vector<uint32_t> &touched = op.alloc.lastTouched();
+    if (touched.empty())
+        return;
     // Each header write reseals its crc (costs::kCrcHeader ALU apiece).
-    if (!op.alloc.lastTouched().empty()) {
-        sink_->alu(costs::kCrcHeader *
-                   static_cast<uint32_t>(op.alloc.lastTouched().size()));
+    sink_->alu(costs::kCrcHeader * static_cast<uint32_t>(touched.size()));
+    for (uint32_t t : touched) {
+        emitLoad(op.pool, t);
+        emitStore(op.pool, t);
+        emitStore(op.pool, t + 8);
     }
-    for (uint32_t t : op.alloc.lastTouched()) {
-        if (hw) {
-            sink_->nvLoad(ObjectID(op.pool.id(), t));
-            sink_->nvStore(ObjectID(op.pool.id(), t));
-            sink_->nvStore(ObjectID(op.pool.id(), t + 8));
-        } else {
-            const uint64_t va = op.pool.vbase() + t;
-            sink_->load(va);
-            sink_->store(va);
-            sink_->store(va + 8);
-        }
-    }
-    if (opts_.durability && !op.alloc.lastTouched().empty()) {
-        for (uint32_t t : op.alloc.lastTouched()) {
-            if (hw)
-                sink_->nvClwb(ObjectID(op.pool.id(), t));
-            else
-                sink_->clwb(op.pool.vbase() + t);
-        }
+    if (opts_.durability) {
+        for (uint32_t t : touched)
+            emitClwb(op.pool, t);
         sink_->fence();
     }
 }
@@ -165,8 +154,7 @@ PmemRuntime::pfree(ObjectID oid)
     OpenPool &op = poolOf(oid);
     // NVML's by-oid entry points locate the pool from the oid: that is
     // a software translation in the BASE system.
-    if (opts_.mode == TranslationMode::Software)
-        translator_.translate(oid, *sink_);
+    emitTranslate(oid);
     sink_->alu(costs::kPfree);
     op.alloc.free(oid.offset());
     emitAllocatorTouches(op);
@@ -176,59 +164,88 @@ PmemRuntime::pfree(ObjectID oid)
 // Translation and data access
 // --------------------------------------------------------------------
 
+uint64_t
+PmemRuntime::emitTranslate(ObjectID oid)
+{
+    if (opts_.mode == TranslationMode::Hardware)
+        return kNoDep;
+    uint64_t vtag = kNoDep;
+    translator_.translate(oid, *sink_, &vtag);
+    return vtag;
+}
+
+// BASE addresses an access through the pool's mapped base, which is
+// exactly what oid_direct returns for it (SoftwareTranslator::translate).
+uint64_t
+PmemRuntime::emitLoad(const Pool &pool, uint32_t off, uint64_t dep,
+                      uint64_t dep2)
+{
+    if (opts_.mode == TranslationMode::Hardware)
+        return sink_->nvLoad(ObjectID(pool.id(), off), dep, dep2);
+    return sink_->load(pool.vaddrOf(off), dep, dep2);
+}
+
+void
+PmemRuntime::emitStore(const Pool &pool, uint32_t off, uint64_t dep)
+{
+    if (opts_.mode == TranslationMode::Hardware)
+        sink_->nvStore(ObjectID(pool.id(), off), dep);
+    else
+        sink_->store(pool.vaddrOf(off), dep);
+}
+
+void
+PmemRuntime::emitClwb(const Pool &pool, uint32_t off)
+{
+    if (opts_.mode == TranslationMode::Hardware)
+        sink_->nvClwb(ObjectID(pool.id(), off));
+    else
+        sink_->clwb(pool.vaddrOf(off));
+}
+
 ObjectRef
 PmemRuntime::deref(ObjectID oid, uint64_t oid_tag)
 {
     POAT_ASSERT(!oid.isNull(), "deref of OID_NULL");
-    if (opts_.mode == TranslationMode::Software) {
-        uint64_t vtag = kNoDep;
-        const uint64_t va = translator_.translate(oid, *sink_, &vtag);
-        return ObjectRef{oid, va, vtag, oid_tag};
-    }
-    return ObjectRef{oid, 0, kNoDep, oid_tag};
+    return ObjectRef{oid, emitTranslate(oid), oid_tag};
 }
 
 void
-PmemRuntime::emitRead(const ObjectRef &ref, uint32_t off, size_t size)
+PmemRuntime::emitRead(const Pool &pool, const ObjectRef &ref, uint32_t off,
+                      size_t size)
 {
     const uint32_t words = static_cast<uint32_t>((size + 7) / 8);
     for (uint32_t w = 0; w < words; ++w) {
-        if (opts_.mode == TranslationMode::Software) {
-            cur().lastLoadTag = sink_->load(ref.vaddr + off + 8ull * w,
-                                            ref.dep_a, ref.dep_b);
-        } else {
-            cur().lastLoadTag = sink_->nvLoad(ref.oid.plus(off + 8 * w),
-                                              ref.dep_a, ref.dep_b);
-        }
+        cur().lastLoadTag = emitLoad(pool, ref.oid.offset() + off + 8 * w,
+                                     ref.dep_a, ref.dep_b);
     }
 }
 
 void
-PmemRuntime::emitWrite(const ObjectRef &ref, uint32_t off, size_t size)
+PmemRuntime::emitWrite(const Pool &pool, const ObjectRef &ref, uint32_t off,
+                       size_t size)
 {
     const uint32_t words = static_cast<uint32_t>((size + 7) / 8);
-    for (uint32_t w = 0; w < words; ++w) {
-        if (opts_.mode == TranslationMode::Software)
-            sink_->store(ref.vaddr + off + 8ull * w, ref.dep_a);
-        else
-            sink_->nvStore(ref.oid.plus(off + 8 * w), ref.dep_a);
-    }
+    for (uint32_t w = 0; w < words; ++w)
+        emitStore(pool, ref.oid.offset() + off + 8 * w, ref.dep_a);
 }
 
 void
 PmemRuntime::readBytes(const ObjectRef &ref, uint32_t off, void *dst,
                        size_t n)
 {
-    emitRead(ref, off, n);
-    poolOf(ref).pool.readRaw(ref.oid.offset() + off, dst, n);
+    Pool &pool = poolOf(ref).pool;
+    emitRead(pool, ref, off, n);
+    pool.readRaw(ref.oid.offset() + off, dst, n);
 }
 
 void
 PmemRuntime::writeBytes(const ObjectRef &ref, uint32_t off, const void *src,
                         size_t n)
 {
-    emitWrite(ref, off, n);
-    poolOf(ref).pool.writeRaw(ref.oid.offset() + off, src, n);
+    Pool &pool = poolOf(ref).pool;
+    emitWrite(pool, ref, off, n);
+    pool.writeRaw(ref.oid.offset() + off, src, n);
 }
 
 // --------------------------------------------------------------------
@@ -236,31 +253,20 @@ PmemRuntime::writeBytes(const ObjectRef &ref, uint32_t off, const void *src,
 // --------------------------------------------------------------------
 
 void
-PmemRuntime::emitPersist(ObjectID oid, uint32_t size, uint64_t vaddr)
-{
-    sink_->alu(costs::kPersistSetup);
-    const uint32_t lines = Pool::lineSpan(oid.offset(), size);
-    const uint32_t first = alignDown(oid.offset(), kLineSize);
-    for (uint32_t i = 0; i < lines; ++i) {
-        if (opts_.mode == TranslationMode::Software)
-            sink_->clwb(alignDown(vaddr, kLineSize) + kLineSize * i);
-        else
-            sink_->nvClwb(ObjectID(oid.poolId(), first + kLineSize * i));
-        sink_->branch(i + 1 < lines, kPcLibLoop);
-    }
-    sink_->fence();
-}
-
-void
 PmemRuntime::persist(ObjectID oid, uint32_t size)
 {
     OpenPool &op = poolOf(oid);
     op.pool.persist(oid.offset(), size);
 
-    uint64_t vaddr = 0;
-    if (opts_.mode == TranslationMode::Software)
-        vaddr = translator_.translate(oid, *sink_);
-    emitPersist(oid, size, vaddr);
+    emitTranslate(oid);
+    sink_->alu(costs::kPersistSetup);
+    const uint32_t lines = Pool::lineSpan(oid.offset(), size);
+    const uint32_t first = alignDown(oid.offset(), kLineSize);
+    for (uint32_t i = 0; i < lines; ++i) {
+        emitClwb(op.pool, first + kLineSize * i);
+        sink_->branch(i + 1 < lines, kPcLibLoop);
+    }
+    sink_->fence();
 }
 
 // --------------------------------------------------------------------
@@ -268,38 +274,41 @@ PmemRuntime::persist(ObjectID oid, uint32_t size)
 // --------------------------------------------------------------------
 
 void
-PmemRuntime::emitLogAppend(OpenPool &op, UndoLog &log)
+PmemRuntime::emitLogHeader(const Pool &pool, const UndoLog &log)
 {
-    const uint32_t pool_id = op.pool.id();
-    const uint32_t entry = log.lastEntryOff();
-    const uint32_t entry_bytes = log.lastEntryBytes();
     const uint32_t hdr = log.headerOff();
     const uint32_t mirror = hdr + LogHeader::kMirrorLineOff;
-    const bool hw = opts_.mode == TranslationMode::Hardware;
+    emitStore(pool, hdr);
+    emitClwb(pool, hdr);
+    emitStore(pool, mirror);
+    emitClwb(pool, mirror);
+}
+
+void
+PmemRuntime::emitCopy(const Pool &pool, uint32_t from, uint32_t to,
+                      uint32_t size)
+{
+    for (uint32_t w = 0; w < (size + 7) / 8; ++w) {
+        const uint64_t t = emitLoad(pool, from + 8 * w);
+        emitStore(pool, to + 8 * w, t);
+        sink_->branch(8u * (w + 1) < size, kPcLibLoop);
+    }
+}
+
+void
+PmemRuntime::emitLogAppend(OpenPool &op, UndoLog &log)
+{
+    const uint32_t entry = log.lastEntryOff();
+    const uint32_t entry_bytes = log.lastEntryBytes();
     // Sealing the entry checksums the payload + 28 header bytes; the
     // header publish reseals the log header and stores both copies.
     sink_->alu(costs::crcCost(entry_bytes) + costs::kCrcHeader);
-    if (hw) {
-        sink_->nvStore(ObjectID(pool_id, entry));
-        for (uint32_t l = 0; l < Pool::lineSpan(entry, entry_bytes); ++l)
-            sink_->nvClwb(ObjectID(pool_id, entry + kLineSize * l));
-        sink_->fence();
-        sink_->nvStore(ObjectID(pool_id, hdr));
-        sink_->nvClwb(ObjectID(pool_id, hdr));
-        sink_->nvStore(ObjectID(pool_id, mirror));
-        sink_->nvClwb(ObjectID(pool_id, mirror));
-        sink_->fence();
-    } else {
-        sink_->store(op.pool.vbase() + entry);
-        for (uint32_t l = 0; l < Pool::lineSpan(entry, entry_bytes); ++l)
-            sink_->clwb(op.pool.vbase() + entry + kLineSize * l);
-        sink_->fence();
-        sink_->store(op.pool.vbase() + hdr);
-        sink_->clwb(op.pool.vbase() + hdr);
-        sink_->store(op.pool.vbase() + mirror);
-        sink_->clwb(op.pool.vbase() + mirror);
-        sink_->fence();
-    }
+    emitStore(op.pool, entry);
+    for (uint32_t l = 0; l < Pool::lineSpan(entry, entry_bytes); ++l)
+        emitClwb(op.pool, entry + kLineSize * l);
+    sink_->fence();
+    emitLogHeader(op.pool, log);
+    sink_->fence();
 }
 
 void
@@ -314,19 +323,7 @@ PmemRuntime::txBegin(uint32_t pool_id)
 
     sink_->note({NoteKind::TxBegin, {pool_id, cur().currentOp}});
     sink_->alu(costs::kTxBegin + costs::kCrcHeader);
-    const uint32_t hdr = log.headerOff();
-    const uint32_t mirror = hdr + LogHeader::kMirrorLineOff;
-    if (opts_.mode == TranslationMode::Hardware) {
-        sink_->nvStore(ObjectID(pool_id, hdr));
-        sink_->nvClwb(ObjectID(pool_id, hdr));
-        sink_->nvStore(ObjectID(pool_id, mirror));
-        sink_->nvClwb(ObjectID(pool_id, mirror));
-    } else {
-        sink_->store(op.pool.vbase() + hdr);
-        sink_->clwb(op.pool.vbase() + hdr);
-        sink_->store(op.pool.vbase() + mirror);
-        sink_->clwb(op.pool.vbase() + mirror);
-    }
+    emitLogHeader(op.pool, log);
     sink_->fence();
 }
 
@@ -340,25 +337,12 @@ PmemRuntime::txAddRange(ObjectID oid, uint32_t size)
     log.addRange(oid.offset(), size);
 
     sink_->alu(costs::kTxAddRange);
-    const bool hw = opts_.mode == TranslationMode::Hardware;
-    const uint32_t payload = log.lastEntryOff() +
-        static_cast<uint32_t>(sizeof(LogEntryHeader));
-
-    uint64_t src_va = 0;
-    if (!hw)
-        src_va = translator_.translate(oid, *sink_);
-
+    emitTranslate(oid);
     // Copy loop: snapshot the range into the log entry.
-    for (uint32_t w = 0; w < (size + 7) / 8; ++w) {
-        if (hw) {
-            const uint64_t t = sink_->nvLoad(oid.plus(8 * w));
-            sink_->nvStore(ObjectID(oid.poolId(), payload + 8 * w), t);
-        } else {
-            const uint64_t t = sink_->load(src_va + 8ull * w);
-            sink_->store(op.pool.vbase() + payload + 8ull * w, t);
-        }
-        sink_->branch(8u * (w + 1) < size, kPcLibLoop);
-    }
+    emitCopy(op.pool, oid.offset(),
+             log.lastEntryOff() +
+                 static_cast<uint32_t>(sizeof(LogEntryHeader)),
+             size);
     emitLogAppend(op, log);
 }
 
@@ -402,8 +386,7 @@ PmemRuntime::txPfree(ObjectID oid)
                 "tx_pfree on a pool without an open transaction");
     OpenPool &op = registry_.get(oid.poolId());
     UndoLog &log = logFor(op);
-    if (opts_.mode == TranslationMode::Software)
-        translator_.translate(oid, *sink_);
+    emitTranslate(oid);
     log.logFree(oid.offset());
 
     sink_->alu(costs::kPfree / 2); // deferred: only the log append now
@@ -446,24 +429,9 @@ void
 PmemRuntime::emitCommit(OpenPool &op, UndoLog &log,
                         const std::vector<UndoLog::Record> &records)
 {
-    const bool hw = opts_.mode == TranslationMode::Hardware;
-    const uint32_t pool_id = op.pool.id();
-    const uint32_t hdr = log.headerOff();
-    const uint32_t mirror = hdr + LogHeader::kMirrorLineOff;
-
     auto flush_header = [&] {
         sink_->alu(costs::kCrcHeader);
-        if (hw) {
-            sink_->nvStore(ObjectID(pool_id, hdr));
-            sink_->nvClwb(ObjectID(pool_id, hdr));
-            sink_->nvStore(ObjectID(pool_id, mirror));
-            sink_->nvClwb(ObjectID(pool_id, mirror));
-        } else {
-            sink_->store(op.pool.vbase() + hdr);
-            sink_->clwb(op.pool.vbase() + hdr);
-            sink_->store(op.pool.vbase() + mirror);
-            sink_->clwb(op.pool.vbase() + mirror);
-        }
+        emitLogHeader(op.pool, log);
         commitFence();
     };
 
@@ -472,12 +440,8 @@ PmemRuntime::emitCommit(OpenPool &op, UndoLog &log,
         if (r.type != LogEntryHeader::kData)
             continue;
         const uint32_t first = alignDown(r.target_off, kLineSize);
-        for (uint32_t l = 0; l < Pool::lineSpan(r.target_off, r.size); ++l) {
-            if (hw)
-                sink_->nvClwb(ObjectID(pool_id, first + kLineSize * l));
-            else
-                sink_->clwb(op.pool.vbase() + first + kLineSize * l);
-        }
+        for (uint32_t l = 0; l < Pool::lineSpan(r.target_off, r.size); ++l)
+            emitClwb(op.pool, first + kLineSize * l);
     }
     commitFence();
 
@@ -489,16 +453,9 @@ PmemRuntime::emitCommit(OpenPool &op, UndoLog &log,
         sink_->alu(costs::kPfree);
         const uint32_t block = r.target_off -
             static_cast<uint32_t>(sizeof(BlockHeader));
-        if (hw) {
-            sink_->nvLoad(ObjectID(pool_id, block));
-            sink_->nvStore(ObjectID(pool_id, block));
-            sink_->nvClwb(ObjectID(pool_id, block));
-        } else {
-            const uint64_t va = op.pool.vbase() + block;
-            sink_->load(va);
-            sink_->store(va);
-            sink_->clwb(va);
-        }
+        emitLoad(op.pool, block);
+        emitStore(op.pool, block);
+        emitClwb(op.pool, block);
         commitFence();
     }
     flush_header();
@@ -525,7 +482,6 @@ PmemRuntime::txAbort()
 {
     POAT_ASSERT(!cur().txPools.empty(), "tx_abort outside a transaction");
     sink_->alu(costs::kTxEnd);
-    const bool hw = opts_.mode == TranslationMode::Hardware;
     for (const uint32_t pool_id : cur().txPools) {
         OpenPool &op = registry_.get(pool_id);
         UndoLog &log = logFor(op);
@@ -537,22 +493,10 @@ PmemRuntime::txAbort()
             if (it->type != LogEntryHeader::kData)
                 continue;
             abortUndoBytes_ += it->size;
-            const uint32_t payload = it->entry_off +
-                static_cast<uint32_t>(sizeof(LogEntryHeader));
-            for (uint32_t w = 0; w < (it->size + 7) / 8; ++w) {
-                if (hw) {
-                    const uint64_t t =
-                        sink_->nvLoad(ObjectID(pool_id, payload + 8 * w));
-                    sink_->nvStore(
-                        ObjectID(pool_id, it->target_off + 8 * w), t);
-                } else {
-                    const uint64_t t =
-                        sink_->load(op.pool.vbase() + payload + 8ull * w);
-                    sink_->store(
-                        op.pool.vbase() + it->target_off + 8ull * w, t);
-                }
-                sink_->branch(8u * (w + 1) < it->size, kPcLibLoop);
-            }
+            emitCopy(op.pool,
+                     it->entry_off +
+                         static_cast<uint32_t>(sizeof(LogEntryHeader)),
+                     it->target_off, it->size);
         }
         sink_->fence();
         sink_->note({NoteKind::TxAbort, {pool_id}});
@@ -572,14 +516,8 @@ PmemRuntime::setOp(const char *name)
 }
 
 // --------------------------------------------------------------------
-// Workload support
+// Recovery
 // --------------------------------------------------------------------
-
-uint64_t
-PmemRuntime::mapVolatile(uint64_t size)
-{
-    return registry_.addressSpace().mapRandom(size);
-}
 
 void
 PmemRuntime::crashAndRecover()

@@ -5,10 +5,17 @@
  *
  * TranslationMode::Software is the BASE system: every object dereference
  * calls the software oid_direct (SoftwareTranslator), and data accesses
- * are ordinary loads/stores at the translated virtual address.
- * TranslationMode::Hardware is the OPT system: dereferences are free and
- * data accesses are nvld/nvst events carrying the ObjectID, translated
- * by the simulated POLB/POT.
+ * are ordinary loads/stores at the pool's mapped address, which is what
+ * oid_direct returns. TranslationMode::Hardware is the OPT system:
+ * dereferences are free and data accesses are nvld/nvst events carrying
+ * the ObjectID, translated by the simulated POLB/POT.
+ *
+ * The two differ in one place: four private emitters (emitTranslate,
+ * emitLoad, emitStore, emitClwb) are the only code that reads the mode,
+ * and every library and data access goes through them. Both systems so
+ * emit the same logical stream: the CrossConfig suite and
+ * Workloads.BaseAndOptStreamsMatchForLhtAndTpcc
+ * (tests/workloads/workloads_test.cc) hold them to it.
  *
  * Durability emission can be disabled (the *_NTX configurations): library
  * paths then skip CLWB/fence events. Host-side semantics (the real undo
@@ -65,15 +72,15 @@ struct RuntimeOptions
 /**
  * A dereferenced object: what the paper's programmer juggles manually.
  *
- * In Software mode it carries the translated virtual address plus the
- * value tag of the translation's base-address load; in Hardware mode
- * only the ObjectID (plus the tag of whatever load produced it, for
- * pointer-chase dependence tracking).
+ * It carries the ObjectID and two value tags for dependence tracking:
+ * the tag of the translation's base-address load (Software mode; a
+ * data access's address depends on it) and the tag of whatever load
+ * produced the ObjectID (pointer chase). The address itself is the
+ * pool's mapped base plus the offset, so it is not stored.
  */
 struct ObjectRef
 {
     ObjectID oid{};
-    uint64_t vaddr = 0; ///< Software mode only
     uint64_t dep_a = kNoDep; ///< translation result tag (Software)
     uint64_t dep_b = kNoDep; ///< tag of the load that produced the oid
 
@@ -131,8 +138,9 @@ class PmemRuntime
     read(const ObjectRef &ref, uint32_t off = 0)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        emitRead(ref, off, sizeof(T));
-        return poolOf(ref).pool.readAs<T>(ref.oid.offset() + off);
+        Pool &pool = poolOf(ref).pool;
+        emitRead(pool, ref, off, sizeof(T));
+        return pool.readAs<T>(ref.oid.offset() + off);
     }
 
     /** Write a scalar field at @p ref.oid + @p off. */
@@ -141,8 +149,9 @@ class PmemRuntime
     write(const ObjectRef &ref, uint32_t off, const T &v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        emitWrite(ref, off, sizeof(T));
-        poolOf(ref).pool.writeAs<T>(ref.oid.offset() + off, v);
+        Pool &pool = poolOf(ref).pool;
+        emitWrite(pool, ref, off, sizeof(T));
+        pool.writeAs<T>(ref.oid.offset() + off, v);
     }
 
     /** Bulk read of @p n bytes starting at @p ref.oid + @p off. */
@@ -209,12 +218,6 @@ class PmemRuntime
     /** The active worker id. */
     uint32_t worker() const { return worker_; }
 
-    /** Worker contexts materialized so far (>= 1). */
-    uint32_t workerCount() const
-    {
-        return static_cast<uint32_t>(workers_.size());
-    }
-
     /**
      * Group-commit fence batching. While on, the fences the commit
      * emission path (txEnd) would issue are withheld and counted; the
@@ -234,9 +237,6 @@ class PmemRuntime
      */
     uint64_t flushCommitFences();
 
-    /** Commit fences withheld in the current window. */
-    uint64_t pendingCommitFences() const { return pendingFences_; }
-
     /**
      * Undo-log bytes copied back by txAbort() over the runtime's
      * lifetime (across all workers and pools). Counted host-side from
@@ -248,9 +248,6 @@ class PmemRuntime
 
     /// @name Workload support
     /// @{
-    /** Reserve @p size bytes of volatile address space (buffers). */
-    uint64_t mapVolatile(uint64_t size);
-
     /** Emit @p count generic ALU instructions (workload compute). */
     void
     compute(uint32_t count, uint64_t dep = kNoDep)
@@ -274,8 +271,6 @@ class PmemRuntime
     const SoftwareTranslator &translator() const { return translator_; }
     TraceSink &sink() { return *sink_; }
     void setSink(TraceSink *sink) { sink_ = sink ? sink : &nullSink_; }
-    TranslationMode mode() const { return opts_.mode; }
-    bool durability() const { return opts_.durability; }
 
     /** Power-failure simulation: crash all pools, then recover them. */
     void crashAndRecover();
@@ -303,16 +298,44 @@ class PmemRuntime
     OpenPool &poolOf(const ObjectRef &ref);
     OpenPool &poolOf(ObjectID oid);
 
+    /// @name The BASE/OPT emitters
+    ///
+    /// The only code that reads the translation mode. Under BASE
+    /// (Software) an access to @p pool at @p off is a plain load, store
+    /// or CLWB at pool.vaddrOf(off), the address oid_direct returns;
+    /// under OPT (Hardware) it is the nv form on the ObjectID
+    /// (pool, off). Every library and data access goes through them.
+    /// @{
+    /** BASE: oid_direct on @p oid; @return its value tag. OPT: nothing. */
+    uint64_t emitTranslate(ObjectID oid);
+    /** A load of @p pool at @p off; @return its value tag. */
+    uint64_t emitLoad(const Pool &pool, uint32_t off, uint64_t dep = kNoDep,
+                      uint64_t dep2 = kNoDep);
+    /** A store to @p pool at @p off (address produced by @p dep). */
+    void emitStore(const Pool &pool, uint32_t off, uint64_t dep = kNoDep);
+    /** A CLWB of the line holding @p pool at @p off. */
+    void emitClwb(const Pool &pool, uint32_t off);
+    /// @}
+
     /** Emit the instruction(s) for a data read of @p size bytes. */
-    void emitRead(const ObjectRef &ref, uint32_t off, size_t size);
+    void emitRead(const Pool &pool, const ObjectRef &ref, uint32_t off,
+                  size_t size);
     /** Emit the instruction(s) for a data write of @p size bytes. */
-    void emitWrite(const ObjectRef &ref, uint32_t off, size_t size);
+    void emitWrite(const Pool &pool, const ObjectRef &ref, uint32_t off,
+                   size_t size);
 
-    /** Emit flush events for [oid, oid+size) if durability is on. */
-    void emitPersist(ObjectID oid, uint32_t size, uint64_t vaddr);
-
-    /** Emit direct (library-internal) stores for allocator headers. */
+    /** Emit the library's read-modify-writes of allocator headers. */
     void emitAllocatorTouches(OpenPool &op);
+
+    /** Store and flush both copies of @p log's header (no fence). */
+    void emitLogHeader(const Pool &pool, const UndoLog &log);
+
+    /**
+     * Copy @p size bytes from @p from to @p to within @p pool, a word
+     * at a time: the snapshot into a log entry and the abort copy-back.
+     */
+    void emitCopy(const Pool &pool, uint32_t from, uint32_t to,
+                  uint32_t size);
 
     /** Emit the store+flush pair publishing a log append. */
     void emitLogAppend(OpenPool &op, UndoLog &log);

@@ -84,9 +84,6 @@ class SoftwareTranslator
         return calls_ ? static_cast<double>(misses_) / calls_ : 0.0;
     }
 
-    /** Distribution of emitted instructions per translate() call. */
-    const Histogram &insnsPerCallHistogram() const { return insnHist_; }
-
     /**
      * Publish this translator's counters and histograms into @p reg
      * under "@p prefix." (e.g. "sw_translate.calls").

@@ -95,87 +95,68 @@ UndoLog::begin()
 }
 
 void
-UndoLog::addRange(uint32_t off, uint32_t size)
+UndoLog::append(const char *api, LogEntryHeader eh)
 {
-    POAT_ASSERT(active_, "tx_add_range outside a transaction");
-    POAT_ASSERT(size > 0, "tx_add_range of empty range");
-
     const LogHeader h = readHeader();
     const uint32_t entry_bytes = sizeof(LogEntryHeader) +
-        static_cast<uint32_t>(alignUp(size, 16));
+        static_cast<uint32_t>(alignUp(eh.payload_size, 16));
     const uint32_t entry_off = entriesBase() + h.used;
     if (entry_off + entry_bytes > logOff_ + logSize_)
-        throwExhausted("tx_add_range", entry_bytes, h);
+        throwExhausted(api, entry_bytes, h);
 
-    // Write the snapshot entry and make it durable *before* publishing
-    // it via the entry count; a torn entry is then never observed.
-    std::vector<uint8_t> snap(size);
-    pool_.readRaw(off, snap.data(), size);
-    LogEntryHeader eh{};
-    eh.type = LogEntryHeader::kData;
-    eh.payload_size = size;
-    eh.target_off = off;
-    eh.data_crc = crc32c(snap.data(), size, LogEntryHeader::kCrcSeed);
+    // Write the entry and make it durable *before* publishing it via
+    // the entry count; a torn entry is then never observed.
+    std::vector<uint8_t> snap(eh.payload_size);
+    if (eh.type == LogEntryHeader::kData) {
+        pool_.readRaw(eh.target_off, snap.data(), snap.size());
+        eh.data_crc = crc32c(snap.data(), snap.size(),
+                             LogEntryHeader::kCrcSeed);
+    }
     eh.seal();
     pool_.checksumCounters().log_entry_updates += 1;
     pool_.checksumCounters().bytes_summed +=
-        size + offsetof(LogEntryHeader, hdr_crc);
+        eh.payload_size + offsetof(LogEntryHeader, hdr_crc);
     pool_.writeRaw(entry_off, &eh, sizeof(eh));
-    pool_.writeRaw(entry_off + sizeof(eh), snap.data(), size);
+    if (!snap.empty())
+        pool_.writeRaw(entry_off + sizeof(eh), snap.data(), snap.size());
     pool_.persist(entry_off, entry_bytes);
     lastEntryOff_ = entry_off;
     lastEntryBytes_ = entry_bytes;
 
     writeState(LogHeader::kActive, h.num_entries + 1, h.used + entry_bytes);
+}
+
+void
+UndoLog::addRange(uint32_t off, uint32_t size)
+{
+    POAT_ASSERT(active_, "tx_add_range outside a transaction");
+    POAT_ASSERT(size > 0, "tx_add_range of empty range");
+    LogEntryHeader eh{};
+    eh.type = LogEntryHeader::kData;
+    eh.payload_size = size;
+    eh.target_off = off;
+    append("tx_add_range", eh);
 }
 
 void
 UndoLog::logAlloc(uint32_t payload_off, uint32_t payload_bytes)
 {
     POAT_ASSERT(active_, "tx_pmalloc outside a transaction");
-    const LogHeader h = readHeader();
-    const uint32_t entry_bytes = sizeof(LogEntryHeader);
-    const uint32_t entry_off = entriesBase() + h.used;
-    if (entry_off + entry_bytes > logOff_ + logSize_)
-        throwExhausted("tx_pmalloc", entry_bytes, h);
-
     LogEntryHeader eh{};
     eh.type = LogEntryHeader::kAlloc;
     eh.target_off = payload_off;
     eh.alloc_size = payload_bytes;
-    eh.seal();
-    pool_.checksumCounters().log_entry_updates += 1;
-    pool_.checksumCounters().bytes_summed += offsetof(LogEntryHeader,
-                                                      hdr_crc);
-    pool_.writeRaw(entry_off, &eh, sizeof(eh));
-    pool_.persist(entry_off, entry_bytes);
-    lastEntryOff_ = entry_off;
-    lastEntryBytes_ = entry_bytes;
-    writeState(LogHeader::kActive, h.num_entries + 1, h.used + entry_bytes);
+    append("tx_pmalloc", eh);
 }
 
 void
 UndoLog::logFree(uint32_t payload_off)
 {
     POAT_ASSERT(active_, "tx_pfree outside a transaction");
-    const LogHeader h = readHeader();
-    const uint32_t entry_bytes = sizeof(LogEntryHeader);
-    const uint32_t entry_off = entriesBase() + h.used;
-    if (entry_off + entry_bytes > logOff_ + logSize_)
-        throwExhausted("tx_pfree", entry_bytes, h);
-
     LogEntryHeader eh{};
     eh.type = LogEntryHeader::kFree;
     eh.target_off = payload_off;
-    eh.seal();
-    pool_.checksumCounters().log_entry_updates += 1;
-    pool_.checksumCounters().bytes_summed += offsetof(LogEntryHeader,
-                                                      hdr_crc);
-    pool_.writeRaw(entry_off, &eh, sizeof(eh));
-    pool_.persist(entry_off, entry_bytes);
-    lastEntryOff_ = entry_off;
-    lastEntryBytes_ = entry_bytes;
-    writeState(LogHeader::kActive, h.num_entries + 1, h.used + entry_bytes);
+    append("tx_pfree", eh);
 }
 
 std::vector<UndoLog::Record>

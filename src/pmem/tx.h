@@ -263,6 +263,16 @@ class UndoLog
     LogHeader readHeader() const;
     void writeState(uint32_t state, uint32_t num, uint32_t used);
 
+    /**
+     * Append @p eh (type, target and sizes set) as the next entry: check
+     * that it fits, seal it, write and persist it, then publish it in
+     * the header. A kData entry's payload is the payload_size bytes now
+     * at target_off, sealed by data_crc; other types have no payload.
+     * @throws std::runtime_error naming @p api if the log is full, before
+     *         anything is read or written.
+     */
+    void append(const char *api, LogEntryHeader eh);
+
     /** Throw std::runtime_error: @p entry_bytes does not fit the log. */
     [[noreturn]] void throwExhausted(const char *api, uint32_t entry_bytes,
                                      const LogHeader &h) const;

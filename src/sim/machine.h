@@ -144,9 +144,6 @@ class Machine : public TraceSink
         return static_cast<uint32_t>(cores_.size());
     }
 
-    /** Core the next instruction retires on (see coreSwitch). */
-    uint32_t activeCore() const { return active_; }
-
     /**
      * Core @p core's CPI stack. Components sum exactly to that core's
      * cycles — both core models maintain the invariant per instruction,
@@ -155,12 +152,6 @@ class Machine : public TraceSink
     const CpiStack &cpi(uint32_t core = 0) const
     {
         return cores_[core]->model->cpi();
-    }
-
-    /** Cycles elapsed on one specific core. */
-    uint64_t coreCycles(uint32_t core) const
-    {
-        return cores_[core]->model->cycles();
     }
 
     /**
@@ -193,15 +184,8 @@ class Machine : public TraceSink
         return contention_;
     }
 
-    const MachineConfig &config() const { return cfg_; }
     Polb &polb(uint32_t core = 0) { return cores_[core]->polb; }
     Pot &pot() { return pot_; }
-    Tlb &tlb(uint32_t core = 0) { return cores_[core]->tlb; }
-    CacheHierarchy &caches() { return caches_; }
-    BranchPredictor &branchPredictor(uint32_t core = 0)
-    {
-        return cores_[core]->bp;
-    }
 
   private:
     /**

@@ -54,8 +54,9 @@ numbers (--jobs=abc, --scale=x, a 20-digit --jobs, a signed
 unknown simulate workload or flag each print a diagnostic plus the
 usage text on stderr and exit 2 instead of aborting, and that an
 output path fig12 cannot write (--trace, --timeline-dir or
---trace-cache naming a regular file) exits 1 with a diagnostic that
-names it.
+--trace-cache naming a regular file, --trace or --timeline-dir under a
+missing directory, --stats-json under a regular file) exits 1 before
+the sweep, with a diagnostic that names it and its flag.
 
 Usage: bench_smoke.py <fig9a_speedup_inorder> [<fig11_polb_size>
        [<crash_explore> [<timeline_dump> [<fig_cores>
@@ -609,24 +610,41 @@ def check_usage_errors(fig9a, fig12, simulate, crash):
 
 
 def check_unwritable_outputs(fig12):
-    """An output path that names an existing regular file is a run
-    error: exit 1 with a diagnostic naming it, never an abort."""
+    """An output path fig12 cannot write is a run error found before
+    the sweep: exit 1 with a diagnostic naming the path and its flag,
+    never an abort, and nothing on stdout (no run printed its table)."""
     with tempfile.TemporaryDirectory() as tmp:
         f = os.path.join(tmp, "F")
         with open(f, "w") as out:
             out.write("not a directory\n")
+        missing = os.path.join(tmp, "missing", "sub")
         base = [fig12, "--quick", "--no-tpcc", "--jobs=2"]
-        for args in (["--trace=" + f],
-                     ["--timeline=100000", "--timeline-dir=" + f],
-                     ["--trace-cache=" + f]):
+        cases = (
+            (["--trace=" + f], f, "--trace"),
+            (["--timeline=100000", "--timeline-dir=" + f], f,
+             "--timeline-dir"),
+            (["--trace-cache=" + f], f, "--trace-cache"),
+            (["--stats-json=" + f + "/x.json"], f + "/x.json",
+             "--stats-json"),
+            (["--trace=" + missing], missing, "--trace"),
+            (["--timeline=100000", "--timeline-dir=" + missing], missing,
+             "--timeline-dir"),
+        )
+        for args, path, flag in cases:
             proc = subprocess.run(base + args, capture_output=True,
                                   text=True, timeout=600)
-            if (proc.returncode != 1 or f not in proc.stderr
-                    or "terminate called" in proc.stderr):
-                fail("fig12 %s: exit %d, want 1 with a diagnostic naming "
-                     "%s\nstderr:\n%s"
-                     % (" ".join(args), proc.returncode, f, proc.stderr))
-    print("OK: 3 unwritable output paths exit 1 with a diagnostic")
+            if (proc.returncode != 1 or path not in proc.stderr
+                    or flag not in proc.stderr
+                    or "fatal:" in proc.stderr
+                    or "terminate called" in proc.stderr
+                    or proc.stdout):
+                fail("fig12 %s: exit %d, want 1 before any run with a "
+                     "diagnostic naming %s and %s\nstdout:\n%s\n"
+                     "stderr:\n%s"
+                     % (" ".join(args), proc.returncode, path, flag,
+                        proc.stdout, proc.stderr))
+    print("OK: %d unwritable output paths exit 1 before the sweep"
+          % len(cases))
 
 
 def main():
